@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import json
 import math
 import os
@@ -116,6 +117,10 @@ _FLOW_KEYS = {
     "aimd", "cwnd_init", "cwnd_floor", "ssthresh_init",
     "start_in_avoidance", "start_s",
 }
+_SECTION_KEYS = {
+    "experiment": {"duration_s", "warmup_s", "bin_s", "seeds", "seed", "name"},
+    "link": {"trace", "one_way_delay_ms", "buffer_pkts", "per_flow_queues", "packet_bytes"},
+}
 
 
 def _flow_from_options(flow_id: str, opts: dict[str, str]) -> FlowSpec:
@@ -159,6 +164,13 @@ def load_ini(path: str) -> dict:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}")
+    for section in cp.sections():
+        if section in _SECTION_KEYS:
+            unknown = set(cp[section]) - _SECTION_KEYS[section]
+            if unknown:
+                raise ConfigError(f"{path}: unknown [{section}] option(s): {sorted(unknown)}")
+        elif section != "flow" and not section.startswith("flow:"):
+            raise ConfigError(f"{path}: unknown section [{section}]")
     settings: dict = {"flow_base": {}, "extra_flows": []}
     if cp.has_section("experiment"):
         exp = cp["experiment"]
@@ -297,25 +309,16 @@ def write_run_outputs(out_dir: str, sim_config: SimConfig, log, analysis: dict) 
         json.dumps(_no_nan(payload), indent=2, sort_keys=True) + "\n",
     )
     rows = metrics.timeseries(log, bin_s=analysis["bin_s"])
-    buf = []
-    writer_target = _CsvString(buf)
-    writer = csv.writer(writer_target)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     writer.writerow(metrics.TIMESERIES_COLUMNS)
     for row in rows:
         writer.writerow(
             [_fmt(row[col]) if col not in ("flow_id", "zone") else row[col]
              for col in metrics.TIMESERIES_COLUMNS]
         )
-    _atomic_write(os.path.join(out_dir, "timeseries.csv"), "".join(buf))
+    _atomic_write(os.path.join(out_dir, "timeseries.csv"), buf.getvalue())
     return payload
-
-
-class _CsvString:
-    def __init__(self, buf: list):
-        self._buf = buf
-
-    def write(self, data: str):
-        self._buf.append(data)
 
 
 def _fmt(v) -> str:
@@ -344,7 +347,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"util {m['utilization']:.3f}, "
             f"p95 RTT {m['p95_rtt_s'] * 1e3:.1f} ms -> {run_dir}"
         )
-    settings["seeds"] = seeds
     return EXIT_OK
 
 
@@ -387,9 +389,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 rate_pps = sched.mean_rate_mbps(pkt_bytes) * 1e6 / (8 * pkt_bytes)
                 per_run["buffer_pkts"] = max(1, round(rate_pps * rtt_ms * 1e-3))
             else:
-                dur = per_run.get("duration_s", 30.0)
                 per_run["trace"] = f"constant:{value}@1"
-                per_run.setdefault("duration_s", dur)
             sim, analysis = build_sim_config(per_run)
             log = run_sim(sim)
             run_dir = os.path.join(out_dir, f"{args.param}-{value}", f"seed-{seed}")
@@ -401,14 +401,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                  _fmt(m["mean_queuing_delay_s"] * 1e3), _fmt(m["jain_index"])]
             )
             print(f"{args.param}={value} seed={seed}: util {m['utilization']:.3f}")
-    buf: list[str] = []
-    writer = csv.writer(_CsvString(buf))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     writer.writerow(
         [args.param, "seed", "throughput_mbps", "utilization",
          "mean_rtt_ms", "p95_rtt_ms", "mean_queuing_delay_ms", "jain_index"]
     )
     writer.writerows(agg_rows)
-    _atomic_write(os.path.join(out_dir, "aggregate.csv"), "".join(buf))
+    _atomic_write(os.path.join(out_dir, "aggregate.csv"), buf.getvalue())
     print(f"aggregate -> {os.path.join(out_dir, 'aggregate.csv')}")
     return EXIT_OK
 

@@ -55,11 +55,17 @@ def headroom(delay_s: float, min_rtt_s: float, threshold_s: float) -> float:
     """Affine headroom score: 1.0 at the RTT floor, 0.0 at the threshold.
 
     Deliberately unclamped; negative values measure how far past the
-    threshold the delay sits and drive the mitigation cut. Assumes
-    threshold > min RTT — configuration resolution enforces that before any
-    score is computed, so this stays a bare arithmetic map.
+    threshold the delay sits and drive the mitigation cut. Configuration
+    resolution keeps the threshold above a positive min RTT. A zero min RTT
+    (no propagation delay, a packet sent onto an empty queue at an
+    opportunity instant) under a multiplier threshold puts the threshold on
+    the floor; the score then takes its limit as the two close: 1.0 at the
+    floor, -inf past it.
     """
-    return 1.0 - (delay_s - min_rtt_s) / (threshold_s - min_rtt_s)
+    span = threshold_s - min_rtt_s
+    if span == 0.0:
+        return 1.0 if delay_s <= min_rtt_s else -math.inf
+    return 1.0 - (delay_s - min_rtt_s) / span
 
 
 def classify_zone(delay_s: float, derivative: float, threshold_s: float) -> Zone:

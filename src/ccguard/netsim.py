@@ -6,13 +6,31 @@ every delivered packet immediately; an ack carries its packet's sequence
 number and returns after the same propagation delay. Senders are ack-clocked:
 a flow keeps `floor(cwnd)` packets in flight.
 
-Time is integer microseconds throughout. Events are totally ordered by
-(time, insertion sequence), so identical configurations replay bit-identically
-regardless of host or hash seed. Delivery opportunities come from a
-``TraceSchedule`` (mahimahi format, looping); an opportunity with an empty
-queue is wasted. A packet arriving exactly at an opportunity instant is
-eligible for it (arrivals are absorbed, with drop-tail checks, in arrival
-order before each delivery).
+Time is integer microseconds throughout. Every event carries a key
+(time, insertion sequence) and events run in key order, so identical
+configurations replay bit-identically regardless of host or hash seed.
+Delivery opportunities come from a ``TraceSchedule`` (mahimahi format,
+looping); an opportunity with an empty queue is wasted. A packet arriving
+exactly at an opportunity instant is eligible for it (arrivals are absorbed,
+with drop-tail checks, in arrival order before each delivery).
+
+The event loop draws from three sources and runs whichever holds the
+smallest (time, insertion sequence) key, so ties break exactly as one
+global priority queue would break them:
+
+* the armed delivery: at most one opportunity is pending at a time, held
+  as a scalar key;
+* the ack stream, a FIFO: deliveries happen in time order and every ack
+  returns after the same constant delay, so acks fall due in the order
+  they were created;
+* a heap holding only guardian ticks and flow starts.
+
+A packet's trip to the queue needs no event. Sends happen in time order
+and the delay is constant, so the packets still propagating are always
+the packet-id range [transit head, packets sent), and packet p reaches
+the queue at its send time plus the one-way delay. The next opportunity
+comes from a cursor into the schedule's per-loop offsets that only moves
+forward.
 
 Loss handling mirrors dupack-based TCP without retransmission: per-flow
 deliveries stay in sequence order, so a delivery above the next expected
@@ -22,11 +40,14 @@ response once, declares the gap lost, and resynchronizes past it.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from array import array
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import repeat
 
 from .aimd import AVOIDANCE, AimdWindow
 from .guardian import Guardian, GuardianConfig
@@ -36,11 +57,14 @@ INFINITE_BUFFER = 2**31
 
 US_PER_S = 1_000_000
 
-# Event kinds, ordered by frequency for the dispatch chain.
+# Event kinds. Ticks and starts share the heap; deliveries and acks each
+# have a source of their own.
 _DELIVER = 0
 _ACK = 1
 _TICK = 2
 _START = 3
+# Key of an empty event source: later than any event time.
+_NEVER = 1 << 62
 
 CONTROLLERS = ("guarded", "aimd")
 
@@ -108,9 +132,8 @@ class _FlowState:
     __slots__ = (
         "spec", "win", "guardian", "rng", "inflight", "next_seq",
         "next_expected", "dup_count", "min_rtt_s", "si_sum", "si_n",
-        "guardian_active", "wants_guardian", "aimd_on",
+        "guardian_active", "awaiting_guardian", "aimd_on",
         "next_cwnd_sample_us", "watermark_us",
-        "sent", "delivered", "dropped",
     )
 
     def __init__(self, spec: FlowSpec, rng: random.Random):
@@ -121,8 +144,8 @@ class _FlowState:
             floor=spec.cwnd_floor,
             start_in_avoidance=spec.start_in_avoidance,
         )
-        self.wants_guardian = spec.controller == "guarded"
-        self.guardian = Guardian(spec.guardian, rng) if self.wants_guardian else None
+        guarded = spec.controller == "guarded"
+        self.guardian = Guardian(spec.guardian, rng) if guarded else None
         self.rng = rng
         self.inflight = 0
         self.next_seq = 0
@@ -132,12 +155,12 @@ class _FlowState:
         self.si_sum = 0.0
         self.si_n = 0
         self.guardian_active = False
+        # A guarded flow's guardian starts on the first ack that finds the
+        # window in congestion avoidance (or AIMD switched off).
+        self.awaiting_guardian = guarded
         self.aimd_on = spec.aimd_enabled
         self.next_cwnd_sample_us = 0
         self.watermark_us = -1
-        self.sent = 0
-        self.delivered = 0
-        self.dropped = 0
 
 
 @dataclass
@@ -227,111 +250,96 @@ def run_sim(config: SimConfig) -> SimLog:
     cwnd_val: list[float] = []
 
     threshold_raised = False
+    n_sent = 0
+    n_delivered = 0
+    n_dropped = 0
 
-    # Bottleneck state. `transit` holds (arrival_us, pid) in arrival order
-    # (sends are time-ordered and the propagation delay is constant).
-    from collections import deque
-
-    transit: deque = deque()
+    # Bottleneck state. Packets [transit_head, n_sent) are propagating
+    # towards the queue.
+    transit_head = 0
     per_flow_q = config.per_flow_queues
     if per_flow_q:
         queues = [deque() for _ in range(nf)]
         qlens = [0] * nf
+        rr = 0                  # round-robin cursor over the per-flow queues
     else:
         shared_queue: deque = deque()
     q_total = 0
-    rr = 0                      # round-robin cursor for per-flow queues
-    last_opp_us = 0             # last opportunity considered (used or wasted)
-    delivery_armed = False
 
-    heap: list[tuple[int, int, int, int]] = []
+    # Opportunity cursor: obase + offs[oi] (cached in opp_t) is the schedule
+    # entry after the last opportunity considered, used or wasted, at
+    # last_opp_us. Arming moves it on to the first entry the delivery may
+    # take. offs[-1] equals the loop length, so any target in
+    # (obase, obase + loop_us] lies in the current loop.
+    offs = schedule.offsets_us()
+    loop_us = schedule.loop_length_us
+    n_offs = len(offs)
+    oi = 0
+    obase = 0
+    opp_t = offs[0]
+    last_opp_us = 0
+
+    # Event sources, each keyed (t, eseq); see the module docstring.
+    d_t = d_seq = _NEVER                  # the armed delivery
+    acks: deque = deque()                 # (t, eseq, pid), due in order
+    heap = [(_NEVER, _NEVER, _START, -1)]  # ticks and starts over a sentinel
     eseq = 0
-    next_opportunity = schedule.next_opportunity
-
-    def arm_delivery(now_us: int) -> None:
-        nonlocal delivery_armed, eseq
-        if delivery_armed:
-            return
-        if q_total > 0:
-            hint = now_us
-        elif transit:
-            hint = transit[0][0]
-        else:
-            return
-        t = next_opportunity(max(hint, last_opp_us + 1))
-        delivery_armed = True
-        heapq.heappush(heap, (t, eseq, _DELIVER, 0))
-        eseq += 1
-
-    def try_send(fi: int, f: _FlowState, now_us: int) -> None:
-        nonlocal eseq
-        target = int(f.win.cwnd)
-        while f.inflight < target:
-            pid = len(p_flow)
-            p_flow.append(fi)
-            p_seq.append(f.next_seq)
-            p_sent.append(now_us)
-            p_delivered.append(-1)
-            p_dropped.append(-1)
-            f.next_seq += 1
-            f.inflight += 1
-            f.sent += 1
-            transit.append((now_us + owd_us, pid))
-        arm_delivery(now_us)
-
-    def note_cwnd(fi: int, f: _FlowState, now_us: int) -> None:
-        # Coarse trail: at most one sample per 100 ms per flow.
-        if now_us >= f.next_cwnd_sample_us:
-            cwnd_t.append(now_us)
-            cwnd_flow.append(fi)
-            cwnd_val.append(f.win.cwnd)
-            f.next_cwnd_sample_us = now_us + 100_000
-        if watermark is not None and f.watermark_us < 0 and f.win.cwnd >= watermark:
-            f.watermark_us = now_us
-
-    def activate_guardian(fi: int, f: _FlowState, now_us: int) -> None:
-        nonlocal eseq
-        f.guardian_active = True
-        f.si_sum = 0.0
-        f.si_n = 0
-        t = now_us + max(1, round(f.min_rtt_s * US_PER_S))
-        if t <= duration_us:
-            heapq.heappush(heap, (t, eseq, _TICK, fi))
-            eseq += 1
-
     for fi, f in enumerate(flows):
-        heapq.heappush(heap, (round(f.spec.start_s * US_PER_S), eseq, _START, fi))
+        heappush(heap, (round(f.spec.start_s * US_PER_S), eseq, _START, fi))
         eseq += 1
+    h_t = heap[0][0]
 
-    while heap:
-        t, _, kind, arg = heapq.heappop(heap)
-        if t > duration_us:
+    while True:
+        # The next event is the smallest key of the three sources.
+        t = d_t
+        seq = d_seq
+        kind = _DELIVER
+        if acks:
+            a_t, a_seq, pid = acks[0]
+            if a_t < t or (a_t == t and a_seq < seq):
+                t = a_t
+                seq = a_seq
+                kind = _ACK
+        if h_t < t or (h_t == t and heap[0][1] < seq):
+            t = h_t
+            if t > duration_us:
+                break
+            _, _, kind, fi = heappop(heap)
+            h_t = heap[0][0]
+        elif t > duration_us:
             break
 
         if kind == _DELIVER:
-            delivery_armed = False
-            # Absorb every arrival due by now, in arrival order, applying
-            # drop-tail at the queue state each would have seen.
-            while transit and transit[0][0] <= t:
-                at, pid = transit.popleft()
+            # Delivery opportunity. Absorb every arrival due by now, in
+            # arrival order, applying drop-tail at the queue state each
+            # would have seen.
+            d_t = _NEVER
+            cut = t - owd_us
+            while transit_head < n_sent and p_sent[transit_head] <= cut:
+                pid = transit_head
+                transit_head += 1
                 if per_flow_q:
                     qfi = p_flow[pid]
                     if qlens[qfi] >= buffer_pkts:
-                        p_dropped[pid] = at
-                        flows[qfi].dropped += 1
+                        p_dropped[pid] = p_sent[pid] + owd_us
+                        n_dropped += 1
                     else:
                         queues[qfi].append(pid)
                         qlens[qfi] += 1
                         q_total += 1
+                elif q_total >= buffer_pkts:
+                    p_dropped[pid] = p_sent[pid] + owd_us
+                    n_dropped += 1
                 else:
-                    if q_total >= buffer_pkts:
-                        p_dropped[pid] = at
-                        flows[p_flow[pid]].dropped += 1
-                    else:
-                        shared_queue.append(pid)
-                        q_total += 1
+                    shared_queue.append(pid)
+                    q_total += 1
             last_opp_us = t
-            if q_total > 0:
+            oi += 1
+            if oi == n_offs:
+                oi = 0
+                obase += loop_us
+            opp_t = obase + offs[oi]
+            if q_total:
                 if per_flow_q:
                     for step in range(nf):
                         cand = (rr + step) % nf
@@ -344,86 +352,132 @@ def run_sim(config: SimConfig) -> SimLog:
                     pid = shared_queue.popleft()
                 q_total -= 1
                 p_delivered[pid] = t
-                flows[p_flow[pid]].delivered += 1
-                heapq.heappush(heap, (t + owd_us, eseq, _ACK, pid))
+                n_delivered += 1
+                acks.append((t + owd_us, eseq, pid))
                 eseq += 1
-            arm_delivery(t)
-
-        elif kind == _ACK:
-            pid = arg
-            fi = p_flow[pid]
-            f = flows[fi]
-            rtt_s = (t - p_sent[pid]) * 1e-6
-            if rtt_s < f.min_rtt_s:
-                f.min_rtt_s = rtt_s
-            if f.guardian_active:
-                f.si_sum += rtt_s
-                f.si_n += 1
-            s = p_seq[pid]
-            if s == f.next_expected:
-                f.next_expected = s + 1
-                f.dup_count = 0
-                f.inflight -= 1
-                if f.aimd_on:
-                    f.win.on_ack()
-            elif s > f.next_expected:
-                f.dup_count += 1
-                f.inflight -= 1
-                if f.dup_count == 3:
-                    # Gap sequences [next_expected, s] minus the 3 delivered
-                    # duplicates are lost for good; free their window slots.
-                    f.inflight -= s - f.next_expected - 2
+        else:
+            if kind == _ACK:
+                acks.popleft()
+                fi = p_flow[pid]
+                f = flows[fi]
+                rtt_s = (t - p_sent[pid]) * 1e-6
+                if rtt_s < f.min_rtt_s:
+                    f.min_rtt_s = rtt_s
+                if f.guardian_active:
+                    f.si_sum += rtt_s
+                    f.si_n += 1
+                s = p_seq[pid]
+                if s == f.next_expected:
                     f.next_expected = s + 1
                     f.dup_count = 0
+                    f.inflight -= 1
                     if f.aimd_on:
-                        f.win.on_loss()
-            # (s < next_expected is impossible: per-flow delivery order is
-            # send order, and resync only moves next_expected forward.)
-            if (
-                f.wants_guardian
-                and not f.guardian_active
-                and (f.win.phase == AVOIDANCE or not f.aimd_on)
-            ):
-                activate_guardian(fi, f, t)
-            note_cwnd(fi, f, t)
-            try_send(fi, f, t)
+                        f.win.on_ack()
+                elif s > f.next_expected:
+                    f.dup_count += 1
+                    f.inflight -= 1
+                    if f.dup_count == 3:
+                        # Gap sequences [next_expected, s] minus the 3
+                        # delivered duplicates are lost for good; free
+                        # their window slots.
+                        f.inflight -= s - f.next_expected - 2
+                        f.next_expected = s + 1
+                        f.dup_count = 0
+                        if f.aimd_on:
+                            f.win.on_loss()
+                # (s < next_expected is impossible: per-flow delivery order
+                # is send order, and resync only moves next_expected forward.)
+                if f.awaiting_guardian and (f.win.phase == AVOIDANCE or not f.aimd_on):
+                    f.awaiting_guardian = False
+                    f.guardian_active = True
+                    f.si_sum = 0.0
+                    f.si_n = 0
+                    t_next = t + max(1, round(f.min_rtt_s * US_PER_S))
+                    if t_next <= duration_us:
+                        heappush(heap, (t_next, eseq, _TICK, fi))
+                        eseq += 1
+                        h_t = heap[0][0]
+            elif kind == _TICK:
+                f = flows[fi]
+                mean_delay = f.si_sum / f.si_n if f.si_n else None
+                f.si_sum = 0.0
+                f.si_n = 0
+                action = f.guardian.tick(mean_delay, t * 1e-6, f.min_rtt_s)
+                if action.multiplier != 1.0:
+                    f.win.cwnd *= action.multiplier
+                    f.win.clamp()
+                if action.threshold_raised:
+                    threshold_raised = True
+                tick_t.append(t)
+                tick_flow.append(fi)
+                tick_zone.append(action.zone.value)
+                tick_mult.append(action.multiplier)
+                tick_mean.append(action.mean)
+                tick_delay.append(action.delay_s if action.delay_s is not None else math.nan)
+                tick_thresh.append(action.threshold_s)
+                tick_cwnd.append(f.win.cwnd)
+                t_next = t + max(1, round(f.min_rtt_s * US_PER_S))
+                if t_next <= duration_us:
+                    heappush(heap, (t_next, eseq, _TICK, fi))
+                    eseq += 1
+                    h_t = heap[0][0]
+            else:  # _START
+                f = flows[fi]
 
-        elif kind == _TICK:
-            fi = arg
-            f = flows[fi]
-            mean_delay = f.si_sum / f.si_n if f.si_n else None
-            f.si_sum = 0.0
-            f.si_n = 0
-            action = f.guardian.tick(mean_delay, t * 1e-6, f.min_rtt_s)
-            if action.multiplier != 1.0:
-                f.win.cwnd *= action.multiplier
-                f.win.clamp()
-            if action.threshold_raised:
-                threshold_raised = True
-            tick_t.append(t)
-            tick_flow.append(fi)
-            tick_zone.append(action.zone.value)
-            tick_mult.append(action.multiplier)
-            tick_mean.append(action.mean)
-            tick_delay.append(action.delay_s if action.delay_s is not None else math.nan)
-            tick_thresh.append(action.threshold_s)
-            tick_cwnd.append(f.win.cwnd)
-            t_next = t + max(1, round(f.min_rtt_s * US_PER_S))
-            if t_next <= duration_us:
-                heapq.heappush(heap, (t_next, eseq, _TICK, fi))
-                eseq += 1
-            note_cwnd(fi, f, t)
-            try_send(fi, f, t)
+            # The flow's cwnd trail (at most one sample per 100 ms), its
+            # watermark, then sends up to the window.
+            cwnd = f.win.cwnd
+            if t >= f.next_cwnd_sample_us:
+                cwnd_t.append(t)
+                cwnd_flow.append(fi)
+                cwnd_val.append(cwnd)
+                f.next_cwnd_sample_us = t + 100_000
+            if watermark is not None and f.watermark_us < 0 and cwnd >= watermark:
+                f.watermark_us = t
+            k = int(cwnd) - f.inflight
+            if k > 0:
+                s = f.next_seq
+                if k == 1:
+                    p_flow.append(fi)
+                    p_seq.append(s)
+                    p_sent.append(t)
+                    p_delivered.append(-1)
+                    p_dropped.append(-1)
+                else:
+                    p_flow.extend(repeat(fi, k))
+                    p_seq.extend(range(s, s + k))
+                    p_sent.extend(repeat(t, k))
+                    p_delivered.extend(repeat(-1, k))
+                    p_dropped.extend(repeat(-1, k))
+                f.next_seq = s + k
+                f.inflight += k
+                n_sent += k
 
-        else:  # _START
-            fi = arg
-            f = flows[fi]
-            note_cwnd(fi, f, t)
-            try_send(fi, f, t)
+        # Arm the next delivery if none is pending and a packet is queued
+        # or on its way: the first opportunity at or after max(when it can
+        # leave, last opportunity + 1).
+        if d_t == _NEVER:
+            if q_total:
+                x = t
+            elif transit_head < n_sent:
+                x = p_sent[transit_head] + owd_us
+            else:
+                continue
+            if x <= last_opp_us:
+                x = last_opp_us + 1
+            if opp_t < x:
+                r = x - obase
+                if r <= loop_us:
+                    oi = bisect_left(offs, r, oi)
+                else:
+                    loops, rem = divmod(x - 1, loop_us)
+                    obase = loops * loop_us
+                    oi = bisect_left(offs, rem + 1)
+                opp_t = obase + offs[oi]
+            d_t = opp_t
+            d_seq = eseq
+            eseq += 1
 
-    n_sent = len(p_flow)
-    n_delivered = sum(f.delivered for f in flows)
-    n_dropped = sum(f.dropped for f in flows)
     log = SimLog(
         config=config,
         flow_ids=[f.spec.flow_id for f in flows],
@@ -447,7 +501,7 @@ def run_sim(config: SimConfig) -> SimLog:
         n_delivered=n_delivered,
         n_dropped=n_dropped,
         n_in_queue=q_total,
-        n_in_flight=len(transit),
+        n_in_flight=n_sent - transit_head,
         min_rtt_s=[f.min_rtt_s for f in flows],
         watermark_us=[f.watermark_us for f in flows],
         threshold_raised=threshold_raised,

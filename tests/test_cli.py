@@ -118,6 +118,24 @@ def test_run_ini_config_with_extra_flows(out_root, tmp_path):
     assert d["seed"] == 9
 
 
+def test_run_ini_misspelled_key_exits_2(out_root, tmp_path, capsys):
+    ini = tmp_path / "typo.ini"
+    ini.write_text("[link]\ntrace = constant:12@1\nbufer_pkts = 5\n")
+    rc = main(["run", "--config", str(ini), "--duration", "2", "--out", "typo"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bufer_pkts" in err and len(err.strip().splitlines()) == 1
+    assert not (out_root / "typo").exists()
+
+
+def test_run_ini_unknown_section_exits_2(tmp_path, capsys):
+    ini = tmp_path / "section.ini"
+    ini.write_text("[experiment]\nduration_s = 2\n[links]\ntrace = constant:12@1\n")
+    rc = main(["run", "--config", str(ini), "--out", "section"])
+    assert rc == EXIT_CONFIG
+    assert "[links]" in capsys.readouterr().err
+
+
 def test_run_missing_config_exits_3(capsys):
     rc = main(["run", "--config", "/nonexistent/exp.ini", "--out", "x"])
     assert rc == EXIT_MISSING_INPUT

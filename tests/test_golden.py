@@ -1,0 +1,139 @@
+"""Frozen replay digests of the simulator.
+
+Each scenario is a short run (1-5 simulated seconds) whose complete
+``SimLog`` is hashed: the five packet ledgers plus flow and sequence ids,
+the whole guardian tick trail, the cwnd trail and the end-of-run fields.
+The expected digests were recorded once and are compared across commits,
+so a change that alters any number the simulator produces fails here even
+if it replays consistently within one process.
+
+A digest mismatch means simulated behaviour changed. If that is intended,
+say so in the change description and re-record the digests; never re-record
+them to make a speed change pass.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ccguard.guardian import GuardianConfig
+from ccguard.netsim import FlowSpec, SimConfig, run_sim
+from ccguard.traces import TraceSchedule, synth_constant, synth_step
+
+LEDGERS = ("p_flow", "p_seq", "p_sent_us", "p_delivered_us", "p_dropped_us")
+TRAILS = (
+    "tick_t_us", "tick_flow", "tick_zone", "tick_multiplier", "tick_mean",
+    "tick_delay_s", "tick_threshold_s", "tick_cwnd",
+    "cwnd_t_us", "cwnd_flow", "cwnd_val",
+)
+END_FIELDS = (
+    "flow_ids", "n_sent", "n_delivered", "n_dropped", "n_in_queue",
+    "n_in_flight", "min_rtt_s", "watermark_us", "threshold_raised",
+)
+
+
+def log_digest(log) -> str:
+    """SHA-256 over every SimLog field except the config it echoes."""
+    h = hashlib.sha256()
+    for name in LEDGERS:
+        h.update(name.encode())
+        h.update(np.asarray(getattr(log, name), dtype="<i8").tobytes())
+    for name in TRAILS + END_FIELDS:
+        h.update(name.encode())
+        h.update(repr(getattr(log, name)).encode())
+    return h.hexdigest()
+
+
+def guarded(flow_id="flow0", **kw):
+    return FlowSpec(flow_id=flow_id, controller="guarded", **kw)
+
+
+def aimd(flow_id="flow0", **kw):
+    return FlowSpec(flow_id=flow_id, controller="aimd", **kw)
+
+
+def fixed_threshold(seconds):
+    return GuardianConfig(threshold_multiplier=None, threshold_fixed_s=seconds)
+
+
+def _scenarios():
+    # Opportunities in bursts, a silence and a 40 ms loop, so deliveries
+    # cross many loop boundaries and skip empty stretches.
+    bursty = TraceSchedule([3, 3, 3, 3, 4, 9, 9, 25, 25, 25, 26, 40], 40)
+    return {
+        "steady": SimConfig(
+            schedule=synth_constant(300.0, 1.0), duration_s=2.0, seed=1,
+            flows=[guarded(guardian=fixed_threshold(0.040))],
+        ),
+        "step-up": SimConfig(
+            schedule=synth_step([(50.0, 1.0), (200.0, 2.0)]), duration_s=3.0,
+            buffer_pkts=3200, seed=2, flows=[guarded()],
+        ),
+        "step-down": SimConfig(
+            schedule=synth_step([(200.0, 1.5), (30.0, 1.5)]), duration_s=3.0,
+            buffer_pkts=3200, seed=3, flows=[guarded()],
+        ),
+        "small-buffer-drops": SimConfig(
+            schedule=synth_constant(24.0, 1.0), duration_s=4.0, buffer_pkts=20,
+            seed=4, flows=[aimd(ssthresh_init=10_000.0)],
+        ),
+        "staggered-mixed": SimConfig(
+            schedule=synth_constant(48.0, 1.0), duration_s=4.0, buffer_pkts=200,
+            seed=5,
+            flows=[
+                guarded("a"),
+                aimd("b", start_s=0.5),
+                guarded("c", start_s=1.25,
+                        guardian=GuardianConfig(exploration="deterministic")),
+            ],
+        ),
+        "per-flow-queues": SimConfig(
+            schedule=synth_constant(24.0, 1.0), duration_s=3.0, buffer_pkts=30,
+            per_flow_queues=True, seed=6,
+            flows=[guarded("a"), aimd("b", start_s=0.3), guarded("c", start_s=0.6)],
+        ),
+        "zero-owd": SimConfig(
+            schedule=synth_constant(12.0, 1.0), duration_s=2.0,
+            one_way_delay_s=0.0, buffer_pkts=50, seed=7,
+            flows=[guarded(), aimd("b", start_s=0.5)],
+        ),
+        "bursty-loop": SimConfig(
+            schedule=bursty, duration_s=3.0, one_way_delay_s=0.007,
+            buffer_pkts=8, seed=8,
+            flows=[guarded("a", guardian=fixed_threshold(0.001)),
+                   aimd("b", start_s=0.2)],
+        ),
+        "aimd-rampup-watermark": SimConfig(
+            schedule=synth_constant(60.0, 1.0), duration_s=3.0, seed=9,
+            flows=[aimd(cwnd_init=1.0, cwnd_floor=1.0, start_in_avoidance=True)],
+            cwnd_watermark=40.0,
+        ),
+        "zero-flows": SimConfig(
+            schedule=synth_constant(12.0, 1.0), duration_s=1.0, flows=[],
+        ),
+    }
+
+
+GOLDEN = {
+    "steady": "7d5783423750dd89a992cc388b3915cb9006d91ebc8c5aa19ec58ad1b68d2774",
+    "step-up": "21ba7df99238dd5cc27b94bd861dcd67920c642ff066e978606dfc9d5bfb6daa",
+    "step-down": "192744328e239c0225d5efeb216955e9818ff76d24b1ab6db87ba2ef4f71093e",
+    "small-buffer-drops": "e8be3a3879bb7af03275b3a20dba1ca169807ea71572224e41f04bcb7726cd8c",
+    "staggered-mixed": "55d19cb5b3aca6765bd291938e389ae938ef0dd6c0dcf102f134486c6552a82b",
+    "per-flow-queues": "b04506228a7f2c7d10ff1b5781a12ea1b88ef5f0cc7da0648be7aa2c5f848b20",
+    "zero-owd": "3ecdf89b4e444e7616a8e93d488e8f78ee4c15bb7487212aa4cd686b63f1da0d",
+    "bursty-loop": "cf3226f7c1be2d33bfc08ae6cb407159f6c438971ec96df352a10473e81cb520",
+    "aimd-rampup-watermark": "83ff3b9eef633b168e818cc01bed79892238e9209500872c3be09f3e5dc3e315",
+    "zero-flows": "cd92c43ded1791ead5faae7b13dd440e59de51c873f1d526ccdb965646df9d42",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_replay_matches_frozen_digest(name):
+    log = run_sim(_scenarios()[name])
+    assert log_digest(log) == GOLDEN[name], f"{name}: simulated behaviour changed"
+
+
+def test_every_scenario_has_a_frozen_digest():
+    assert set(GOLDEN) == set(_scenarios())

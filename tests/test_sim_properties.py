@@ -1,0 +1,178 @@
+"""Property tests of the simulator: the invariants every run must keep,
+checked on random small configurations.
+
+Traces mix bursts, silences and very short loops; buffers range from one
+packet to unbounded; one to four flows of either controller start at
+staggered times; the one-way delay may be zero. Every invariant is checked
+from the returned ledgers, not from the simulator's own counters alone.
+"""
+
+from collections import Counter
+from itertools import groupby
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccguard.guardian import GuardianConfig
+from ccguard.netsim import INFINITE_BUFFER, FlowSpec, SimConfig, US_PER_S, run_sim
+from ccguard.traces import TraceSchedule, capacity_delivered
+
+
+@st.composite
+def schedules(draw):
+    """A looping trace: each step is a gap in ms (silence when long) and a
+    burst of opportunities landing on that millisecond."""
+    steps = draw(st.lists(
+        st.tuples(st.integers(1, 30), st.integers(0, 12)), min_size=1, max_size=12,
+    ))
+    timestamps = []
+    ms = 0
+    for gap, burst in steps:
+        ms += gap
+        timestamps += [ms] * burst
+    if not timestamps or timestamps[-1] != ms:
+        timestamps.append(ms)
+    return TraceSchedule(timestamps, ms)
+
+
+@st.composite
+def flow_specs(draw, flow_id):
+    floor = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    guarded = draw(st.booleans())
+    guardian = GuardianConfig()
+    if guarded:
+        fixed = draw(st.sampled_from([None, 0.002, 0.030]))
+        guardian = GuardianConfig(
+            threshold_multiplier=None if fixed else draw(st.sampled_from([1.2, 1.5, 3.0])),
+            threshold_fixed_s=fixed,
+            exploration=draw(st.sampled_from(["stochastic", "deterministic", "off"])),
+        )
+    return FlowSpec(
+        flow_id=flow_id,
+        controller="guarded" if guarded else "aimd",
+        start_s=draw(st.sampled_from([0.0, 0.0, 0.01, 0.1, 0.25])),
+        cwnd_init=floor + draw(st.integers(0, 40)),
+        cwnd_floor=floor,
+        ssthresh_init=draw(st.sampled_from([4.0, 64.0, 1e9])),
+        start_in_avoidance=draw(st.booleans()),
+        aimd_enabled=draw(st.booleans()) if guarded else True,
+        guardian=guardian,
+    )
+
+
+@st.composite
+def sim_configs(draw):
+    n_flows = draw(st.integers(1, 4))
+    return SimConfig(
+        schedule=draw(schedules()),
+        duration_s=draw(st.sampled_from([0.05, 0.2, 0.5])),
+        one_way_delay_s=draw(st.sampled_from([0, 1, 500, 3_000, 10_000])) / US_PER_S,
+        buffer_pkts=draw(st.one_of(st.integers(1, 40), st.just(INFINITE_BUFFER))),
+        per_flow_queues=draw(st.booleans()),
+        seed=draw(st.integers(0, 1000)),
+        flows=[draw(flow_specs(f"f{i}")) for i in range(n_flows)],
+    )
+
+
+def check_invariants(cfg, log):
+    owd = round(cfg.one_way_delay_s * US_PER_S)
+    horizon = round(cfg.duration_s * US_PER_S)
+    sched = cfg.schedule
+    n = log.n_sent
+    sent, dlv, drop = log.p_sent_us, log.p_delivered_us, log.p_dropped_us
+    assert len(log.p_flow) == len(log.p_seq) == len(sent) == len(dlv) == len(drop) == n
+
+    # Packet conservation, from the ledgers.
+    delivered = [p for p in range(n) if dlv[p] >= 0]
+    dropped = [p for p in range(n) if drop[p] >= 0]
+    pending = [p for p in range(n) if dlv[p] < 0 and drop[p] < 0]
+    assert not set(delivered) & set(dropped)
+    assert len(delivered) == log.n_delivered
+    assert len(dropped) == log.n_dropped
+    assert len(pending) == log.n_in_queue + log.n_in_flight
+    log.check_conservation()
+
+    # Per flow: sequence numbers count up in send order, and delivery
+    # order is send order.
+    last_seq = {}
+    last_dlv = {}
+    for p in range(n):
+        fi = log.p_flow[p]
+        assert log.p_seq[p] == last_seq.get(fi, -1) + 1
+        last_seq[fi] = log.p_seq[p]
+        if dlv[p] >= 0:
+            assert dlv[p] > last_dlv.get(fi, -1)
+            last_dlv[fi] = dlv[p]
+        assert sent[p] >= round(cfg.flows[fi].start_s * US_PER_S)
+
+    # RTT >= 2 x OWD: a packet leaves the queue no earlier than it reached it.
+    for p in delivered:
+        assert dlv[p] - sent[p] >= owd
+        assert dlv[p] <= horizon
+    for p in dropped:
+        assert drop[p] == sent[p] + owd
+    for rtt in log.min_rtt_s:
+        assert rtt >= 2 * cfg.one_way_delay_s - 1e-12
+
+    # Deliveries land on opportunity instants, one per opportunity, and
+    # never outnumber the trace's opportunities up to the horizon.
+    times = sorted(dlv[p] for p in delivered)
+    assert all(sched.next_opportunity(t) == t for t in times)
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert log.n_delivered <= capacity_delivered(sched, 0.0, (horizon + 1) / US_PER_S)
+
+    # Queue length never above the buffer. Rebuild each queue from the
+    # ledgers: the packets still queued at the end are the earliest pending
+    # ones (the queue is fed in send order). With a propagation delay,
+    # every packet arriving at an opportunity instant is there before that
+    # opportunity is used, so the count is exact at every event and a drop
+    # must find its queue full. Without one, a packet sent at an instant
+    # may arrive before or after that instant's delivery, so the count is
+    # only checked once each instant is over.
+    exact = owd > 0
+    absorbed = set(pending[: log.n_in_queue]) | set(delivered)
+    queue_of = (lambda p: log.p_flow[p]) if cfg.per_flow_queues else (lambda p: 0)
+    events = [(sent[p] + owd, 0, p) for p in absorbed | set(dropped)]
+    events += [(dlv[p], 1, p) for p in delivered]
+    qlen = Counter()
+    for _, same_instant in groupby(sorted(events), key=lambda e: e[0]):
+        for _, is_delivery, p in same_instant:
+            q = queue_of(p)
+            if is_delivery:
+                qlen[q] -= 1
+            elif drop[p] < 0:
+                qlen[q] += 1
+                assert not exact or qlen[q] <= cfg.buffer_pkts
+            else:
+                assert not exact or qlen[q] == cfg.buffer_pkts
+        assert all(0 <= v <= cfg.buffer_pkts for v in qlen.values())
+    assert sum(qlen.values()) == log.n_in_queue
+
+    # cwnd never below the floor, at ticks or in the coarse trail.
+    for fi, c in zip(log.tick_flow, log.tick_cwnd):
+        assert c >= cfg.flows[fi].cwnd_floor
+    for fi, c in zip(log.cwnd_flow, log.cwnd_val):
+        assert c >= cfg.flows[fi].cwnd_floor
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sim_configs())
+def test_simulator_invariants_hold(cfg):
+    check_invariants(cfg, run_sim(cfg))
+
+
+def test_zero_min_rtt_under_multiplier_threshold_runs():
+    # With no propagation delay a packet sent at an opportunity instant onto
+    # an empty queue leaves at once: RTT 0, so a multiplier threshold is 0.
+    # The guardian must treat any delay as past it rather than divide by 0.
+    # The flow starts on an opportunity instant, so its first packet does.
+    cfg = SimConfig(
+        schedule=TraceSchedule([1, 2, 3, 4], 4), duration_s=0.01,
+        one_way_delay_s=0.0, seed=3,
+        flows=[FlowSpec(controller="guarded", start_s=0.002, cwnd_init=3.0,
+                        aimd_enabled=False)],
+    )
+    log = run_sim(cfg)
+    assert log.min_rtt_s[0] == 0.0
+    assert "critical" in log.tick_zone
+    check_invariants(cfg, log)
