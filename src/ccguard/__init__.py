@@ -10,7 +10,6 @@ from .aimd import AimdWindow
 from .guardian import Guardian, GuardianConfig, Zone
 from .metrics import MetricsSummary, summarize, timeseries
 from .netsim import INFINITE_BUFFER, FlowSpec, SimConfig, SimLog, run_sim
-from .theory import LinkModel
 from .traces import TraceSchedule, capacity_delivered, parse_trace, synth_constant, synth_step
 
 __version__ = "0.1.0"
@@ -28,7 +27,6 @@ __all__ = [
     "SimConfig",
     "SimLog",
     "run_sim",
-    "LinkModel",
     "TraceSchedule",
     "capacity_delivered",
     "parse_trace",

@@ -13,8 +13,6 @@ from __future__ import annotations
 SLOW_START = 0
 AVOIDANCE = 1
 
-DUP_ACK_THRESHOLD = 3
-
 
 class AimdWindow:
     """Window state for one flow. All sizes are in packets (floats)."""

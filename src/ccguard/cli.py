@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import experiments, metrics, theory, traces
 from .guardian import EXPLORATION_MODES, GuardianConfig
@@ -83,11 +83,11 @@ def parse_threshold(text: str) -> tuple[float | None, float | None]:
     t = text.strip().lower()
     try:
         if t.endswith("x"):
-            return float(t[:-1]), None
+            return _finite(t[:-1]), None
         if t.endswith("ms"):
-            return None, float(t[:-2]) / 1000.0
+            return None, _finite(t[:-2]) / 1000.0
         if t.endswith("s"):
-            return None, float(t[:-1])
+            return None, _finite(t[:-1])
     except ValueError:
         pass
     raise ConfigError(f"threshold must look like '1.5x', '40ms' or '0.04s': {text!r}")
@@ -105,168 +105,172 @@ def _parse_buffer(text: str) -> int:
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.replace(" ", "").split(",") if s]
+        seeds = [int(s) for s in text.replace(" ", "").split(",") if s]
     except ValueError:
         raise ConfigError(f"seeds must be comma-separated integers: {text!r}")
+    if not seeds:
+        raise ConfigError("seeds must name at least one seed")
+    return seeds
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 # ------------------------------------------------------------ configuration
 
+# Every accepted INI option. [flow] holds the options every flow starts
+# from; each [flow:NAME] section adds one flow and overrides them.
+_SECTION_KEYS = {
+    "experiment": {"duration_s", "warmup_s", "bin_s", "seeds", "seed"},
+    "link": {"trace", "one_way_delay_ms", "buffer_pkts", "packet_bytes"},
+}
 _FLOW_KEYS = {
     "controller", "threshold", "exploration", "slowdown", "mitigation",
     "aimd", "cwnd_init", "cwnd_floor", "ssthresh_init",
     "start_in_avoidance", "start_s",
 }
-_SECTION_KEYS = {
-    "experiment": {"duration_s", "warmup_s", "bin_s", "seeds", "seed", "name"},
-    "link": {"trace", "one_way_delay_ms", "buffer_pkts", "per_flow_queues", "packet_bytes"},
+
+# Flag (argparse dest) -> the (section, option) it overrides. Flags are
+# written in this order, so --seeds wins over --seed; both replace the
+# file's seeds and seed.
+_FLAG_KEYS = {
+    "trace": ("link", "trace"),
+    "duration": ("experiment", "duration_s"),
+    "seed": ("experiment", "seeds"),
+    "seeds": ("experiment", "seeds"),
+    "owd_ms": ("link", "one_way_delay_ms"),
+    "buffer": ("link", "buffer_pkts"),
+    "warmup": ("experiment", "warmup_s"),
+    "bin_s": ("experiment", "bin_s"),
+    "controller": ("flow", "controller"),
+    "threshold": ("flow", "threshold"),
+    "exploration": ("flow", "exploration"),
+    "slowdown": ("flow", "slowdown"),
+    "mitigation": ("flow", "mitigation"),
+    "aimd": ("flow", "aimd"),
 }
 
 
-def _flow_from_options(flow_id: str, opts: dict[str, str]) -> FlowSpec:
-    unknown = set(opts) - _FLOW_KEYS
-    if unknown:
-        raise ConfigError(f"unknown flow option(s): {sorted(unknown)}")
-    controller = opts.get("controller", "guarded")
-    mult, fixed = parse_threshold(opts.get("threshold", "1.5x"))
-    exploration = opts.get("exploration", "stochastic")
-    if exploration not in EXPLORATION_MODES:
-        raise ConfigError(f"exploration must be one of {EXPLORATION_MODES}")
-    guardian = GuardianConfig(
-        threshold_multiplier=mult,
-        threshold_fixed_s=fixed,
-        exploration=exploration,
-        slowdown=_parse_bool(opts.get("slowdown", "on")),
-        mitigation=_parse_bool(opts.get("mitigation", "on")),
-    )
-    try:
-        return FlowSpec(
-            flow_id=flow_id,
-            controller=controller,
-            start_s=float(opts.get("start_s", "0")),
-            cwnd_init=float(opts.get("cwnd_init", "10")),
-            cwnd_floor=float(opts.get("cwnd_floor", "2")),
-            ssthresh_init=float(opts.get("ssthresh_init", "64")),
-            start_in_avoidance=_parse_bool(opts.get("start_in_avoidance", "off")),
-            aimd_enabled=_parse_bool(opts.get("aimd", "on")),
-            guardian=guardian,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+def _parser() -> configparser.ConfigParser:
+    # Values are taken literally: flags are written into the same parser,
+    # and a '%' in a trace path must not start an interpolation.
+    return configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
 
 
-def load_ini(path: str) -> dict:
-    """Read an experiment INI into a plain dict of settings."""
+def load_ini(path: str) -> configparser.ConfigParser:
+    """Read an experiment INI, rejecting unknown sections and options."""
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = _parser()
     try:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}")
     for section in cp.sections():
-        if section in _SECTION_KEYS:
-            unknown = set(cp[section]) - _SECTION_KEYS[section]
-            if unknown:
-                raise ConfigError(f"{path}: unknown [{section}] option(s): {sorted(unknown)}")
-        elif section != "flow" and not section.startswith("flow:"):
+        if section == "flow" or section.startswith("flow:"):
+            known = _FLOW_KEYS
+        elif section in _SECTION_KEYS:
+            known = _SECTION_KEYS[section]
+        else:
             raise ConfigError(f"{path}: unknown section [{section}]")
-    settings: dict = {"flow_base": {}, "extra_flows": []}
-    if cp.has_section("experiment"):
-        exp = cp["experiment"]
-        if "duration_s" in exp:
-            settings["duration_s"] = exp.getfloat("duration_s")
-        if "warmup_s" in exp:
-            settings["warmup_s"] = exp.getfloat("warmup_s")
-        if "bin_s" in exp:
-            settings["bin_s"] = exp.getfloat("bin_s")
-        if "seeds" in exp:
-            settings["seeds"] = _parse_seeds(exp["seeds"])
-        elif "seed" in exp:
-            settings["seeds"] = [exp.getint("seed")]
-        if "name" in exp:
-            settings["name"] = exp["name"]
-    if cp.has_section("link"):
-        link = cp["link"]
-        if "trace" in link:
-            settings["trace"] = link["trace"]
-        if "one_way_delay_ms" in link:
-            settings["one_way_delay_s"] = link.getfloat("one_way_delay_ms") / 1000.0
-        if "buffer_pkts" in link:
-            settings["buffer_pkts"] = _parse_buffer(link["buffer_pkts"])
-        if "per_flow_queues" in link:
-            settings["per_flow_queues"] = link.getboolean("per_flow_queues")
-        if "packet_bytes" in link:
-            settings["packet_bytes"] = link.getint("packet_bytes")
-    if cp.has_section("flow"):
-        settings["flow_base"] = dict(cp["flow"])
-    for section in cp.sections():
-        if section.startswith("flow:"):
-            settings["extra_flows"].append((section.split(":", 1)[1], dict(cp[section])))
-    return settings
+        unknown = set(cp[section]) - known
+        if unknown:
+            raise ConfigError(f"{path}: unknown [{section}] option(s): {sorted(unknown)}")
+    return cp
 
 
-def build_sim_config(settings: dict) -> tuple[SimConfig, dict]:
-    """Resolve settings into a SimConfig plus analysis options."""
-    trace_spec = settings.get("trace", "constant:300@1")
-    schedule = traces.from_spec(trace_spec, settings.get("packet_bytes", 1500))
-    base = dict(settings.get("flow_base") or {})
-    extra = settings.get("extra_flows") or []
-    if extra:
-        flows = []
-        for name, opts in extra:
-            merged = {**base, **opts}
-            flows.append(_flow_from_options(name, merged))
+def _read_config(args: argparse.Namespace) -> configparser.ConfigParser:
+    """The INI file, if any, with the flags written over it."""
+    cp = load_ini(args.config) if args.config else _parser()
+    for dest, (section, option) in _FLAG_KEYS.items():
+        value = getattr(args, dest)
+        if value is not None:
+            cp.read_dict({section: {option: value}})
+    return cp
+
+
+def _typed(where: str, opts, option: str, parse, default):
+    """``parse`` applied to one option's text, or ``default`` when unset."""
+    text = opts.get(option)
+    if text is None:
+        return default
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{where}] {option} = {text!r}: {exc}") from None
+
+
+def _flow(flow_id: str, where: str, opts) -> FlowSpec:
+    mult, fixed = _typed(where, opts, "threshold", parse_threshold, (1.5, None))
+    exploration = opts.get("exploration", "stochastic")
+    if exploration not in EXPLORATION_MODES:
+        raise ConfigError(f"[{where}] exploration must be one of {EXPLORATION_MODES}")
+    return FlowSpec(
+        flow_id=flow_id,
+        controller=opts.get("controller", "guarded"),
+        start_s=_typed(where, opts, "start_s", _finite, 0.0),
+        cwnd_init=_typed(where, opts, "cwnd_init", _finite, 10.0),
+        cwnd_floor=_typed(where, opts, "cwnd_floor", _finite, 2.0),
+        ssthresh_init=_typed(where, opts, "ssthresh_init", _finite, 64.0),
+        start_in_avoidance=_typed(where, opts, "start_in_avoidance", _parse_bool, False),
+        aimd_enabled=_typed(where, opts, "aimd", _parse_bool, True),
+        guardian=GuardianConfig(
+            threshold_multiplier=mult,
+            threshold_fixed_s=fixed,
+            exploration=exploration,
+            slowdown=_typed(where, opts, "slowdown", _parse_bool, True),
+            mitigation=_typed(where, opts, "mitigation", _parse_bool, True),
+        ),
+    )
+
+
+def build_sim_config(cp: configparser.ConfigParser) -> tuple[SimConfig, dict, list[int]]:
+    """Type and validate every value of a merged config. Returns the
+    simulation, seeded with the first seed; the analysis options; and the
+    seeds to run."""
+    exp = cp["experiment"] if cp.has_section("experiment") else {}
+    link = cp["link"] if cp.has_section("link") else {}
+    if "seeds" in exp:
+        seeds = _typed("experiment", exp, "seeds", _parse_seeds, None)
     else:
-        flows = [_flow_from_options(base.get("flow_id", "flow0"), base)]
+        seeds = [_typed("experiment", exp, "seed", int, 1)]
+    packet_bytes = _typed("link", link, "packet_bytes", int, 1500)
+    if packet_bytes < 1:
+        raise ConfigError("packet_bytes must be >= 1")
+    trace_spec = link.get("trace", "constant:300@1")
+    schedule = traces.from_spec(trace_spec, packet_bytes)
+    duration_s = _typed("experiment", exp, "duration_s", _finite, 30.0)
+    warmup_s = _typed("experiment", exp, "warmup_s", _finite, metrics.DEFAULT_WARMUP_S)
+    if not 0.0 <= warmup_s < duration_s:
+        raise ConfigError("need 0 <= warmup_s < duration_s")
+    bin_s = _typed("experiment", exp, "bin_s", _finite, 1.0)
+    if bin_s <= 0.0:
+        raise ConfigError("bin_s must be positive")
+
+    base = dict(cp["flow"]) if cp.has_section("flow") else {}
+    named = [s for s in cp.sections() if s.startswith("flow:")]
+    if named:
+        flows = [_flow(s.split(":", 1)[1], s, {**base, **cp[s]}) for s in named]
+    else:
+        flows = [_flow("flow0", "flow", base)]
     sim = SimConfig(
         schedule=schedule,
-        duration_s=settings.get("duration_s", 30.0),
-        one_way_delay_s=settings.get("one_way_delay_s", 0.010),
-        buffer_pkts=settings.get("buffer_pkts", experiments.DEEP_BUFFER),
-        per_flow_queues=settings.get("per_flow_queues", False),
-        packet_bytes=settings.get("packet_bytes", 1500),
-        seed=settings.get("seeds", [1])[0],
+        duration_s=duration_s,
+        one_way_delay_s=_typed("link", link, "one_way_delay_ms", _finite, 10.0) / 1000.0,
+        buffer_pkts=_typed("link", link, "buffer_pkts", _parse_buffer, experiments.DEEP_BUFFER),
+        packet_bytes=packet_bytes,
+        seed=seeds[0],
         flows=flows,
     )
     try:
         sim.validate()
     except ValueError as exc:
         raise ConfigError(str(exc))
-    analysis = {
-        "warmup_s": settings.get("warmup_s", metrics.DEFAULT_WARMUP_S),
-        "bin_s": settings.get("bin_s", 1.0),
-        "trace": trace_spec,
-    }
-    return sim, analysis
-
-
-def _apply_flag_overrides(settings: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "trace", None):
-        settings["trace"] = args.trace
-    if getattr(args, "duration", None) is not None:
-        settings["duration_s"] = args.duration
-    if getattr(args, "owd_ms", None) is not None:
-        settings["one_way_delay_s"] = args.owd_ms / 1000.0
-    if getattr(args, "buffer", None):
-        settings["buffer_pkts"] = _parse_buffer(args.buffer)
-    if getattr(args, "warmup", None) is not None:
-        settings["warmup_s"] = args.warmup
-    if getattr(args, "bin_s", None) is not None:
-        settings["bin_s"] = args.bin_s
-    if getattr(args, "seeds", None):
-        settings["seeds"] = _parse_seeds(args.seeds)
-    elif getattr(args, "seed", None) is not None:
-        settings["seeds"] = [args.seed]
-    base = settings.setdefault("flow_base", {})
-    for flag in ("controller", "threshold", "exploration"):
-        val = getattr(args, flag, None)
-        if val:
-            base[flag] = val
-    for flag in ("slowdown", "mitigation", "aimd"):
-        val = getattr(args, flag, None)
-        if val:
-            base[flag] = val
+    return sim, {"warmup_s": warmup_s, "bin_s": bin_s, "trace": trace_spec}, seeds
 
 
 # ------------------------------------------------------------------ writers
@@ -288,7 +292,6 @@ def write_run_outputs(out_dir: str, sim_config: SimConfig, log, analysis: dict) 
             "duration_s": sim_config.duration_s,
             "one_way_delay_s": sim_config.one_way_delay_s,
             "buffer_pkts": sim_config.buffer_pkts,
-            "per_flow_queues": sim_config.per_flow_queues,
             "packet_bytes": sim_config.packet_bytes,
             "warmup_s": analysis["warmup_s"],
             "flows": flow_specs,
@@ -331,16 +334,13 @@ def _fmt(v) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    settings = load_ini(args.config) if args.config else {"flow_base": {}, "extra_flows": []}
-    _apply_flag_overrides(settings, args)
-    seeds = settings.get("seeds", [1])
+    sim, analysis, seeds = build_sim_config(_read_config(args))
     out_dir = _out_root(args.out)
     for seed in seeds:
-        settings["seeds"] = [seed]
-        sim, analysis = build_sim_config(settings)
-        log = run_sim(sim)
+        run = replace(sim, seed=seed)
+        log = run_sim(run)
         run_dir = out_dir if len(seeds) == 1 else os.path.join(out_dir, f"seed-{seed}")
-        payload = write_run_outputs(run_dir, sim, log, analysis)
+        payload = write_run_outputs(run_dir, run, log, analysis)
         m = payload["metrics"]
         print(
             f"seed {seed}: {m['throughput_mbps']:.1f} Mbps, "
@@ -354,46 +354,41 @@ SWEEP_PARAMS = ("buffer_pkts", "threshold", "intrinsic_rtt_ms", "rate_mbps")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    settings = load_ini(args.config) if args.config else {"flow_base": {}, "extra_flows": []}
-    _apply_flag_overrides(settings, args)
-    seeds = settings.get("seeds", [1])
+    cp = _read_config(args)
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ConfigError("sweep needs at least one value")
     out_dir = _out_root(args.out)
-    os.makedirs(out_dir, exist_ok=True)
     agg_rows = []
     for value in values:
+        if args.param == "buffer_pkts":
+            cp.read_dict({"link": {"buffer_pkts": value}})
+        elif args.param == "threshold":
+            cp.read_dict({"flow": {"threshold": value}})
+        elif args.param == "intrinsic_rtt_ms":
+            # Varying the propagation delay moves three knobs together:
+            # the path itself, the delay threshold (kept at 1.5x the new
+            # RTT), and the buffer (one bandwidth-delay product deep).
+            try:
+                rtt_ms = _finite(value)
+            except ValueError:
+                raise ConfigError(f"intrinsic_rtt_ms value {value!r} is not a finite number")
+            if rtt_ms <= 0.0:
+                raise ConfigError("intrinsic_rtt_ms values must be positive")
+            cp.read_dict({"link": {"one_way_delay_ms": repr(rtt_ms / 2)},
+                          "flow": {"threshold": "1.5x"}})
+        else:
+            cp.read_dict({"link": {"trace": f"constant:{value}@1"}})
+        sim, analysis, seeds = build_sim_config(cp)
+        if args.param == "intrinsic_rtt_ms":
+            pkt_bytes = sim.packet_bytes
+            rate_pps = sim.schedule.mean_rate_mbps(pkt_bytes) * 1e6 / (8 * pkt_bytes)
+            sim = replace(sim, buffer_pkts=max(1, round(rate_pps * rtt_ms * 1e-3)))
         for seed in seeds:
-            per_run = dict(settings)
-            per_run["flow_base"] = dict(settings.get("flow_base") or {})
-            per_run["seeds"] = [seed]
-            if args.param == "buffer_pkts":
-                per_run["buffer_pkts"] = _parse_buffer(value)
-            elif args.param == "threshold":
-                per_run["flow_base"]["threshold"] = value
-            elif args.param == "intrinsic_rtt_ms":
-                # Varying the propagation delay moves three knobs together:
-                # the path itself, the delay threshold (kept at 1.5x the new
-                # RTT), and the buffer (one bandwidth-delay product deep).
-                try:
-                    rtt_ms = float(value)
-                except ValueError:
-                    raise ConfigError(f"intrinsic_rtt_ms value {value!r} is not a number")
-                if rtt_ms <= 0.0:
-                    raise ConfigError("intrinsic_rtt_ms values must be positive")
-                per_run["one_way_delay_s"] = rtt_ms / 2000.0
-                per_run["flow_base"]["threshold"] = "1.5x"
-                pkt_bytes = per_run.get("packet_bytes", 1500)
-                sched = traces.from_spec(per_run.get("trace", "constant:300@1"), pkt_bytes)
-                rate_pps = sched.mean_rate_mbps(pkt_bytes) * 1e6 / (8 * pkt_bytes)
-                per_run["buffer_pkts"] = max(1, round(rate_pps * rtt_ms * 1e-3))
-            else:
-                per_run["trace"] = f"constant:{value}@1"
-            sim, analysis = build_sim_config(per_run)
-            log = run_sim(sim)
+            run = replace(sim, seed=seed)
+            log = run_sim(run)
             run_dir = os.path.join(out_dir, f"{args.param}-{value}", f"seed-{seed}")
-            payload = write_run_outputs(run_dir, sim, log, analysis)
+            payload = write_run_outputs(run_dir, run, log, analysis)
             m = payload["metrics"]
             agg_rows.append(
                 [value, seed, _fmt(m["throughput_mbps"]), _fmt(m["utilization"]),
@@ -470,10 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="INI experiment file")
         p.add_argument("--trace", help="trace spec (constant:RATE@DUR, step:..., or a file path)")
-        p.add_argument("--duration", type=float, help="simulated seconds")
-        p.add_argument("--seed", type=int, help="single seed")
+        p.add_argument("--duration", help="simulated seconds")
+        p.add_argument("--seed", help="single seed")
         p.add_argument("--seeds", help="comma-separated seeds (one run dir each)")
-        p.add_argument("--owd-ms", type=float, help="one-way propagation delay, ms")
+        p.add_argument("--owd-ms", help="one-way propagation delay, ms")
         p.add_argument("--buffer", help="bottleneck buffer in packets, or 'infinite'")
         p.add_argument("--controller", choices=("guarded", "aimd"))
         p.add_argument("--threshold", help="delay threshold: '1.5x', '40ms', ...")
@@ -481,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--slowdown", choices=("on", "off"))
         p.add_argument("--mitigation", choices=("on", "off"))
         p.add_argument("--aimd", choices=("on", "off"))
-        p.add_argument("--warmup", type=float, help="analysis warmup seconds")
-        p.add_argument("--bin-s", dest="bin_s", type=float, help="timeseries bin seconds")
+        p.add_argument("--warmup", help="analysis warmup seconds")
+        p.add_argument("--bin-s", dest="bin_s", help="timeseries bin seconds")
 
     run_p = sub.add_parser("run", help="run one experiment")
     add_common(run_p)

@@ -1,8 +1,8 @@
 """Pre-registered experiment scenarios.
 
-Each builder returns a ready SimConfig; the CLI, the scripts and the
-acceptance tests all construct runs through these, so scenario parameters are
-defined exactly once. Defaults shared by the study:
+Each builder returns a ready SimConfig; the CLI and the acceptance tests
+construct runs through these, so scenario parameters are defined exactly
+once. Defaults shared by the study:
 
 * minimum RTT 20 ms (10 ms propagation each way)
 * 1500-byte packets, so 300 Mbps <=> a 500-packet bandwidth-delay product

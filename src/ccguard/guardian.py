@@ -132,7 +132,6 @@ class GuardianConfig:
     exploration: str = "stochastic"
     slowdown: bool = True
     mitigation: bool = True
-    variance_floor: float = 1e-6
 
     def validate(self) -> None:
         if self.threshold_fixed_s is None:
@@ -144,8 +143,6 @@ class GuardianConfig:
             raise ValueError("threshold_fixed_s must be positive")
         if self.exploration not in EXPLORATION_MODES:
             raise ValueError(f"exploration must be one of {EXPLORATION_MODES}")
-        if self.variance_floor <= 0.0:
-            raise ValueError("variance_floor must be positive")
 
 
 def resolve_threshold(config: GuardianConfig, min_rtt_s: float) -> tuple[float, bool]:
@@ -230,9 +227,7 @@ class Guardian:
                     if cfg.exploration == "deterministic":
                         x = self.mean
                     else:
-                        sigma = math.sqrt(
-                            exploration_variance(self.mean, cfg.variance_floor)
-                        )
+                        sigma = math.sqrt(exploration_variance(self.mean))
                         x = self._rng.gauss(self.mean, sigma)
                     multiplier = exploration_multiplier(x)
 

@@ -106,7 +106,6 @@ class SimConfig:
     duration_s: float
     one_way_delay_s: float = 0.010
     buffer_pkts: int = INFINITE_BUFFER
-    per_flow_queues: bool = False
     packet_bytes: int = 1500
     seed: int = 1
     flows: list[FlowSpec] = field(default_factory=lambda: [FlowSpec()])
@@ -223,7 +222,6 @@ def run_sim(config: SimConfig) -> SimLog:
     owd_us = round(config.one_way_delay_s * US_PER_S)
     buffer_pkts = config.buffer_pkts
     watermark = config.cwnd_watermark
-    nf = len(config.flows)
 
     flows = [
         _FlowState(spec, random.Random(config.seed * 1_000_003 + i))
@@ -257,13 +255,7 @@ def run_sim(config: SimConfig) -> SimLog:
     # Bottleneck state. Packets [transit_head, n_sent) are propagating
     # towards the queue.
     transit_head = 0
-    per_flow_q = config.per_flow_queues
-    if per_flow_q:
-        queues = [deque() for _ in range(nf)]
-        qlens = [0] * nf
-        rr = 0                  # round-robin cursor over the per-flow queues
-    else:
-        shared_queue: deque = deque()
+    queue: deque = deque()
     q_total = 0
 
     # Opportunity cursor: obase + offs[oi] (cached in opp_t) is the schedule
@@ -318,20 +310,11 @@ def run_sim(config: SimConfig) -> SimLog:
             while transit_head < n_sent and p_sent[transit_head] <= cut:
                 pid = transit_head
                 transit_head += 1
-                if per_flow_q:
-                    qfi = p_flow[pid]
-                    if qlens[qfi] >= buffer_pkts:
-                        p_dropped[pid] = p_sent[pid] + owd_us
-                        n_dropped += 1
-                    else:
-                        queues[qfi].append(pid)
-                        qlens[qfi] += 1
-                        q_total += 1
-                elif q_total >= buffer_pkts:
+                if q_total >= buffer_pkts:
                     p_dropped[pid] = p_sent[pid] + owd_us
                     n_dropped += 1
                 else:
-                    shared_queue.append(pid)
+                    queue.append(pid)
                     q_total += 1
             last_opp_us = t
             oi += 1
@@ -340,16 +323,7 @@ def run_sim(config: SimConfig) -> SimLog:
                 obase += loop_us
             opp_t = obase + offs[oi]
             if q_total:
-                if per_flow_q:
-                    for step in range(nf):
-                        cand = (rr + step) % nf
-                        if qlens[cand] > 0:
-                            pid = queues[cand].popleft()
-                            qlens[cand] -= 1
-                            rr = (cand + 1) % nf
-                            break
-                else:
-                    pid = shared_queue.popleft()
+                pid = queue.popleft()
                 q_total -= 1
                 p_delivered[pid] = t
                 n_delivered += 1

@@ -27,51 +27,12 @@ bandwidth-delay product W in at most 4 * ln(3 * W) ticks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .guardian import exploration_variance, sigmoid
 
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class LinkModel:
-    """Constant bottleneck used by the closed forms: bandwidth in
-    packets/second and the intrinsic round-trip time. Derived quantities:
-    the pipe-filling window (bandwidth-delay product), the doubled window at
-    which queuing delay reaches one intrinsic RTT, and the queuing headroom
-    when the delay threshold sits at twice the intrinsic RTT (the regime the
-    steady-state bound is stated for)."""
-
-    bandwidth_pps: float
-    min_rtt_s: float
-
-    def __post_init__(self):
-        if self.bandwidth_pps <= 0.0:
-            raise ValueError("bandwidth_pps must be positive")
-        if self.min_rtt_s <= 0.0:
-            raise ValueError("min_rtt_s must be positive")
-
-    @property
-    def bdp_packets(self) -> float:
-        return self.bandwidth_pps * self.min_rtt_s
-
-    @property
-    def double_bdp_packets(self) -> float:
-        return 2.0 * self.bdp_packets
-
-    @property
-    def queue_threshold_s(self) -> float:
-        # Delay threshold at 2x the intrinsic RTT leaves one RTT of queuing room.
-        return self.min_rtt_s
-
-    def steady_state_delay_bound_s(self) -> float:
-        return steady_state_delay_bound(self.bdp_packets, self.queue_threshold_s)
-
-    def rampup_tick_bound(self) -> float:
-        return rampup_tick_bound(self.bdp_packets)
 
 
 def expected_sigmoid(mean: float, variance: float) -> float:

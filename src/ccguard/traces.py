@@ -15,6 +15,7 @@ exactly on m ms (so a lone opportunity fires at its nominal timestamp).
 from __future__ import annotations
 
 import bisect
+import math
 import os
 import re
 from array import array
@@ -220,6 +221,10 @@ def from_spec(spec: str, packet_bytes: int = PACKET_BYTES) -> TraceSchedule:
             segments.append((float(rate_text), float(dur_text)))
     except ValueError as exc:
         raise ValueError(f"bad trace spec {spec!r}: {exc}") from exc
+    for rate_mbps, duration_s in segments:
+        if not (math.isfinite(rate_mbps) and rate_mbps >= 0.0 and math.isfinite(duration_s)):
+            raise ValueError(f"bad trace spec {spec!r}: rates and durations must be "
+                             "finite and rates >= 0")
     if kind == "constant":
         if len(segments) != 1:
             raise ValueError("constant trace spec takes exactly one RATE@DUR")

@@ -174,7 +174,7 @@ def _step_heavy_p95s():
     vals = []
     for seed in range(1, 6):
         log = run_checked(experiments.step_down_heavy("guarded", seed))
-        s = metrics.summarize(log, warmup_s=20.0, end_s=30.0)
+        s = metrics.summarize(log, warmup_s=experiments.STEP_DOWN_HEAVY_AT_S, end_s=30.0)
         vals.append(s.p95_rtt_s)
     return vals
 
@@ -202,7 +202,9 @@ def test_gate_04_step_delay_guarded(capsys):
 
 def test_gate_04_step_delay_additive_baseline(capsys):
     log = run_checked(experiments.step_down_heavy("aimd", 1))
-    p95 = metrics.summarize(log, warmup_s=20.0, end_s=30.0).p95_rtt_s
+    p95 = metrics.summarize(
+        log, warmup_s=experiments.STEP_DOWN_HEAVY_AT_S, end_s=30.0
+    ).p95_rtt_s
     ok = p95 > 0.040
     say(
         capsys,

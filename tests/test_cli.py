@@ -1,7 +1,9 @@
 """End-to-end tests for the ccguard command line: output files, exit codes,
 config layering, and the sweep axes."""
 
+import configparser
 import csv
+import hashlib
 import json
 import os
 
@@ -148,6 +150,52 @@ def test_run_missing_trace_file_exits_3(capsys):
     assert rc == EXIT_MISSING_INPUT
 
 
+BAD_INPUT_BASE = ["run", "--trace", "constant:12@1", "--duration", "2",
+                  "--warmup", "1", "--out", "bad"]
+
+
+@pytest.mark.parametrize("extra, ini", [
+    (["--duration", "inf"], None),
+    (["--owd-ms", "inf"], None),
+    (["--trace", "constant:inf@1"], None),
+    (["--trace", "step:12@1,nan@1"], None),
+    (["--seeds", ","], None),
+    ([], "[experiment]\nseeds =\n"),
+    (["--warmup", "-1"], None),
+    (["--bin-s", "0"], None),
+])
+def test_bad_input_exits_2_with_one_line_and_no_output(out_root, tmp_path, capsys,
+                                                       extra, ini):
+    argv = BAD_INPUT_BASE + extra
+    if ini is not None:
+        path = tmp_path / "bad.ini"
+        path.write_text(ini)
+        argv += ["--config", str(path)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+    assert not (out_root / "bad").exists()
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["run", "--seeds", "1,2,3"], 1),
+    (["sweep", "--param", "intrinsic_rtt_ms", "--values", "10,30", "--seeds", "1,2"], 2),
+])
+def test_trace_built_once_per_run_config(out_root, monkeypatch, argv, builds):
+    calls = []
+    from_spec = traces.from_spec
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return from_spec(*args, **kwargs)
+
+    monkeypatch.setattr(traces, "from_spec", counting)
+    rc = main(argv + ["--trace", "constant:12@1", "--duration", "2", "--warmup", "1",
+                      "--out", "once"])
+    assert rc == EXIT_OK
+    assert len(calls) == builds
+
+
 def test_run_bad_threshold_exits_2(capsys):
     rc = main(RUN_FAST[:-2] + ["--out", "r3", "--threshold", "fast"])
     assert rc == EXIT_CONFIG
@@ -261,3 +309,153 @@ def test_absolute_out_ignores_root(tmp_path, monkeypatch):
     assert rc == EXIT_OK
     assert abs_out.exists()
     assert not (tmp_path / "rootdir").exists()
+
+
+# ---------------------------------------------------------------------------
+# config precedence: flags over the INI file, [flow:NAME] over flow flags
+
+PRECEDENCE_INI = (
+    "[experiment]\nduration_s = 3\nwarmup_s = 1\nbin_s = 1\nseeds = 4\n"
+    "[link]\ntrace = constant:12@1\none_way_delay_ms = 10\nbuffer_pkts = 100\n"
+    "[flow]\ncontroller = guarded\n"
+)
+
+
+def timeseries_rows(run_dir):
+    with open(run_dir / "timeseries.csv") as fh:
+        return len(list(csv.reader(fh))) - 1
+
+
+@pytest.mark.parametrize("flag, value, read, expected", [
+    ("--seed", "7", lambda d, r: d["seed"], 7),
+    ("--owd-ms", "5", lambda d, r: d["config"]["one_way_delay_s"], 0.005),
+    ("--buffer", "64", lambda d, r: d["config"]["buffer_pkts"], 64),
+    ("--warmup", "2", lambda d, r: d["config"]["warmup_s"], 2.0),
+    ("--bin-s", "0.5", lambda d, r: timeseries_rows(r), 6),
+    ("--trace", "constant:24@1", lambda d, r: d["config"]["trace"], "constant:24@1"),
+    ("--duration", "2", lambda d, r: d["config"]["duration_s"], 2.0),
+    ("--controller", "aimd", lambda d, r: d["config"]["flows"][0]["controller"], "aimd"),
+])
+def test_flag_beats_its_ini_key(out_root, tmp_path, flag, value, read, expected):
+    ini = tmp_path / "prec.ini"
+    ini.write_text(PRECEDENCE_INI)
+    assert main(["run", "--config", str(ini), flag, value, "--out", "prec"]) == EXIT_OK
+    run_dir = out_root / "prec"
+    assert read(read_json(run_dir / "summary.json"), run_dir) == expected
+
+
+def test_named_flow_options_beat_flow_flags(out_root, tmp_path):
+    ini = tmp_path / "named.ini"
+    ini.write_text(PRECEDENCE_INI + "[flow:x]\ncontroller = guarded\n[flow:y]\n")
+    rc = main(["run", "--config", str(ini), "--controller", "aimd", "--out", "named"])
+    assert rc == EXIT_OK
+    flows = read_json(out_root / "named" / "summary.json")["config"]["flows"]
+    assert [(f["flow_id"], f["controller"]) for f in flows] == [
+        ("x", "guarded"), ("y", "aimd"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# every accepted INI key reaches the run
+
+
+def flow0(d):
+    return d["config"]["flows"][0]
+
+
+@pytest.mark.parametrize("section, option, text, read, expected", [
+    ("experiment", "duration_s", "7", lambda d, r: d["config"]["duration_s"], 7.0),
+    ("experiment", "warmup_s", "2", lambda d, r: d["config"]["warmup_s"], 2.0),
+    # bin_s is not in summary.json; it sets the timeseries rows.
+    ("experiment", "bin_s", "0.5", lambda d, r: timeseries_rows(r), 12),
+    ("experiment", "seeds", "4", lambda d, r: d["seed"], 4),
+    ("experiment", "seed", "5", lambda d, r: d["seed"], 5),
+    ("link", "trace", "constant:24@1", lambda d, r: d["config"]["trace"], "constant:24@1"),
+    ("link", "one_way_delay_ms", "4", lambda d, r: d["config"]["one_way_delay_s"], 0.004),
+    ("link", "buffer_pkts", "77", lambda d, r: d["config"]["buffer_pkts"], 77),
+    ("link", "packet_bytes", "1000", lambda d, r: d["config"]["packet_bytes"], 1000),
+    ("flow", "controller", "aimd", lambda d, r: flow0(d)["controller"], "aimd"),
+    ("flow", "threshold", "40ms",
+     lambda d, r: (flow0(d)["guardian"]["threshold_multiplier"],
+                   flow0(d)["guardian"]["threshold_fixed_s"]), (None, 0.04)),
+    ("flow", "exploration", "deterministic",
+     lambda d, r: flow0(d)["guardian"]["exploration"], "deterministic"),
+    ("flow", "slowdown", "off", lambda d, r: flow0(d)["guardian"]["slowdown"], False),
+    ("flow", "mitigation", "off", lambda d, r: flow0(d)["guardian"]["mitigation"], False),
+    ("flow", "aimd", "off", lambda d, r: flow0(d)["aimd_enabled"], False),
+    ("flow", "cwnd_init", "4", lambda d, r: flow0(d)["cwnd_init"], 4.0),
+    ("flow", "cwnd_floor", "3", lambda d, r: flow0(d)["cwnd_floor"], 3.0),
+    ("flow", "ssthresh_init", "32", lambda d, r: flow0(d)["ssthresh_init"], 32.0),
+    ("flow", "start_in_avoidance", "on",
+     lambda d, r: flow0(d)["start_in_avoidance"], True),
+    ("flow", "start_s", "0.5", lambda d, r: flow0(d)["start_s"], 0.5),
+])
+def test_each_ini_key_reaches_the_run(out_root, tmp_path, section, option, text,
+                                      read, expected):
+    cp = configparser.ConfigParser()
+    cp.read_dict({"experiment": {"duration_s": "6"}, "link": {"trace": "constant:12@1"}})
+    cp.read_dict({section: {option: text}})
+    ini = tmp_path / "key.ini"
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    assert main(["run", "--config", str(ini), "--out", "key"]) == EXIT_OK
+    run_dir = out_root / "key"
+    assert read(read_json(run_dir / "summary.json"), run_dir) == expected
+
+
+# ---------------------------------------------------------------------------
+# frozen outputs: timeseries.csv and aggregate.csv byte for byte, and the
+# metrics and counters of each summary.json
+
+THREE_FLOW_INI = (
+    "[experiment]\nduration_s = 3\nwarmup_s = 1\nbin_s = 0.5\n"
+    "[link]\ntrace = step:24@1,6@1\none_way_delay_ms = 8\nbuffer_pkts = 60\n"
+    "[flow]\nthreshold = 1.5x\n"
+    "[flow:a]\n\n[flow:b]\ncontroller = aimd\nstart_s = 0.5\n"
+    "[flow:c]\nexploration = deterministic\nstart_s = 1\n"
+)
+
+SWEEP_FAST = ["--trace", "constant:24@1", "--duration", "2", "--warmup", "1",
+              "--seeds", "1,2"]
+
+FROZEN_RUNS = {
+    "run-3-flows": ["run", "--config", "{ini}", "--seeds", "1,2,3"],
+    "sweep-buffer": ["sweep", "--param", "buffer_pkts", "--values", "20,80", *SWEEP_FAST],
+    "sweep-threshold": ["sweep", "--config", "{ini}", "--param", "threshold",
+                        "--values", "1.2x,30ms", "--seeds", "1,2"],
+    "sweep-rtt": ["sweep", "--param", "intrinsic_rtt_ms", "--values", "10,30", *SWEEP_FAST],
+    "sweep-rate": ["sweep", "--param", "rate_mbps", "--values", "12,36", *SWEEP_FAST[2:]],
+    "fairness": ["fairness", "--flows", "2", "--gap-s", "1", "--rate", "24",
+                 "--duration", "4", "--window", "2", "--seed", "3"],
+}
+
+FROZEN_DIGESTS = {
+    "run-3-flows": "13fd7d06254425b1f8b2be240e8e91572336ce790c2381d9c3f944b0236052fd",
+    "sweep-buffer": "6a67355a1873a36331957fefdddb8f19e951308e95432fecd9e6e81ef7dc78e3",
+    "sweep-threshold": "064219df2142c1c2ebf27a1c9da72741bf0840655e69f4f9680b40053ae9a245",
+    "sweep-rtt": "f4e7829d751de7d69d64495f41a7252c26917c9c2dcd9944e96a75bf18f6e77a",
+    "sweep-rate": "0d9146e3582c411d10b15ad17a51d8e1bbf0a55daee6b00a8e5e98df9e70a0dc",
+    "fairness": "d73dbb10ac10803cc4e607ea9e563789fd03d6480837fae70384b82dae9c19c8",
+}
+
+
+def output_digest(root):
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(root)).encode())
+        if path.name == "summary.json":
+            d = read_json(path)
+            body = json.dumps({k: d[k] for k in ("metrics", "counters")}, sort_keys=True)
+            h.update(body.encode())
+        else:
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RUNS))
+def test_cli_outputs_match_frozen_digest(out_root, tmp_path, name, capsys):
+    ini = tmp_path / "three.ini"
+    ini.write_text(THREE_FLOW_INI)
+    argv = [a.format(ini=ini) for a in FROZEN_RUNS[name]] + ["--out", "frozen"]
+    assert main(argv) == EXIT_OK
+    assert output_digest(out_root / "frozen") == FROZEN_DIGESTS[name], name

@@ -88,11 +88,6 @@ def _scenarios():
                         guardian=GuardianConfig(exploration="deterministic")),
             ],
         ),
-        "per-flow-queues": SimConfig(
-            schedule=synth_constant(24.0, 1.0), duration_s=3.0, buffer_pkts=30,
-            per_flow_queues=True, seed=6,
-            flows=[guarded("a"), aimd("b", start_s=0.3), guarded("c", start_s=0.6)],
-        ),
         "zero-owd": SimConfig(
             schedule=synth_constant(12.0, 1.0), duration_s=2.0,
             one_way_delay_s=0.0, buffer_pkts=50, seed=7,
@@ -121,7 +116,6 @@ GOLDEN = {
     "step-down": "192744328e239c0225d5efeb216955e9818ff76d24b1ab6db87ba2ef4f71093e",
     "small-buffer-drops": "e8be3a3879bb7af03275b3a20dba1ca169807ea71572224e41f04bcb7726cd8c",
     "staggered-mixed": "55d19cb5b3aca6765bd291938e389ae938ef0dd6c0dcf102f134486c6552a82b",
-    "per-flow-queues": "b04506228a7f2c7d10ff1b5781a12ea1b88ef5f0cc7da0648be7aa2c5f848b20",
     "zero-owd": "3ecdf89b4e444e7616a8e93d488e8f78ee4c15bb7487212aa4cd686b63f1da0d",
     "bursty-loop": "cf3226f7c1be2d33bfc08ae6cb407159f6c438971ec96df352a10473e81cb520",
     "aimd-rampup-watermark": "83ff3b9eef633b168e818cc01bed79892238e9209500872c3be09f3e5dc3e315",

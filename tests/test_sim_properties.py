@@ -7,7 +7,6 @@ staggered times; the one-way delay may be zero. Every invariant is checked
 from the returned ledgers, not from the simulator's own counters alone.
 """
 
-from collections import Counter
 from itertools import groupby
 
 from hypothesis import given, settings
@@ -68,7 +67,6 @@ def sim_configs(draw):
         duration_s=draw(st.sampled_from([0.05, 0.2, 0.5])),
         one_way_delay_s=draw(st.sampled_from([0, 1, 500, 3_000, 10_000])) / US_PER_S,
         buffer_pkts=draw(st.one_of(st.integers(1, 40), st.just(INFINITE_BUFFER))),
-        per_flow_queues=draw(st.booleans()),
         seed=draw(st.integers(0, 1000)),
         flows=[draw(flow_specs(f"f{i}")) for i in range(n_flows)],
     )
@@ -121,32 +119,30 @@ def check_invariants(cfg, log):
     assert all(a < b for a, b in zip(times, times[1:]))
     assert log.n_delivered <= capacity_delivered(sched, 0.0, (horizon + 1) / US_PER_S)
 
-    # Queue length never above the buffer. Rebuild each queue from the
+    # Queue length never above the buffer. Rebuild the queue from the
     # ledgers: the packets still queued at the end are the earliest pending
     # ones (the queue is fed in send order). With a propagation delay,
     # every packet arriving at an opportunity instant is there before that
     # opportunity is used, so the count is exact at every event and a drop
-    # must find its queue full. Without one, a packet sent at an instant
+    # must find the queue full. Without one, a packet sent at an instant
     # may arrive before or after that instant's delivery, so the count is
     # only checked once each instant is over.
     exact = owd > 0
     absorbed = set(pending[: log.n_in_queue]) | set(delivered)
-    queue_of = (lambda p: log.p_flow[p]) if cfg.per_flow_queues else (lambda p: 0)
     events = [(sent[p] + owd, 0, p) for p in absorbed | set(dropped)]
     events += [(dlv[p], 1, p) for p in delivered]
-    qlen = Counter()
+    qlen = 0
     for _, same_instant in groupby(sorted(events), key=lambda e: e[0]):
         for _, is_delivery, p in same_instant:
-            q = queue_of(p)
             if is_delivery:
-                qlen[q] -= 1
+                qlen -= 1
             elif drop[p] < 0:
-                qlen[q] += 1
-                assert not exact or qlen[q] <= cfg.buffer_pkts
+                qlen += 1
+                assert not exact or qlen <= cfg.buffer_pkts
             else:
-                assert not exact or qlen[q] == cfg.buffer_pkts
-        assert all(0 <= v <= cfg.buffer_pkts for v in qlen.values())
-    assert sum(qlen.values()) == log.n_in_queue
+                assert not exact or qlen == cfg.buffer_pkts
+        assert 0 <= qlen <= cfg.buffer_pkts
+    assert qlen == log.n_in_queue
 
     # cwnd never below the floor, at ticks or in the coarse trail.
     for fi, c in zip(log.tick_flow, log.tick_cwnd):

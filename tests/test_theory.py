@@ -9,7 +9,6 @@ from scipy import integrate
 
 from ccguard.guardian import exploration_variance, sigmoid
 from ccguard.theory import (
-    LinkModel,
     equilibrium_exploration_mean,
     expected_sigmoid,
     exploration_gain_linearized,
@@ -188,30 +187,6 @@ def test_rampup_exact_matches_bruteforce_replay():
 
     for bdp in (1.0, 7.0, 64.0, 500.0, 9999.0):
         assert rampup_ticks_exact(bdp) == brute(bdp)
-
-
-# ---------------------------------------------------------------------------
-# LinkModel
-
-
-def test_link_model_derived_quantities():
-    link = LinkModel(bandwidth_pps=25_000.0, min_rtt_s=0.020)
-    assert link.bdp_packets == pytest.approx(500.0)
-    assert link.double_bdp_packets == pytest.approx(1000.0)
-    assert link.queue_threshold_s == pytest.approx(0.020)
-    assert link.steady_state_delay_bound_s() == pytest.approx(
-        steady_state_delay_bound(500.0, 0.020), rel=1e-12
-    )
-    assert link.rampup_tick_bound() == pytest.approx(
-        rampup_tick_bound(500.0), rel=1e-12
-    )
-
-
-def test_link_model_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        LinkModel(bandwidth_pps=0.0, min_rtt_s=0.020)
-    with pytest.raises(ValueError):
-        LinkModel(bandwidth_pps=25_000.0, min_rtt_s=-0.020)
 
 
 # ---------------------------------------------------------------------------
