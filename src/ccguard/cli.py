@@ -248,8 +248,8 @@ def build_sim_config(cp: configparser.ConfigParser) -> tuple[SimConfig, dict, li
     if not 0.0 <= warmup_s < duration_s:
         raise ConfigError("need 0 <= warmup_s < duration_s")
     bin_s = _typed("experiment", exp, "bin_s", _finite, 1.0)
-    if bin_s <= 0.0:
-        raise ConfigError("bin_s must be positive")
+    if round(bin_s * metrics.US_PER_S) < 1:
+        raise ConfigError("bin_s must be at least 1 us")
 
     base = dict(cp["flow"]) if cp.has_section("flow") else {}
     named = [s for s in cp.sections() if s.startswith("flow:")]
@@ -409,6 +409,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fairness(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.duration) and 0.0 < args.window <= args.duration):
+        raise ConfigError("need 0 < --window <= --duration, both finite")
     sim = experiments.fairness(
         n_flows=args.flows, gap_s=args.gap_s, seed=args.seed,
         rate_mbps=args.rate, duration_s=args.duration,
@@ -446,7 +448,7 @@ def cmd_trace_gen(args: argparse.Namespace) -> int:
         os.makedirs(parent, exist_ok=True)
     traces.write_trace(schedule, out)
     print(
-        f"{len(schedule.timestamps_ms)} opportunities, loop {schedule.loop_length_ms} ms, "
+        f"{schedule.opportunities_per_loop} opportunities, loop {schedule.loop_length_ms} ms, "
         f"mean rate {schedule.mean_rate_mbps():.3f} Mbps -> {out}"
     )
     return EXIT_OK

@@ -210,11 +210,11 @@ def timeseries(log: SimLog, bin_s: float = 1.0) -> list[dict]:
     deliveries carry nan delay fields and zero throughput; guardian columns
     show the last tick in the bin (empty zone / multiplier 1 / nan mu when the
     flow ticked never or not in this bin)."""
-    if bin_s <= 0.0:
-        raise ValueError("bin_s must be positive")
+    bin_us = round(bin_s * US_PER_S) if bin_s > 0.0 else 0
+    if bin_us < 1:
+        raise ValueError("bin_s must be at least 1 us")
     cfg = log.config
     n_bins = math.ceil(cfg.duration_s / bin_s - 1e-9)
-    bin_us = round(bin_s * US_PER_S)
     owd_us = round(cfg.one_way_delay_s * US_PER_S)
     bits_per_pkt = 8.0 * cfg.packet_bytes
 

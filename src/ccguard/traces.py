@@ -7,9 +7,12 @@ last timestamp, so cycle c replays every opportunity shifted by c * loop
 milliseconds. Leading silence (a first timestamp above 1) is part of the
 pattern and survives a parse/write round trip.
 
-Internally opportunities live on a microsecond grid: the k opportunities of
-millisecond m are spread uniformly across (m-1, m] ms, the last landing
-exactly on m ms (so a lone opportunity fires at its nominal timestamp).
+A schedule stores one thing: an ``array('q')`` of the loop's opportunity
+times on a microsecond grid. The k opportunities of millisecond m are spread
+uniformly across (m-1, m] ms, the last landing exactly on m ms (so a lone
+opportunity fires at its nominal timestamp); rounding each offset up to the
+millisecond gives the timestamps back. Synthesis and parsing build the
+timestamps and offsets with numpy.
 """
 
 from __future__ import annotations
@@ -19,71 +22,104 @@ import math
 import os
 import re
 from array import array
-from dataclasses import dataclass, field
+
+import numpy as np
 
 PACKET_BYTES = 1500
 
 US_PER_MS = 1000
 US_PER_S = 1_000_000
 
+# The largest timestamp whose microsecond offset fits an int64.
+MAX_TIMESTAMP_MS = (2**63 - 1) // US_PER_MS
 
-@dataclass
+
+def _mean_rate_mbps(opportunities: int, loop_length_ms: int, packet_bytes: int) -> float:
+    bits = opportunities * packet_bytes * 8
+    return bits / (loop_length_ms / 1000.0) / 1e6
+
+
+def _spread_us(ts: np.ndarray) -> array:
+    """Offsets of validated timestamps: opportunity j (1-based) of the k in
+    millisecond m lands at (m-1) * 1000 + ceil(j * 1000 / k) microseconds."""
+    n = len(ts)
+    first = np.flatnonzero(np.concatenate(([True], ts[1:] != ts[:-1])))
+    k = np.diff(first, append=n)
+    # numpy writes through a view of the array('q') the schedule keeps, so
+    # the offsets exist once.
+    offsets = array("q", [0]) * n
+    out = np.frombuffer(offsets, dtype=np.int64)
+    # j: a running count that drops back to 1 where each millisecond starts.
+    out += 1
+    out[first[1:]] -= k[:-1]
+    np.cumsum(out, out=out)
+    per = np.repeat(k, k)
+    out *= US_PER_MS
+    out += per
+    out -= 1
+    out //= per
+    np.subtract(ts, 1, out=per)
+    per *= US_PER_MS
+    out += per
+    return offsets
+
+
 class TraceSchedule:
-    """Parsed trace: timestamps plus the loop period (== last timestamp)."""
+    """One loop of a trace: the opportunities' microsecond offsets plus the
+    loop period (== last timestamp). Built from millisecond timestamps, given
+    as a list or an int64 array."""
 
-    timestamps_ms: list[int]
-    loop_length_ms: int
-    _offsets_us: array = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    __slots__ = ("_offsets", "loop_length_ms")
 
-    def __post_init__(self):
-        if not self.timestamps_ms:
+    def __init__(self, timestamps_ms, loop_length_ms: int):
+        try:
+            ts = np.asarray(timestamps_ms, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"trace timestamps must be at most {MAX_TIMESTAMP_MS}") from None
+        if ts.size == 0:
             raise ValueError("trace has no delivery opportunities")
-        prev = 0
-        for ts in self.timestamps_ms:
-            if ts < 1:
-                raise ValueError(f"trace timestamp {ts} is not a positive integer")
-            if ts < prev:
-                raise ValueError("trace timestamps must be nondecreasing")
-            prev = ts
-        if self.loop_length_ms != self.timestamps_ms[-1]:
+        bad = ts < 1
+        bad[1:] |= ts[1:] < ts[:-1]
+        if bad.any():
+            ts_bad = int(ts[bad.argmax()])
+            if ts_bad < 1:
+                raise ValueError(f"trace timestamp {ts_bad} is not a positive integer")
+            raise ValueError("trace timestamps must be nondecreasing")
+        last = int(ts[-1])
+        if loop_length_ms != last:
             raise ValueError("loop length must equal the last trace timestamp")
+        if last > MAX_TIMESTAMP_MS:
+            raise ValueError(f"trace timestamps must be at most {MAX_TIMESTAMP_MS}")
+        self.loop_length_ms = last
+        self._offsets = _spread_us(ts)
+
+    @property
+    def timestamps_ms(self) -> list[int]:
+        """The millisecond timestamps, one per opportunity: each offset
+        rounded up to its millisecond."""
+        offs = np.frombuffer(self._offsets, dtype=np.int64)
+        return (-(-offs // US_PER_MS)).tolist()
 
     @property
     def opportunities_per_loop(self) -> int:
-        return len(self.timestamps_ms)
+        return len(self._offsets)
 
     @property
     def loop_length_us(self) -> int:
         return self.loop_length_ms * US_PER_MS
 
     def mean_rate_mbps(self, packet_bytes: int = PACKET_BYTES) -> float:
-        bits = len(self.timestamps_ms) * packet_bytes * 8
-        return bits / (self.loop_length_ms / 1000.0) / 1e6
+        return _mean_rate_mbps(len(self._offsets), self.loop_length_ms, packet_bytes)
 
     def offsets_us(self) -> array:
         """Microsecond offsets of one loop, sorted, each in (0, loop_length_us]."""
-        if self._offsets_us is None:
-            offs = array("q")
-            i = 0
-            ts = self.timestamps_ms
-            n = len(ts)
-            while i < n:
-                j = i
-                while j < n and ts[j] == ts[i]:
-                    j += 1
-                k = j - i
-                base = (ts[i] - 1) * US_PER_MS
-                for m in range(1, k + 1):
-                    offs.append(base + -(-m * US_PER_MS // k))
-                i = j
-            self._offsets_us = offs
-        return self._offsets_us
+        return self._offsets
 
     def opportunities_until(self, t_us: int) -> int:
         """Number of delivery opportunities at absolute times <= t_us."""
         if t_us <= 0:
             return 0
-        offs = self.offsets_us()
+        offs = self._offsets
         loops, rem = divmod(t_us, self.loop_length_us)
         return loops * len(offs) + bisect.bisect_right(offs, rem)
 
@@ -91,7 +127,7 @@ class TraceSchedule:
         """Smallest opportunity time >= t_us (microseconds)."""
         if t_us < 1:
             t_us = 1
-        offs = self.offsets_us()
+        offs = self._offsets
         loops, rem = divmod(t_us - 1, self.loop_length_us)
         idx = bisect.bisect_left(offs, rem + 1)
         if idx < len(offs):
@@ -99,8 +135,45 @@ class TraceSchedule:
         return (loops + 1) * self.loop_length_us + offs[0]
 
 
-def parse_trace(path: str | os.PathLike) -> TraceSchedule:
-    """Read a mahimahi trace file. Errors carry 1-based line numbers."""
+# Numbers this many digits long or shorter always fit an int64.
+_MAX_DIGITS = 18
+
+
+def _scan_digits(raw: bytes) -> np.ndarray | None:
+    """Timestamps of a valid trace file made only of ASCII digits and line
+    breaks, with no number longer than 18 digits; None for any other file,
+    which the caller reads line by line instead."""
+    if raw.translate(None, b"0123456789\r\n"):
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    digit = np.zeros(b.size + 2, dtype=bool)
+    digit[1:-1] = b >= ord("0")
+    starts = np.flatnonzero(digit[1:] > digit[:-1])  # first digit of each number
+    pos = np.flatnonzero(digit[:-1] > digit[1:])  # one past its last digit
+    del digit
+    if pos.size == 0:
+        return None
+    lengths = pos - starts
+    del starts
+    width = int(lengths.max())
+    if width > _MAX_DIGITS:
+        return None
+    values = np.zeros(pos.size, dtype=np.int64)
+    for place in range(width):  # least significant digit first
+        pos -= 1
+        digits = b[pos].astype(np.int64)
+        digits -= ord("0")
+        digits[lengths <= place] = 0
+        digits *= 10**place
+        values += digits
+    if values[0] < 1 or (values[1:] < values[:-1]).any():
+        return None
+    return values
+
+
+def _read_lines(path: str | os.PathLike) -> list[int]:
+    """Read a trace one line at a time; raises at the first bad line, with
+    its 1-based number."""
     timestamps: list[int] = []
     prev = 0
     with open(path) as fh:
@@ -121,13 +194,51 @@ def parse_trace(path: str | os.PathLike) -> TraceSchedule:
             prev = ts
     if not timestamps:
         raise ValueError(f"{path}: trace has no delivery opportunities")
-    return TraceSchedule(timestamps, timestamps[-1])
+    return timestamps
+
+
+def parse_trace(path: str | os.PathLike) -> TraceSchedule:
+    """Read a mahimahi trace file. Errors carry 1-based line numbers.
+
+    A file of ASCII digits and line breaks is converted with numpy; any other
+    file, or one holding a bad value, is read again line by line, which
+    accepts blank lines and surrounding whitespace and names the first bad
+    line."""
+    with open(path, "rb") as fh:
+        timestamps = _scan_digits(fh.read())
+    if timestamps is None:
+        timestamps = _read_lines(path)
+    return TraceSchedule(timestamps, int(timestamps[-1]))
 
 
 def write_trace(schedule: TraceSchedule, path: str | os.PathLike) -> None:
     with open(path, "w") as fh:
-        for ts in schedule.timestamps_ms:
-            fh.write(f"{ts}\n")
+        fh.write("\n".join(map(str, schedule.timestamps_ms)) + "\n")
+
+
+def _constant_timestamps(
+    rate_mbps: float, duration_s: float, packet_bytes: int
+) -> np.ndarray:
+    """Timestamps ceil(i * duration_ms / n), i = 1..n, of a constant-rate
+    segment, after synth_constant's checks."""
+    duration_ms = round(duration_s * 1000)
+    if duration_ms < 1:
+        raise ValueError("trace duration must be at least 1 ms")
+    n = round(rate_mbps * 1e6 * duration_s / (packet_bytes * 8))
+    if n < 1:
+        raise ValueError(
+            f"rate {rate_mbps} Mbps over {duration_s} s yields no delivery opportunities"
+        )
+    realized = _mean_rate_mbps(n, duration_ms, packet_bytes)
+    if abs(realized - rate_mbps) > 0.005 * rate_mbps:
+        raise ValueError(
+            f"realized rate {realized:.4f} Mbps is more than 0.5% from {rate_mbps} Mbps"
+        )
+    timestamps = np.arange(1, n + 1, dtype=np.int64)
+    timestamps *= duration_ms
+    timestamps += n - 1
+    timestamps //= n
+    return timestamps
 
 
 def synth_constant(
@@ -140,22 +251,8 @@ def synth_constant(
     lands more than 0.5% off the request (coarse millisecond quantization of
     very short/slow traces).
     """
-    duration_ms = round(duration_s * 1000)
-    if duration_ms < 1:
-        raise ValueError("trace duration must be at least 1 ms")
-    n = round(rate_mbps * 1e6 * duration_s / (packet_bytes * 8))
-    if n < 1:
-        raise ValueError(
-            f"rate {rate_mbps} Mbps over {duration_s} s yields no delivery opportunities"
-        )
-    timestamps = [-(-i * duration_ms // n) for i in range(1, n + 1)]
-    schedule = TraceSchedule(timestamps, duration_ms)
-    realized = schedule.mean_rate_mbps(packet_bytes)
-    if abs(realized - rate_mbps) > 0.005 * rate_mbps:
-        raise ValueError(
-            f"realized rate {realized:.4f} Mbps is more than 0.5% from {rate_mbps} Mbps"
-        )
-    return schedule
+    timestamps = _constant_timestamps(rate_mbps, duration_s, packet_bytes)
+    return TraceSchedule(timestamps, int(timestamps[-1]))
 
 
 def synth_step(
@@ -166,23 +263,26 @@ def synth_step(
     contributes silence."""
     if not segments:
         raise ValueError("synth_step needs at least one segment")
-    timestamps: list[int] = []
+    parts: list[np.ndarray] = []
     base_ms = 0
     for rate_mbps, duration_s in segments:
         duration_ms = round(duration_s * 1000)
         if duration_ms < 1:
             raise ValueError("every segment needs a duration of at least 1 ms")
         if rate_mbps > 0.0:
-            seg = synth_constant(rate_mbps, duration_s, packet_bytes)
-            timestamps.extend(ts + base_ms for ts in seg.timestamps_ms)
+            seg = _constant_timestamps(rate_mbps, duration_s, packet_bytes)
+            seg += base_ms
+            parts.append(seg)
         base_ms += duration_ms
-    if not timestamps:
+    if not parts:
         raise ValueError("step trace has no delivery opportunities")
     # Pad the loop to the full span: the loop length must equal the last
     # timestamp, so close the trace with one opportunity at the final
     # millisecond if the last segment was silence.
-    if timestamps[-1] != base_ms:
-        timestamps.append(base_ms)
+    if parts[-1][-1] != base_ms:
+        parts.append(np.array([base_ms], dtype=np.int64))
+    timestamps = np.concatenate(parts)
+    del parts  # free the segments before the offsets are built
     return TraceSchedule(timestamps, base_ms)
 
 

@@ -23,4 +23,7 @@ def test_names_the_workloads_call_resolve():
     assert callable(cli.main) and callable(cli.run_sim)
     assert cli.EXIT_OK == 0
     assert callable(TraceSchedule.next_opportunity)
+    assert callable(TraceSchedule.offsets_us)
+    assert callable(TraceSchedule.opportunities_until)
     assert isinstance(TraceSchedule.opportunities_per_loop, property)
+    assert isinstance(TraceSchedule.loop_length_us, property)

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from ccguard import metrics, traces
+from ccguard import cli, metrics, traces
 from ccguard.cli import (
     EXIT_CONFIG,
     EXIT_MISSING_INPUT,
@@ -163,6 +163,7 @@ BAD_INPUT_BASE = ["run", "--trace", "constant:12@1", "--duration", "2",
     ([], "[experiment]\nseeds =\n"),
     (["--warmup", "-1"], None),
     (["--bin-s", "0"], None),
+    (["--bin-s", "1e-7"], None),
 ])
 def test_bad_input_exits_2_with_one_line_and_no_output(out_root, tmp_path, capsys,
                                                        extra, ini):
@@ -284,6 +285,23 @@ def test_fairness_subcommand(out_root, capsys):
     assert len(d["config"]["flows"]) == 2
     assert 0.0 < d["metrics"]["jain_index"] <= 1.0
     assert "jain index" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("window, duration", [
+    ("5", "2"), ("0", "2"), ("-1", "2"), ("nan", "2"), ("inf", "2"), ("1", "inf"),
+])
+def test_fairness_bad_window_exits_2_before_simulating(out_root, monkeypatch, capsys,
+                                                        window, duration):
+    def no_run(config):
+        raise AssertionError("simulated despite a bad window")
+
+    monkeypatch.setattr(cli, "run_sim", no_run)
+    rc = main(["fairness", "--flows", "2", "--gap-s", "1", "--rate", "12",
+               "--duration", duration, "--window", window, "--out", "fair-bad"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+    assert not (out_root / "fair-bad").exists()
 
 
 # ---------------------------------------------------------------------------

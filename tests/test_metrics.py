@@ -189,6 +189,12 @@ def test_timeseries_single_bin(steady_log):
 # time_to_utilization
 
 
+def test_timeseries_rejects_bins_below_one_microsecond(steady_log):
+    for bin_s in (0.0, -1.0, 1e-7):
+        with pytest.raises(ValueError):
+            timeseries(steady_log, bin_s=bin_s)
+
+
 def test_time_to_utilization_reaches_target(steady_log):
     t = time_to_utilization(steady_log, 0.5, from_s=0.0, window_s=1.0)
     assert t is not None

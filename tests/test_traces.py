@@ -1,9 +1,13 @@
 """Tests for trace parsing, synthesis, microsecond spreading, and capacity
 counting."""
 
-import math
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccguard.traces import (
     TraceSchedule,
@@ -16,15 +20,22 @@ from ccguard.traces import (
 )
 
 
+SCHEDULE_FAULTS = [
+    ([], 0, "trace has no delivery opportunities"),
+    ([0, 1], 1, "trace timestamp 0 is not a positive integer"),
+    ([2, 1], 2, "trace timestamps must be nondecreasing"),
+    ([2, 1, 0], 0, "trace timestamps must be nondecreasing"),  # first fault wins
+    ([2, 0, 1], 1, "trace timestamp 0 is not a positive integer"),
+    ([1, 2], 3, "loop length must equal the last trace timestamp"),
+    ([1, 2**62], 2**62, "trace timestamps must be at most"),  # offset overflows int64
+    ([1, 2**70], 2**70, "trace timestamps must be at most"),
+]
+
+
 def test_schedule_validates_timestamps():
-    with pytest.raises(ValueError):
-        TraceSchedule([], 0)
-    with pytest.raises(ValueError):
-        TraceSchedule([0, 1], 1)
-    with pytest.raises(ValueError):
-        TraceSchedule([2, 1], 2)
-    with pytest.raises(ValueError):
-        TraceSchedule([1, 2], 3)  # loop must equal last timestamp
+    for timestamps, loop, message in SCHEDULE_FAULTS:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TraceSchedule(timestamps, loop)
 
 
 def test_parse_trace_burst_lines(tmp_path):
@@ -36,20 +47,45 @@ def test_parse_trace_burst_lines(tmp_path):
     assert sched.opportunities_per_loop == 3
 
 
+BAD_TRACE_FILES = [
+    ("2\n1\n", "line 2: timestamp 1 decreases (previous 2)"),
+    ("2\nx\n", "line 2: not an integer timestamp: 'x'"),
+    ("0\n", "line 1: timestamp must be >= 1, got 0"),
+    ("\n", "trace has no delivery opportunities"),
+    ("1\n" * 200_000 + "x\n", "line 200001: not an integer timestamp: 'x'"),
+    ("1 2\n", "line 1: not an integer timestamp: '1 2'"),
+    ("+5\n", "line 1: not an integer timestamp: '+5'"),
+    ("-3\n", "line 1: not an integer timestamp: '-3'"),
+    ("1.0\n", "line 1: not an integer timestamp: '1.0'"),
+    ("5\n5\n7\n6\n", "line 4: timestamp 6 decreases (previous 7)"),
+    ("3\n\n  \n2\n", "line 4: timestamp 2 decreases (previous 3)"),  # blanks count as lines
+    ("5\n\u0663\n", "line 2: timestamp 3 decreases (previous 5)"),  # Arabic-Indic 3 is a digit
+]
+
+
 def test_parse_trace_reports_offending_line(tmp_path):
     p = tmp_path / "bad.trace"
-    p.write_text("2\n1\n")
-    with pytest.raises(ValueError, match="line 2"):
-        parse_trace(p)
-    p.write_text("2\nx\n")
-    with pytest.raises(ValueError, match="line 2"):
-        parse_trace(p)
-    p.write_text("0\n")
-    with pytest.raises(ValueError, match="line 1"):
-        parse_trace(p)
-    p.write_text("\n")
-    with pytest.raises(ValueError):
-        parse_trace(p)
+    for text, message in BAD_TRACE_FILES:
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+            parse_trace(p)
+
+
+@pytest.mark.parametrize("text, timestamps", [
+    ("1\n2\n2\n", [1, 2, 2]),
+    ("1\n2", [1, 2]),  # no final newline
+    ("1\r\n2\r\n", [1, 2]),
+    ("1\r2\r", [1, 2]),
+    ("\n \t5 \n\n\t7\t\n", [5, 7]),
+    ("0007\n", [7]),
+    ("0" * 20 + "12\n", [12]),  # longer than any int64, still small
+    ("\u0663\n4\n", [3, 4]),
+    ("\f3\v\n", [3]),
+])
+def test_parse_trace_accepts(tmp_path, text, timestamps):
+    p = tmp_path / "ok.trace"
+    p.write_bytes(text.encode("utf-8"))
+    assert parse_trace(p).timestamps_ms == timestamps
 
 
 def test_write_then_parse_roundtrip(tmp_path):
@@ -191,3 +227,129 @@ def test_mean_rate_accounts_for_packet_size():
     sched = TraceSchedule([1], 1)  # 1 packet per ms
     assert sched.mean_rate_mbps(1500) == pytest.approx(12.0)
     assert sched.mean_rate_mbps(750) == pytest.approx(6.0)
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with pure-Python references: the per-group loop for the offsets
+# and the list comprehensions for synthesized timestamps. The vectorized code
+# must reproduce both exactly.
+
+
+def reference_offsets(timestamps):
+    offs = []
+    i = 0
+    n = len(timestamps)
+    while i < n:
+        j = i
+        while j < n and timestamps[j] == timestamps[i]:
+            j += 1
+        k = j - i
+        base = (timestamps[i] - 1) * 1000
+        for m in range(1, k + 1):
+            offs.append(base + -(-m * 1000 // k))
+        i = j
+    return offs
+
+
+def reference_constant(rate_mbps, duration_s, packet_bytes=1500):
+    duration_ms = round(duration_s * 1000)
+    if duration_ms < 1:
+        raise ValueError("duration")
+    n = round(rate_mbps * 1e6 * duration_s / (packet_bytes * 8))
+    if n < 1:
+        raise ValueError("no opportunities")
+    realized = n * packet_bytes * 8 / (duration_ms / 1000.0) / 1e6
+    if abs(realized - rate_mbps) > 0.005 * rate_mbps:
+        raise ValueError("realized rate")
+    return [-(-i * duration_ms // n) for i in range(1, n + 1)]
+
+
+def reference_step(segments):
+    timestamps = []
+    base_ms = 0
+    for rate_mbps, duration_s in segments:
+        duration_ms = round(duration_s * 1000)
+        if duration_ms < 1:
+            raise ValueError("duration")
+        if rate_mbps > 0.0:
+            timestamps.extend(ts + base_ms for ts in reference_constant(rate_mbps, duration_s))
+        base_ms += duration_ms
+    if not timestamps:
+        raise ValueError("silent")
+    if timestamps[-1] != base_ms:
+        timestamps.append(base_ms)
+    return timestamps
+
+
+@st.composite
+def timestamp_lists(draw):
+    """Bursts (some over 1000 in one millisecond) after optional leading
+    silence; all-zero gaps give a 1-ms loop."""
+    ms = 1 + draw(st.sampled_from([0, 0, 1, 7, 250]))
+    timestamps = []
+    for gap, burst in draw(st.lists(
+        st.tuples(st.integers(0, 40), st.sampled_from([1, 1, 2, 3, 7, 999, 1001, 2500])),
+        min_size=1, max_size=8,
+    )):
+        ms += gap
+        timestamps += [ms] * burst
+    return timestamps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(timestamp_lists())
+def test_schedule_matches_reference_grouping(timestamps):
+    sched = TraceSchedule(timestamps, timestamps[-1])
+    assert list(sched.offsets_us()) == reference_offsets(timestamps)
+    assert sched.timestamps_ms == timestamps
+    assert sched.loop_length_us == timestamps[-1] * 1000
+
+
+rates = st.one_of(st.just(0.0), st.floats(0.01, 400.0))
+durations = st.floats(0.0001, 1.5)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(rates, durations)
+def test_synth_constant_matches_reference_formula(rate_mbps, duration_s):
+    expected = outcome(reference_constant, rate_mbps, duration_s)
+    got = outcome(synth_constant, rate_mbps, duration_s)
+    if expected is ValueError:
+        assert got is ValueError
+    else:
+        assert got.timestamps_ms == expected
+        assert list(got.offsets_us()) == reference_offsets(expected)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(rates, durations), min_size=1, max_size=4))
+def test_synth_step_matches_reference_formula(segments):
+    expected = outcome(reference_step, segments)
+    got = outcome(synth_step, segments)
+    if expected is ValueError:
+        assert got is ValueError
+    else:
+        assert got.timestamps_ms == expected
+        assert got.loop_length_ms == expected[-1]
+        assert list(got.offsets_us()) == reference_offsets(expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(timestamp_lists())
+def test_write_parse_roundtrip_is_exact(timestamps):
+    sched = TraceSchedule(timestamps, timestamps[-1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "round.trace")
+        write_trace(sched, path)
+        with open(path) as fh:
+            assert fh.read() == "".join(f"{t}\n" for t in timestamps)
+        back = parse_trace(path)
+    assert back.timestamps_ms == timestamps
+    assert back.offsets_us() == sched.offsets_us()
