@@ -411,6 +411,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_fairness(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.duration) and 0.0 < args.window <= args.duration):
         raise ConfigError("need 0 < --window <= --duration, both finite")
+    if not (math.isfinite(args.rate) and args.rate > 0.0):
+        raise ConfigError("need a finite --rate > 0")
     sim = experiments.fairness(
         n_flows=args.flows, gap_s=args.gap_s, seed=args.seed,
         rate_mbps=args.rate, duration_s=args.duration,

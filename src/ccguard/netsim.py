@@ -11,26 +11,46 @@ Time is integer microseconds throughout. Every event carries a key
 configurations replay bit-identically regardless of host or hash seed.
 Delivery opportunities come from a ``TraceSchedule`` (mahimahi format,
 looping); an opportunity with an empty queue is wasted. A packet arriving
-exactly at an opportunity instant is eligible for it (arrivals are absorbed,
-with drop-tail checks, in arrival order before each delivery).
+exactly at an opportunity instant is eligible for it.
 
-The event loop draws from three sources and runs whichever holds the
-smallest (time, insertion sequence) key, so ties break exactly as one
-global priority queue would break them:
+A packet's fate is fixed when it is sent. The queue is FIFO and its service
+instants are given, and the delay is constant, so the packet reaches the
+queue at its send time plus the delay and finds there exactly the earlier
+kept packets not yet delivered. It is dropped if that count reaches the
+buffer; otherwise it leaves at the first opportunity at or after both its
+arrival and the previous kept packet's departure + 1 (Lindley's recursion).
+The next opportunity comes from a cursor into the schedule's per-loop
+offsets that only moves forward.
 
-* the armed delivery: at most one opportunity is pending at a time, held
-  as a scalar key;
-* the ack stream, a FIFO: deliveries happen in time order and every ack
-  returns after the same constant delay, so acks fall due in the order
-  they were created;
-* a heap holding only guardian ticks and flow starts.
+Deliveries therefore need no events, and the loop draws from two sources:
 
-A packet's trip to the queue needs no event. Sends happen in time order
-and the delay is constant, so the packets still propagating are always
-the packet-id range [transit head, packets sent), and packet p reaches
-the queue at its send time plus the one-way delay. The next opportunity
-comes from a cursor into the schedule's per-loop offsets that only moves
-forward.
+* the ack cursor, which walks the kept packets in send order, each due at
+  its delivery plus the delay (deliveries are in send order);
+* a heap of guardian ticks and flow starts, over a stop entry just past the
+  horizon.
+
+At equal times the heap event runs first, as one priority queue keyed by
+(time, insertion sequence) would run it. A heap event due at T was created
+at the start or at T - r, where r >= max(1, 2 x delay): a tick interval is
+the min RTT, at least 1 us, and an RTT is at least twice the delay. The ack
+due at T was created by its delivery at T - delay, which is later.
+
+With a delay the order of a delivery and the other events at its instant
+cannot matter: everything that delivery takes in was sent earlier. With no
+delay it can: a packet sent at instant t reaches the queue at t, and whether
+the delivery at t has already run decides both its drop check and, at the
+horizon, whether it counts as queued or in flight. Only then does the loop
+mirror the key (time, insertion sequence) a single armed delivery would
+carry: before each event it passes every delivery with a smaller key (an
+ack counts as later than everything else at its instant); a delivery
+heading a new chain takes the next sequence number when its packet is
+sent, a chained one when its predecessor is passed. With a delay the
+mirror would only cost time, so it is skipped.
+
+At the end, deliveries after the horizon revert to -1. The last delivery at
+or before the horizon took in every packet that had arrived by then (with
+no delay: that was sent before it ran); the others are still in flight, and
+a drop counts only among the packets taken in.
 
 Loss handling mirrors dupack-based TCP without retransmission: per-flow
 deliveries stay in sequence order, so a delivery above the next expected
@@ -43,11 +63,9 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from bisect import bisect_left
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import repeat
 
 from .aimd import AVOIDANCE, AimdWindow
 from .guardian import Guardian, GuardianConfig
@@ -57,12 +75,12 @@ INFINITE_BUFFER = 2**31
 
 US_PER_S = 1_000_000
 
-# Event kinds. Ticks and starts share the heap; deliveries and acks each
-# have a source of their own.
-_DELIVER = 0
-_ACK = 1
-_TICK = 2
-_START = 3
+# Event kinds. Ticks, starts and the stop entry share the heap; acks come
+# from a cursor of their own.
+_ACK = 0
+_TICK = 1
+_START = 2
+_STOP = 3
 # Key of an empty event source: later than any event time.
 _NEVER = 1 << 62
 
@@ -228,12 +246,13 @@ def run_sim(config: SimConfig) -> SimLog:
         for i, spec in enumerate(config.flows)
     ]
 
-    # Packet ledgers (global packet id -> fields).
+    # Packet ledgers (global packet id -> fields). A kept packet's delivery
+    # is written when it is sent; p_dropped is built after the run.
     p_flow = array("h")
     p_seq = array("q")
     p_sent = array("q")
     p_delivered = array("q")
-    p_dropped = array("q")
+    drops = array("q")  # ids of the packets the queue turned away
 
     tick_t: list[int] = []
     tick_flow: list[int] = []
@@ -249,19 +268,16 @@ def run_sim(config: SimConfig) -> SimLog:
 
     threshold_raised = False
     n_sent = 0
-    n_delivered = 0
-    n_dropped = 0
 
-    # Bottleneck state. Packets [transit_head, n_sent) are propagating
-    # towards the queue.
-    transit_head = 0
-    queue: deque = deque()
-    q_total = 0
+    # Queue accounting for the drop check. n_kept counts kept packets and
+    # n_gone those below packet id `gone` that left before the latest
+    # arrival, so n_kept - n_gone bounds the queue an arrival finds.
+    n_kept = 0
+    gone = n_gone = 0
 
     # Opportunity cursor: obase + offs[oi] (cached in opp_t) is the schedule
-    # entry after the last opportunity considered, used or wasted, at
-    # last_opp_us. Arming moves it on to the first entry the delivery may
-    # take. offs[-1] equals the loop length, so any target in
+    # entry after the one the last kept packet takes, at last_dlv.
+    # offs[-1] equals the loop length, so any target in
     # (obase, obase + loop_us] lies in the current loop.
     offs = schedule.offsets_us()
     loop_us = schedule.loop_length_us
@@ -269,12 +285,24 @@ def run_sim(config: SimConfig) -> SimLog:
     oi = 0
     obase = 0
     opp_t = offs[0]
-    last_opp_us = 0
+    last_dlv = 0
 
-    # Event sources, each keyed (t, eseq); see the module docstring.
-    d_t = d_seq = _NEVER                  # the armed delivery
-    acks: deque = deque()                 # (t, eseq, pid), due in order
-    heap = [(_NEVER, _NEVER, _START, -1)]  # ticks and starts over a sentinel
+    # Ack cursor: the kept packet a_pid is acked next, at a_t.
+    a_pid = 0
+    a_t = _NEVER
+
+    # Zero-delay mirror of the armed-delivery key (see the module
+    # docstring): z_pid is the first kept packet whose delivery, keyed
+    # (z_t, z_seq), has not been passed yet; passed_t is the last delivery
+    # passed and absorbed the number of packets sent before it.
+    mirror = owd_us == 0
+    z_pid = 0
+    z_t = z_seq = _NEVER
+    passed_t = -1
+    absorbed = 0
+
+    # Ticks and starts, over a stop entry just past the horizon.
+    heap = [(duration_us + 1, -1, _STOP, -1)]
     eseq = 0
     for fi, f in enumerate(flows):
         heappush(heap, (round(f.spec.start_s * US_PER_S), eseq, _START, fi))
@@ -282,97 +310,78 @@ def run_sim(config: SimConfig) -> SimLog:
     h_t = heap[0][0]
 
     while True:
-        # The next event is the smallest key of the three sources.
-        t = d_t
-        seq = d_seq
-        kind = _DELIVER
-        if acks:
-            a_t, a_seq, pid = acks[0]
-            if a_t < t or (a_t == t and a_seq < seq):
-                t = a_t
-                seq = a_seq
-                kind = _ACK
-        if h_t < t or (h_t == t and heap[0][1] < seq):
-            t = h_t
-            if t > duration_us:
-                break
-            _, _, kind, fi = heappop(heap)
-            h_t = heap[0][0]
-        elif t > duration_us:
-            break
-
-        if kind == _DELIVER:
-            # Delivery opportunity. Absorb every arrival due by now, in
-            # arrival order, applying drop-tail at the queue state each
-            # would have seen.
-            d_t = _NEVER
-            cut = t - owd_us
-            while transit_head < n_sent and p_sent[transit_head] <= cut:
-                pid = transit_head
-                transit_head += 1
-                if q_total >= buffer_pkts:
-                    p_dropped[pid] = p_sent[pid] + owd_us
-                    n_dropped += 1
-                else:
-                    queue.append(pid)
-                    q_total += 1
-            last_opp_us = t
-            oi += 1
-            if oi == n_offs:
-                oi = 0
-                obase += loop_us
-            opp_t = obase + offs[oi]
-            if q_total:
-                pid = queue.popleft()
-                q_total -= 1
-                p_delivered[pid] = t
-                n_delivered += 1
-                acks.append((t + owd_us, eseq, pid))
-                eseq += 1
+        # A heap event wins a tie with an ack; see the module docstring.
+        if a_t < h_t:
+            t = a_t
+            seq = _NEVER  # an ack is the last event at its instant
+            kind = _ACK
         else:
-            if kind == _ACK:
-                acks.popleft()
-                fi = p_flow[pid]
-                f = flows[fi]
-                rtt_s = (t - p_sent[pid]) * 1e-6
-                if rtt_s < f.min_rtt_s:
-                    f.min_rtt_s = rtt_s
-                if f.guardian_active:
-                    f.si_sum += rtt_s
-                    f.si_n += 1
-                s = p_seq[pid]
-                if s == f.next_expected:
+            t, seq, kind, fi = heappop(heap)
+        if mirror:
+            while z_t < t or (z_t == t and z_seq < seq):
+                passed_t = z_t
+                absorbed = n_sent
+                z_pid += 1
+                while z_pid < n_sent and p_delivered[z_pid] < 0:
+                    z_pid += 1
+                if z_pid < n_sent:
+                    z_t = p_delivered[z_pid]
+                    z_seq = eseq
+                    eseq += 1
+                else:
+                    z_t = _NEVER
+
+        if kind == _ACK:
+            pid = a_pid
+            a_pid += 1
+            while a_pid < n_sent and p_delivered[a_pid] < 0:
+                a_pid += 1
+            a_t = p_delivered[a_pid] + owd_us if a_pid < n_sent else _NEVER
+            fi = p_flow[pid]
+            f = flows[fi]
+            rtt_s = (t - p_sent[pid]) * 1e-6
+            if rtt_s < f.min_rtt_s:
+                f.min_rtt_s = rtt_s
+            if f.guardian_active:
+                f.si_sum += rtt_s
+                f.si_n += 1
+            s = p_seq[pid]
+            if s == f.next_expected:
+                f.next_expected = s + 1
+                f.dup_count = 0
+                f.inflight -= 1
+                if f.aimd_on:
+                    f.win.on_ack()
+            elif s > f.next_expected:
+                f.dup_count += 1
+                f.inflight -= 1
+                if f.dup_count == 3:
+                    # Gap sequences [next_expected, s] minus the 3
+                    # delivered duplicates are lost for good; free
+                    # their window slots.
+                    f.inflight -= s - f.next_expected - 2
                     f.next_expected = s + 1
                     f.dup_count = 0
-                    f.inflight -= 1
                     if f.aimd_on:
-                        f.win.on_ack()
-                elif s > f.next_expected:
-                    f.dup_count += 1
-                    f.inflight -= 1
-                    if f.dup_count == 3:
-                        # Gap sequences [next_expected, s] minus the 3
-                        # delivered duplicates are lost for good; free
-                        # their window slots.
-                        f.inflight -= s - f.next_expected - 2
-                        f.next_expected = s + 1
-                        f.dup_count = 0
-                        if f.aimd_on:
-                            f.win.on_loss()
-                # (s < next_expected is impossible: per-flow delivery order
-                # is send order, and resync only moves next_expected forward.)
-                if f.awaiting_guardian and (f.win.phase == AVOIDANCE or not f.aimd_on):
-                    f.awaiting_guardian = False
-                    f.guardian_active = True
-                    f.si_sum = 0.0
-                    f.si_n = 0
-                    t_next = t + max(1, round(f.min_rtt_s * US_PER_S))
-                    if t_next <= duration_us:
-                        heappush(heap, (t_next, eseq, _TICK, fi))
-                        eseq += 1
-                        h_t = heap[0][0]
-            elif kind == _TICK:
-                f = flows[fi]
+                        f.win.on_loss()
+            # (s < next_expected is impossible: per-flow delivery order
+            # is send order, and resync only moves next_expected forward.)
+            if f.awaiting_guardian and (f.win.phase == AVOIDANCE or not f.aimd_on):
+                f.awaiting_guardian = False
+                f.guardian_active = True
+                f.si_sum = 0.0
+                f.si_n = 0
+                t_next = t + max(1, round(f.min_rtt_s * US_PER_S))
+                if t_next <= duration_us:
+                    heappush(heap, (t_next, eseq, _TICK, fi))
+                    eseq += 1
+                    h_t = heap[0][0]
+        elif kind == _STOP:
+            break
+        else:
+            h_t = heap[0][0]
+            f = flows[fi]
+            if kind == _TICK:
                 mean_delay = f.si_sum / f.si_n if f.si_n else None
                 f.si_sum = 0.0
                 f.si_n = 0
@@ -395,62 +404,112 @@ def run_sim(config: SimConfig) -> SimLog:
                     heappush(heap, (t_next, eseq, _TICK, fi))
                     eseq += 1
                     h_t = heap[0][0]
-            else:  # _START
-                f = flows[fi]
 
-            # The flow's cwnd trail (at most one sample per 100 ms), its
-            # watermark, then sends up to the window.
-            cwnd = f.win.cwnd
-            if t >= f.next_cwnd_sample_us:
-                cwnd_t.append(t)
-                cwnd_flow.append(fi)
-                cwnd_val.append(cwnd)
-                f.next_cwnd_sample_us = t + 100_000
-            if watermark is not None and f.watermark_us < 0 and cwnd >= watermark:
-                f.watermark_us = t
-            k = int(cwnd) - f.inflight
-            if k > 0:
-                s = f.next_seq
-                if k == 1:
-                    p_flow.append(fi)
-                    p_seq.append(s)
-                    p_sent.append(t)
-                    p_delivered.append(-1)
-                    p_dropped.append(-1)
-                else:
-                    p_flow.extend(repeat(fi, k))
-                    p_seq.extend(range(s, s + k))
-                    p_sent.extend(repeat(t, k))
-                    p_delivered.extend(repeat(-1, k))
-                    p_dropped.extend(repeat(-1, k))
-                f.next_seq = s + k
-                f.inflight += k
-                n_sent += k
-
-        # Arm the next delivery if none is pending and a packet is queued
-        # or on its way: the first opportunity at or after max(when it can
-        # leave, last opportunity + 1).
-        if d_t == _NEVER:
-            if q_total:
-                x = t
-            elif transit_head < n_sent:
-                x = p_sent[transit_head] + owd_us
+        # The flow's cwnd trail (at most one sample per 100 ms), its
+        # watermark, then sends up to the window.
+        cwnd = f.win.cwnd
+        if t >= f.next_cwnd_sample_us:
+            cwnd_t.append(t)
+            cwnd_flow.append(fi)
+            cwnd_val.append(cwnd)
+            f.next_cwnd_sample_us = t + 100_000
+        if watermark is not None and f.watermark_us < 0 and cwnd >= watermark:
+            f.watermark_us = t
+        k = int(cwnd) - f.inflight
+        if k <= 0:
+            continue
+        f.inflight += k
+        s = f.next_seq
+        f.next_seq = s + k
+        first = n_sent
+        arrive = t + owd_us
+        while k:
+            k -= 1
+            p_flow.append(fi)
+            p_seq.append(s)
+            s += 1
+            p_sent.append(t)
+            # Drop-tail: the queue this packet finds is the earlier kept
+            # packets not yet delivered when it arrives, less one delivered
+            # at that very instant before it arrived (zero delay only).
+            q = n_kept - n_gone
+            if q >= buffer_pkts:
+                while n_gone < n_kept:
+                    d = p_delivered[gone]
+                    if d >= arrive:
+                        break
+                    gone += 1
+                    if d >= 0:
+                        n_gone += 1
+                q = n_kept - n_gone
+                if passed_t == arrive:
+                    q -= 1
+            if q >= buffer_pkts:
+                drops.append(n_sent)
+                p_delivered.append(-1)
             else:
-                continue
-            if x <= last_opp_us:
-                x = last_opp_us + 1
-            if opp_t < x:
-                r = x - obase
-                if r <= loop_us:
-                    oi = bisect_left(offs, r, oi)
-                else:
-                    loops, rem = divmod(x - 1, loop_us)
-                    obase = loops * loop_us
-                    oi = bisect_left(offs, rem + 1)
+                # Delivered at the first opportunity at or after both its
+                # arrival and the previous kept packet's delivery + 1.
+                x = arrive if arrive > last_dlv else last_dlv + 1
+                if opp_t < x:
+                    r = x - obase
+                    if r <= loop_us:
+                        oi = bisect_left(offs, r, oi)
+                    else:
+                        loops, rem = divmod(x - 1, loop_us)
+                        obase = loops * loop_us
+                        oi = bisect_left(offs, rem + 1)
+                    opp_t = obase + offs[oi]
+                last_dlv = opp_t
+                p_delivered.append(opp_t)
+                n_kept += 1
+                oi += 1
+                if oi == n_offs:
+                    oi = 0
+                    obase += loop_us
                 opp_t = obase + offs[oi]
-            d_t = opp_t
-            d_seq = eseq
+            n_sent += 1
+        # With every earlier kept packet acked (or, for the mirror, its
+        # delivery passed) the first of these packets found the queue empty,
+        # so it was kept.
+        if a_t == _NEVER:
+            a_pid = first
+            a_t = p_delivered[first] + owd_us
+        if mirror and z_t == _NEVER:
+            # It heads a new chain: its delivery takes the next key now.
+            z_pid = first
+            z_t = p_delivered[first]
+            z_seq = eseq
             eseq += 1
+
+    # End of run. Deliveries after the horizon did not happen. The last one
+    # that did took in every packet that had arrived by then; the rest are
+    # still in flight, and a drop counts only among the packets taken in.
+    n_delivered = n_kept
+    last = -1
+    pid = n_sent - 1
+    while pid >= 0:
+        d = p_delivered[pid]
+        if d > duration_us:
+            p_delivered[pid] = -1
+            n_delivered -= 1
+        elif d >= 0:
+            last = d
+            break
+        pid -= 1
+    if mirror:
+        n_absorbed = absorbed
+    elif last < 0:
+        n_absorbed = 0
+    else:
+        n_absorbed = bisect_right(p_sent, last - owd_us)
+    p_dropped = array("q", [-1]) * n_sent
+    n_dropped = 0
+    for pid in drops:
+        if pid >= n_absorbed:
+            break
+        p_dropped[pid] = p_sent[pid] + owd_us
+        n_dropped += 1
 
     log = SimLog(
         config=config,
@@ -474,8 +533,8 @@ def run_sim(config: SimConfig) -> SimLog:
         n_sent=n_sent,
         n_delivered=n_delivered,
         n_dropped=n_dropped,
-        n_in_queue=q_total,
-        n_in_flight=n_sent - transit_head,
+        n_in_queue=n_absorbed - n_delivered - n_dropped,
+        n_in_flight=n_sent - n_absorbed,
         min_rtt_s=[f.min_rtt_s for f in flows],
         watermark_us=[f.watermark_us for f in flows],
         threshold_raised=threshold_raised,

@@ -33,6 +33,10 @@ US_PER_S = 1_000_000
 # The largest timestamp whose microsecond offset fits an int64.
 MAX_TIMESTAMP_MS = (2**63 - 1) // US_PER_MS
 
+# Most delivery opportunities a synthesized trace may hold: 64 MiB of
+# offsets, or 720 Mbps for 139 s at 1500-byte packets.
+MAX_SYNTH_OPPORTUNITIES = 2**23
+
 
 def _mean_rate_mbps(opportunities: int, loop_length_ms: int, packet_bytes: int) -> float:
     bits = opportunities * packet_bytes * 8
@@ -216,15 +220,21 @@ def write_trace(schedule: TraceSchedule, path: str | os.PathLike) -> None:
         fh.write("\n".join(map(str, schedule.timestamps_ms)) + "\n")
 
 
-def _constant_timestamps(
-    rate_mbps: float, duration_s: float, packet_bytes: int
-) -> np.ndarray:
-    """Timestamps ceil(i * duration_ms / n), i = 1..n, of a constant-rate
-    segment, after synth_constant's checks."""
+def _check_size(n: float, what: str) -> None:
+    if n > MAX_SYNTH_OPPORTUNITIES:
+        raise ValueError(f"{what} needs {n:.0f} delivery opportunities; a synthesized "
+                         f"trace holds at most {MAX_SYNTH_OPPORTUNITIES}")
+
+
+def _segment_count(rate_mbps: float, duration_s: float, packet_bytes: int) -> int:
+    """Opportunity count n of a constant-rate segment, after synth_constant's
+    checks; the size cap is checked before n is rounded or anything built."""
     duration_ms = round(duration_s * 1000)
     if duration_ms < 1:
         raise ValueError("trace duration must be at least 1 ms")
-    n = round(rate_mbps * 1e6 * duration_s / (packet_bytes * 8))
+    exact = rate_mbps * 1e6 * duration_s / (packet_bytes * 8)
+    _check_size(exact, f"rate {rate_mbps} Mbps over {duration_s} s")
+    n = round(exact)
     if n < 1:
         raise ValueError(
             f"rate {rate_mbps} Mbps over {duration_s} s yields no delivery opportunities"
@@ -234,6 +244,13 @@ def _constant_timestamps(
         raise ValueError(
             f"realized rate {realized:.4f} Mbps is more than 0.5% from {rate_mbps} Mbps"
         )
+    return n
+
+
+def _constant_timestamps(n: int, duration_s: float) -> np.ndarray:
+    """Timestamps ceil(i * duration_ms / n), i = 1..n, of a constant-rate
+    segment of n opportunities."""
+    duration_ms = round(duration_s * 1000)
     timestamps = np.arange(1, n + 1, dtype=np.int64)
     timestamps *= duration_ms
     timestamps += n - 1
@@ -247,11 +264,13 @@ def synth_constant(
     """Constant-rate schedule: n = round(rate * duration / packet bits)
     opportunities spread evenly over the duration.
 
-    Raises if the rate rounds to zero opportunities or the realized mean rate
+    Raises if the rate rounds to zero opportunities, the realized mean rate
     lands more than 0.5% off the request (coarse millisecond quantization of
-    very short/slow traces).
+    very short/slow traces), or the trace would hold more than
+    ``MAX_SYNTH_OPPORTUNITIES``.
     """
-    timestamps = _constant_timestamps(rate_mbps, duration_s, packet_bytes)
+    n = _segment_count(rate_mbps, duration_s, packet_bytes)
+    timestamps = _constant_timestamps(n, duration_s)
     return TraceSchedule(timestamps, int(timestamps[-1]))
 
 
@@ -260,20 +279,25 @@ def synth_step(
 ) -> TraceSchedule:
     """Concatenate constant-rate segments [(rate_mbps, duration_s), ...] into
     one schedule whose loop spans the total duration. A zero-rate segment
-    contributes silence."""
+    contributes silence. The segments together may hold at most
+    ``MAX_SYNTH_OPPORTUNITIES``, checked before any is built."""
     if not segments:
         raise ValueError("synth_step needs at least one segment")
+    counts = []
+    for rate_mbps, duration_s in segments:
+        if round(duration_s * 1000) < 1:
+            raise ValueError("every segment needs a duration of at least 1 ms")
+        counts.append(_segment_count(rate_mbps, duration_s, packet_bytes)
+                      if rate_mbps > 0.0 else 0)
+    _check_size(sum(counts), f"a step trace of {len(segments)} segments")
     parts: list[np.ndarray] = []
     base_ms = 0
-    for rate_mbps, duration_s in segments:
-        duration_ms = round(duration_s * 1000)
-        if duration_ms < 1:
-            raise ValueError("every segment needs a duration of at least 1 ms")
-        if rate_mbps > 0.0:
-            seg = _constant_timestamps(rate_mbps, duration_s, packet_bytes)
+    for (_, duration_s), n in zip(segments, counts):
+        if n:
+            seg = _constant_timestamps(n, duration_s)
             seg += base_ms
             parts.append(seg)
-        base_ms += duration_ms
+        base_ms += round(duration_s * 1000)
     if not parts:
         raise ValueError("step trace has no delivery opportunities")
     # Pad the loop to the full span: the loop length must equal the last

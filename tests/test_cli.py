@@ -164,6 +164,7 @@ BAD_INPUT_BASE = ["run", "--trace", "constant:12@1", "--duration", "2",
     (["--warmup", "-1"], None),
     (["--bin-s", "0"], None),
     (["--bin-s", "1e-7"], None),
+    (["--trace", "constant:100000@100"], None),
 ])
 def test_bad_input_exits_2_with_one_line_and_no_output(out_root, tmp_path, capsys,
                                                        extra, ini):
@@ -287,16 +288,19 @@ def test_fairness_subcommand(out_root, capsys):
     assert "jain index" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("window, duration", [
-    ("5", "2"), ("0", "2"), ("-1", "2"), ("nan", "2"), ("inf", "2"), ("1", "inf"),
+@pytest.mark.parametrize("window, duration, rate", [
+    pytest.param(w, d, "12", id=f"{w}-{d}")
+    for w, d in [("5", "2"), ("0", "2"), ("-1", "2"), ("nan", "2"), ("inf", "2"), ("1", "inf")]
+] + [
+    pytest.param("1", "2", r, id=f"rate-{r}") for r in ("inf", "nan", "0", "-12")
 ])
 def test_fairness_bad_window_exits_2_before_simulating(out_root, monkeypatch, capsys,
-                                                        window, duration):
+                                                        window, duration, rate):
     def no_run(config):
-        raise AssertionError("simulated despite a bad window")
+        raise AssertionError("simulated despite a bad window or rate")
 
     monkeypatch.setattr(cli, "run_sim", no_run)
-    rc = main(["fairness", "--flows", "2", "--gap-s", "1", "--rate", "12",
+    rc = main(["fairness", "--flows", "2", "--gap-s", "1", "--rate", rate,
                "--duration", duration, "--window", window, "--out", "fair-bad"])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -1,6 +1,6 @@
 """Frozen replay digests of the simulator.
 
-Each scenario is a short run (1-5 simulated seconds) whose complete
+Each scenario is a short run (0.5-4 simulated seconds) whose complete
 ``SimLog`` is hashed: the five packet ledgers plus flow and sequence ids,
 the whole guardian tick trail, the cwnd trail and the end-of-run fields.
 The expected digests were recorded once and are compared across commits,
@@ -57,10 +57,18 @@ def fixed_threshold(seconds):
     return GuardianConfig(threshold_multiplier=None, threshold_fixed_s=seconds)
 
 
+def explore_under(seconds):
+    return GuardianConfig(threshold_multiplier=None, threshold_fixed_s=seconds,
+                          exploration="deterministic")
+
+
 def _scenarios():
     # Opportunities in bursts, a silence and a 40 ms loop, so deliveries
     # cross many loop boundaries and skip empty stretches.
     bursty = TraceSchedule([3, 3, 3, 3, 4, 9, 9, 25, 25, 25, 26, 40], 40)
+    # Runs of one or two opportunities per millisecond between silences.
+    zero_owd_ties = [1, 2, 3, 4, 5, 6, 7, 7, 16, 17, 17, 18, 19, 19, 20, 26, 27, 28,
+                     28, 29, 30, 30, 31, 31, 41, 42, 42, 43, 44, 44, 45, 45, 46, 47, 62]
     return {
         "steady": SimConfig(
             schedule=synth_constant(300.0, 1.0), duration_s=2.0, seed=1,
@@ -107,6 +115,30 @@ def _scenarios():
         "zero-flows": SimConfig(
             schedule=synth_constant(12.0, 1.0), duration_s=1.0, flows=[],
         ),
+        # No propagation delay and a 3-packet buffer: guardian ticks and
+        # sends land on delivery instants while the queue is full, so which
+        # of the two runs first decides drops (and every later instant).
+        "zero-owd-ties": SimConfig(
+            schedule=TraceSchedule(zero_owd_ties, 62), duration_s=0.5,
+            one_way_delay_s=0.0, buffer_pkts=3, seed=16,
+            flows=[
+                guarded("a", cwnd_init=2.0, guardian=explore_under(0.05)),
+                guarded("b", start_s=0.011, cwnd_init=8.0, guardian=explore_under(0.05)),
+                aimd("c", start_s=0.02, cwnd_init=2.0),
+            ],
+        ),
+        # The last delivery before the horizon drops a packet and leaves the
+        # queue one short of full; six packets are still propagating, two of
+        # which would find the queue full after the horizon.
+        "horizon-full-queue": SimConfig(
+            schedule=synth_constant(12.0, 1.0), duration_s=1.086,
+            one_way_delay_s=0.004, buffer_pkts=6, seed=3,
+            flows=[
+                aimd("a", ssthresh_init=1e9, cwnd_floor=4.0),
+                aimd("b", start_s=0.1, cwnd_init=20.0),
+                guarded("c", start_s=0.05),
+            ],
+        ),
     }
 
 
@@ -120,6 +152,8 @@ GOLDEN = {
     "bursty-loop": "cf3226f7c1be2d33bfc08ae6cb407159f6c438971ec96df352a10473e81cb520",
     "aimd-rampup-watermark": "83ff3b9eef633b168e818cc01bed79892238e9209500872c3be09f3e5dc3e315",
     "zero-flows": "cd92c43ded1791ead5faae7b13dd440e59de51c873f1d526ccdb965646df9d42",
+    "zero-owd-ties": "f7dcac1daa1cbdee6ad0bf3c01a221e6ba90f201e393d1b705f6f31a155f13ab",
+    "horizon-full-queue": "89e1e03da8541fde4caf4b1098accd7996c1fb5a988ec83a43ffd68d7ede50cd",
 }
 
 

@@ -119,6 +119,23 @@ def check_invariants(cfg, log):
     assert all(a < b for a, b in zip(times, times[1:]))
     assert log.n_delivered <= capacity_delivered(sched, 0.0, (horizon + 1) / US_PER_S)
 
+    # End-of-run split. The last delivery at or before the horizon took in
+    # every packet that had reached the queue by then; nothing after it
+    # did. So the queued packets, the earliest pending ones, and every drop
+    # arrived by that delivery. With a propagation delay every packet still
+    # in flight arrives after it; without one, a packet sent at that instant
+    # after the delivery ran is in flight too.
+    queued, in_flight = pending[: log.n_in_queue], pending[log.n_in_queue:]
+    if delivered:
+        last = max(dlv[p] for p in delivered)
+        assert all(sent[p] + owd <= last for p in queued + dropped)
+        if owd:
+            assert all(sent[p] + owd > last for p in in_flight)
+        else:
+            assert all(sent[p] >= last for p in in_flight)
+    else:
+        assert not queued and not dropped
+
     # Queue length never above the buffer. Rebuild the queue from the
     # ledgers: the packets still queued at the end are the earliest pending
     # ones (the queue is fed in send order). With a propagation delay,

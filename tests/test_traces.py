@@ -5,11 +5,13 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccguard.traces import (
+    MAX_SYNTH_OPPORTUNITIES,
     TraceSchedule,
     capacity_delivered,
     from_spec,
@@ -201,6 +203,21 @@ def test_synth_step_rejects_empty_inputs():
         synth_step([])
     with pytest.raises(ValueError):
         synth_step([(0.0, 1.0)])
+
+
+def test_synthesized_traces_are_capped_before_building(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a trace over the cap")
+
+    monkeypatch.setattr(np, "arange", no_build)
+    with pytest.raises(ValueError, match="needs 833333333 delivery opportunities; "
+                       f"a synthesized trace holds at most {MAX_SYNTH_OPPORTUNITIES}"):
+        synth_constant(100_000.0, 100.0)
+    with pytest.raises(ValueError, match="needs inf delivery opportunities"):
+        synth_constant(float("inf"), 1.0)
+    # Each segment fits; together they do not.
+    with pytest.raises(ValueError, match="a step trace of 2 segments needs 10000000 "):
+        synth_step([(600.0, 100.0), (600.0, 100.0)])
 
 
 def test_from_spec_constant_and_step():
