@@ -139,6 +139,19 @@ def _scenarios():
                 guarded("c", start_s=0.05),
             ],
         ),
+        # The smallest one-way delay, 1 us, and a 3-packet buffer. A burst
+        # of 1001 opportunities in one millisecond gives RTTs of 2 us, so
+        # guardian ticks and acks land on the same instants and the tie
+        # rule (the tick first) decides which samples each tick sees.
+        "owd-1us": SimConfig(
+            schedule=TraceSchedule([1] + [2] * 1001 + [3, 4, 5], 5), duration_s=0.01,
+            one_way_delay_s=1e-6, buffer_pkts=3, seed=25,
+            flows=[
+                guarded("a", cwnd_init=2.0),
+                guarded("b", start_s=0.003, cwnd_init=8.0, guardian=explore_under(0.004)),
+                aimd("c", cwnd_init=2.0),
+            ],
+        ),
     }
 
 
@@ -154,6 +167,7 @@ GOLDEN = {
     "zero-flows": "cd92c43ded1791ead5faae7b13dd440e59de51c873f1d526ccdb965646df9d42",
     "zero-owd-ties": "f7dcac1daa1cbdee6ad0bf3c01a221e6ba90f201e393d1b705f6f31a155f13ab",
     "horizon-full-queue": "89e1e03da8541fde4caf4b1098accd7996c1fb5a988ec83a43ffd68d7ede50cd",
+    "owd-1us": "99527869d96e93921571f67e49fd98db2266dd6a4dd302592b50e8676b867d6f",
 }
 
 
