@@ -373,8 +373,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 rtt_ms = _finite(value)
             except ValueError:
                 raise ConfigError(f"intrinsic_rtt_ms value {value!r} is not a finite number")
-            if rtt_ms <= 0.0:
-                raise ConfigError("intrinsic_rtt_ms values must be positive")
             cp.read_dict({"link": {"one_way_delay_ms": repr(rtt_ms / 2)},
                           "flow": {"threshold": "1.5x"}})
         else:

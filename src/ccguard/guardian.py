@@ -56,16 +56,9 @@ def headroom(delay_s: float, min_rtt_s: float, threshold_s: float) -> float:
 
     Deliberately unclamped; negative values measure how far past the
     threshold the delay sits and drive the mitigation cut. Configuration
-    resolution keeps the threshold above a positive min RTT. A zero min RTT
-    (no propagation delay, a packet sent onto an empty queue at an
-    opportunity instant) under a multiplier threshold puts the threshold on
-    the floor; the score then takes its limit as the two close: 1.0 at the
-    floor, -inf past it.
+    resolution keeps the threshold above a positive min RTT.
     """
-    span = threshold_s - min_rtt_s
-    if span == 0.0:
-        return 1.0 if delay_s <= min_rtt_s else -math.inf
-    return 1.0 - (delay_s - min_rtt_s) / span
+    return 1.0 - (delay_s - min_rtt_s) / (threshold_s - min_rtt_s)
 
 
 def classify_zone(delay_s: float, derivative: float, threshold_s: float) -> Zone:

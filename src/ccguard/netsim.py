@@ -29,30 +29,20 @@ Deliveries therefore need no events, and the loop draws from two sources:
 * a heap of guardian ticks and flow starts, over a stop entry just past the
   horizon.
 
-At equal times the heap event runs first, as one priority queue keyed by
-(time, insertion sequence) would run it. A heap event due at T was created
-at the start or at T - r, where r >= max(1, 2 x delay): a tick interval is
-the min RTT, at least 1 us, and an RTT is at least twice the delay. The ack
-due at T was created by its delivery at T - delay, which is later.
-
-With a delay the order of a delivery and the other events at its instant
-cannot matter: everything that delivery takes in was sent earlier. With no
-delay it can: a packet sent at instant t reaches the queue at t, and whether
-the delivery at t has already run decides both its drop check and, at the
-horizon, whether it counts as queued or in flight. Only then does the loop
-mirror the key (time, insertion sequence) a single armed delivery would
-carry: before each event it passes every delivery with a smaller key (an
-ack counts as later than everything else at its instant); a delivery
-heading a new chain takes the next sequence number when its packet is
-sent, a chained one when its predecessor is passed. With a delay the
-mirror would only cost time, so it is skipped.
+The one-way delay is at least 1 us, so the order of a delivery and the
+other events at its instant cannot matter: everything that delivery takes in
+was sent earlier. At equal times the heap event runs first, as one priority
+queue keyed by (time, insertion sequence) would run it. A heap event due at
+T was created at the start or at T - r, where r >= 2 x delay > delay: a tick
+interval is the min RTT, and an RTT is at least twice the delay. The ack due
+at T was created by its delivery at T - delay, which is later.
 
 At the end, deliveries after the horizon revert to -1. The last delivery at
-or before the horizon took in every packet that had arrived by then (with
-no delay: that was sent before it ran); the others are still in flight, and
-a drop counts only among the packets taken in.
+or before the horizon took in every packet that had arrived by then; the
+others are still in flight, and a drop counts only among the packets taken
+in.
 
-Loss handling mirrors dupack-based TCP without retransmission: per-flow
+Loss handling follows dupack-based TCP without retransmission: per-flow
 deliveries stay in sequence order, so a delivery above the next expected
 sequence is a duplicate-ack; the third one in an episode fires the AIMD loss
 response once, declares the gap lost, and resynchronizes past it.
@@ -130,10 +120,12 @@ class SimConfig:
     cwnd_watermark: float | None = None  # record first time cwnd >= this
 
     def validate(self) -> None:
-        if self.duration_s <= 0.0:
-            raise ValueError("duration_s must be positive")
-        if self.one_way_delay_s < 0.0:
-            raise ValueError("one_way_delay_s must be >= 0")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
+            raise ValueError("duration_s must be positive and finite")
+        # Every RTT, and so every guardian tick interval, is then >= 2 us.
+        if not (math.isfinite(self.one_way_delay_s)
+                and round(self.one_way_delay_s * US_PER_S) >= 1):
+            raise ValueError("one_way_delay_s must be finite and at least 1 us")
         if self.buffer_pkts < 1:
             raise ValueError("buffer_pkts must be >= 1")
         # Zero flows is legal: the run produces an empty log and every
@@ -291,16 +283,6 @@ def run_sim(config: SimConfig) -> SimLog:
     a_pid = 0
     a_t = _NEVER
 
-    # Zero-delay mirror of the armed-delivery key (see the module
-    # docstring): z_pid is the first kept packet whose delivery, keyed
-    # (z_t, z_seq), has not been passed yet; passed_t is the last delivery
-    # passed and absorbed the number of packets sent before it.
-    mirror = owd_us == 0
-    z_pid = 0
-    z_t = z_seq = _NEVER
-    passed_t = -1
-    absorbed = 0
-
     # Ticks and starts, over a stop entry just past the horizon.
     heap = [(duration_us + 1, -1, _STOP, -1)]
     eseq = 0
@@ -313,23 +295,9 @@ def run_sim(config: SimConfig) -> SimLog:
         # A heap event wins a tie with an ack; see the module docstring.
         if a_t < h_t:
             t = a_t
-            seq = _NEVER  # an ack is the last event at its instant
             kind = _ACK
         else:
-            t, seq, kind, fi = heappop(heap)
-        if mirror:
-            while z_t < t or (z_t == t and z_seq < seq):
-                passed_t = z_t
-                absorbed = n_sent
-                z_pid += 1
-                while z_pid < n_sent and p_delivered[z_pid] < 0:
-                    z_pid += 1
-                if z_pid < n_sent:
-                    z_t = p_delivered[z_pid]
-                    z_seq = eseq
-                    eseq += 1
-                else:
-                    z_t = _NEVER
+            t, _, kind, fi = heappop(heap)
 
         if kind == _ACK:
             pid = a_pid
@@ -371,7 +339,7 @@ def run_sim(config: SimConfig) -> SimLog:
                 f.guardian_active = True
                 f.si_sum = 0.0
                 f.si_n = 0
-                t_next = t + max(1, round(f.min_rtt_s * US_PER_S))
+                t_next = t + round(f.min_rtt_s * US_PER_S)
                 if t_next <= duration_us:
                     heappush(heap, (t_next, eseq, _TICK, fi))
                     eseq += 1
@@ -399,7 +367,7 @@ def run_sim(config: SimConfig) -> SimLog:
                 tick_delay.append(action.delay_s if action.delay_s is not None else math.nan)
                 tick_thresh.append(action.threshold_s)
                 tick_cwnd.append(f.win.cwnd)
-                t_next = t + max(1, round(f.min_rtt_s * US_PER_S))
+                t_next = t + round(f.min_rtt_s * US_PER_S)
                 if t_next <= duration_us:
                     heappush(heap, (t_next, eseq, _TICK, fi))
                     eseq += 1
@@ -430,8 +398,7 @@ def run_sim(config: SimConfig) -> SimLog:
             s += 1
             p_sent.append(t)
             # Drop-tail: the queue this packet finds is the earlier kept
-            # packets not yet delivered when it arrives, less one delivered
-            # at that very instant before it arrived (zero delay only).
+            # packets not yet delivered when it arrives.
             q = n_kept - n_gone
             if q >= buffer_pkts:
                 while n_gone < n_kept:
@@ -442,8 +409,6 @@ def run_sim(config: SimConfig) -> SimLog:
                     if d >= 0:
                         n_gone += 1
                 q = n_kept - n_gone
-                if passed_t == arrive:
-                    q -= 1
             if q >= buffer_pkts:
                 drops.append(n_sent)
                 p_delivered.append(-1)
@@ -469,22 +434,16 @@ def run_sim(config: SimConfig) -> SimLog:
                     obase += loop_us
                 opp_t = obase + offs[oi]
             n_sent += 1
-        # With every earlier kept packet acked (or, for the mirror, its
-        # delivery passed) the first of these packets found the queue empty,
-        # so it was kept.
+        # With every earlier kept packet acked the first of these packets
+        # found the queue empty, so it was kept.
         if a_t == _NEVER:
             a_pid = first
             a_t = p_delivered[first] + owd_us
-        if mirror and z_t == _NEVER:
-            # It heads a new chain: its delivery takes the next key now.
-            z_pid = first
-            z_t = p_delivered[first]
-            z_seq = eseq
-            eseq += 1
 
     # End of run. Deliveries after the horizon did not happen. The last one
-    # that did took in every packet that had arrived by then; the rest are
-    # still in flight, and a drop counts only among the packets taken in.
+    # that did (at -1 if none did) took in every packet that had arrived by
+    # then; the rest are still in flight, and a drop counts only among the
+    # packets taken in.
     n_delivered = n_kept
     last = -1
     pid = n_sent - 1
@@ -497,16 +456,11 @@ def run_sim(config: SimConfig) -> SimLog:
             last = d
             break
         pid -= 1
-    if mirror:
-        n_absorbed = absorbed
-    elif last < 0:
-        n_absorbed = 0
-    else:
-        n_absorbed = bisect_right(p_sent, last - owd_us)
+    n_taken = bisect_right(p_sent, last - owd_us)
     p_dropped = array("q", [-1]) * n_sent
     n_dropped = 0
     for pid in drops:
-        if pid >= n_absorbed:
+        if pid >= n_taken:
             break
         p_dropped[pid] = p_sent[pid] + owd_us
         n_dropped += 1
@@ -533,8 +487,8 @@ def run_sim(config: SimConfig) -> SimLog:
         n_sent=n_sent,
         n_delivered=n_delivered,
         n_dropped=n_dropped,
-        n_in_queue=n_absorbed - n_delivered - n_dropped,
-        n_in_flight=n_sent - n_absorbed,
+        n_in_queue=n_taken - n_delivered - n_dropped,
+        n_in_flight=n_sent - n_taken,
         min_rtt_s=[f.min_rtt_s for f in flows],
         watermark_us=[f.watermark_us for f in flows],
         threshold_raised=threshold_raised,

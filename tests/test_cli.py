@@ -165,10 +165,16 @@ BAD_INPUT_BASE = ["run", "--trace", "constant:12@1", "--duration", "2",
     (["--bin-s", "0"], None),
     (["--bin-s", "1e-7"], None),
     (["--trace", "constant:100000@100"], None),
+    (["--owd-ms", "0"], None),
+    (["--owd-ms", "0.0004"], None),
+    ([], "[link]\none_way_delay_ms = 0\n"),
+    (["sweep", "--param", "intrinsic_rtt_ms", "--values", "0"], None),
+    (["sweep", "--param", "intrinsic_rtt_ms", "--values", "0.0008"], None),
 ])
 def test_bad_input_exits_2_with_one_line_and_no_output(out_root, tmp_path, capsys,
                                                        extra, ini):
-    argv = BAD_INPUT_BASE + extra
+    # A case that names the sweep runs it in place of `run`.
+    argv = extra + BAD_INPUT_BASE[1:] if extra[:1] == ["sweep"] else BAD_INPUT_BASE + extra
     if ini is not None:
         path = tmp_path / "bad.ini"
         path.write_text(ini)

@@ -225,5 +225,18 @@ def test_validate_rejects_bad_configs():
         run_sim(small_sim(flows=[FlowSpec(controller="bbr")]))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("duration_s", math.nan),
+    ("duration_s", math.inf),
+    ("one_way_delay_s", math.nan),
+    ("one_way_delay_s", math.inf),
+    ("one_way_delay_s", 0.0),
+    ("one_way_delay_s", 4e-7),
+])
+def test_validate_rejects_non_finite_or_sub_microsecond_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        small_sim(**{field: value}).validate()
+
+
 def test_simulation_error_is_an_assertion_error():
     assert issubclass(SimulationError, AssertionError)

@@ -19,6 +19,7 @@ from ccguard.guardian import (
     exploration_variance,
     headroom,
     mitigation_multiplier,
+    resolve_threshold,
     sigmoid,
     slowdown_multiplier,
 )
@@ -88,6 +89,24 @@ def test_headroom_is_affine(min_rtt_s, mult, alpha):
     d = alpha * min_rtt_s + (1.0 - alpha) * threshold_s
     got = headroom(d, min_rtt_s, threshold_s)
     assert math.isclose(got, alpha, rel_tol=1e-9, abs_tol=1e-6)
+
+
+@given(
+    st.integers(min_value=2, max_value=2**53),
+    st.floats(min_value=math.nextafter(1.0, 2.0), max_value=5.0),
+    st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+)
+def test_resolved_threshold_stays_above_min_rtt(rtt_us, mult, fixed_s):
+    # A one-way delay of at least 1 us makes the simulator's min RTT a
+    # whole number of microseconds, at least 2. headroom divides by the gap
+    # between the threshold and it, so that gap must stay positive under
+    # both threshold kinds.
+    min_rtt_s = rtt_us * 1e-6
+    for config in (GuardianConfig(threshold_multiplier=mult),
+                   GuardianConfig(threshold_multiplier=None, threshold_fixed_s=fixed_s)):
+        threshold_s = resolve_threshold(config, min_rtt_s)[0]
+        assert threshold_s > min_rtt_s
+        assert math.isfinite(headroom(threshold_s, min_rtt_s, threshold_s))
 
 
 # ---------------------------------------------------------------------------
