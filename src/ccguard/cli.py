@@ -36,6 +36,9 @@ EXIT_CONFIG = 2
 EXIT_MISSING_INPUT = 3
 EXIT_THEORY = 4
 
+# Most timeseries rows (flows x bins) a run may write.
+MAX_TIMESERIES_ROWS = 2**20
+
 
 class ConfigError(ValueError):
     pass
@@ -126,12 +129,11 @@ def _finite(text: str) -> float:
 # from; each [flow:NAME] section adds one flow and overrides them.
 _SECTION_KEYS = {
     "experiment": {"duration_s", "warmup_s", "bin_s", "seeds", "seed"},
-    "link": {"trace", "one_way_delay_ms", "buffer_pkts", "packet_bytes"},
+    "link": {"trace", "one_way_delay_ms", "buffer_pkts"},
 }
 _FLOW_KEYS = {
     "controller", "threshold", "exploration", "slowdown", "mitigation",
-    "aimd", "cwnd_init", "cwnd_floor", "ssthresh_init",
-    "start_in_avoidance", "start_s",
+    "cwnd_init", "cwnd_floor", "ssthresh_init", "start_in_avoidance", "start_s",
 }
 
 # Flag (argparse dest) -> the (section, option) it overrides. Flags are
@@ -151,7 +153,6 @@ _FLAG_KEYS = {
     "exploration": ("flow", "exploration"),
     "slowdown": ("flow", "slowdown"),
     "mitigation": ("flow", "mitigation"),
-    "aimd": ("flow", "aimd"),
 }
 
 
@@ -217,7 +218,6 @@ def _flow(flow_id: str, where: str, opts) -> FlowSpec:
         cwnd_floor=_typed(where, opts, "cwnd_floor", _finite, 2.0),
         ssthresh_init=_typed(where, opts, "ssthresh_init", _finite, 64.0),
         start_in_avoidance=_typed(where, opts, "start_in_avoidance", _parse_bool, False),
-        aimd_enabled=_typed(where, opts, "aimd", _parse_bool, True),
         guardian=GuardianConfig(
             threshold_multiplier=mult,
             threshold_fixed_s=fixed,
@@ -238,11 +238,8 @@ def build_sim_config(cp: configparser.ConfigParser) -> tuple[SimConfig, dict, li
         seeds = _typed("experiment", exp, "seeds", _parse_seeds, None)
     else:
         seeds = [_typed("experiment", exp, "seed", int, 1)]
-    packet_bytes = _typed("link", link, "packet_bytes", int, 1500)
-    if packet_bytes < 1:
-        raise ConfigError("packet_bytes must be >= 1")
     trace_spec = link.get("trace", "constant:300@1")
-    schedule = traces.from_spec(trace_spec, packet_bytes)
+    schedule = traces.from_spec(trace_spec)
     duration_s = _typed("experiment", exp, "duration_s", _finite, 30.0)
     warmup_s = _typed("experiment", exp, "warmup_s", _finite, metrics.DEFAULT_WARMUP_S)
     if not 0.0 <= warmup_s < duration_s:
@@ -250,6 +247,9 @@ def build_sim_config(cp: configparser.ConfigParser) -> tuple[SimConfig, dict, li
     bin_s = _typed("experiment", exp, "bin_s", _finite, 1.0)
     if round(bin_s * metrics.US_PER_S) < 1:
         raise ConfigError("bin_s must be at least 1 us")
+    owd_s = _typed("link", link, "one_way_delay_ms", _finite, 10.0) / 1000.0
+    if round(owd_s * metrics.US_PER_S) < 1:
+        raise ConfigError("[link] one_way_delay_ms must be at least 0.001 (1 us)")
 
     base = dict(cp["flow"]) if cp.has_section("flow") else {}
     named = [s for s in cp.sections() if s.startswith("flow:")]
@@ -257,12 +257,15 @@ def build_sim_config(cp: configparser.ConfigParser) -> tuple[SimConfig, dict, li
         flows = [_flow(s.split(":", 1)[1], s, {**base, **cp[s]}) for s in named]
     else:
         flows = [_flow("flow0", "flow", base)]
+    rows = len(flows) * metrics.bin_count(duration_s, bin_s)
+    if rows > MAX_TIMESERIES_ROWS:
+        raise ConfigError(f"[experiment] bin_s = {bin_s:g} gives {rows} timeseries rows for "
+                          f"{len(flows)} flow(s) over {duration_s:g} s; at most {MAX_TIMESERIES_ROWS}")
     sim = SimConfig(
         schedule=schedule,
         duration_s=duration_s,
-        one_way_delay_s=_typed("link", link, "one_way_delay_ms", _finite, 10.0) / 1000.0,
+        one_way_delay_s=owd_s,
         buffer_pkts=_typed("link", link, "buffer_pkts", _parse_buffer, experiments.DEEP_BUFFER),
-        packet_bytes=packet_bytes,
         seed=seeds[0],
         flows=flows,
     )
@@ -279,11 +282,6 @@ def build_sim_config(cp: configparser.ConfigParser) -> tuple[SimConfig, dict, li
 def write_run_outputs(out_dir: str, sim_config: SimConfig, log, analysis: dict) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     summary = metrics.summarize(log, warmup_s=analysis["warmup_s"])
-    flow_specs = []
-    for f in sim_config.flows:
-        d = asdict(f)
-        d["guardian"] = asdict(f.guardian)
-        flow_specs.append(d)
     payload = {
         "seed": sim_config.seed,
         "metrics": summary.to_dict(),
@@ -292,9 +290,8 @@ def write_run_outputs(out_dir: str, sim_config: SimConfig, log, analysis: dict) 
             "duration_s": sim_config.duration_s,
             "one_way_delay_s": sim_config.one_way_delay_s,
             "buffer_pkts": sim_config.buffer_pkts,
-            "packet_bytes": sim_config.packet_bytes,
             "warmup_s": analysis["warmup_s"],
-            "flows": flow_specs,
+            "flows": [asdict(f) for f in sim_config.flows],
         },
         "counters": {
             "sent": log.n_sent,
@@ -379,8 +376,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cp.read_dict({"link": {"trace": f"constant:{value}@1"}})
         sim, analysis, seeds = build_sim_config(cp)
         if args.param == "intrinsic_rtt_ms":
-            pkt_bytes = sim.packet_bytes
-            rate_pps = sim.schedule.mean_rate_mbps(pkt_bytes) * 1e6 / (8 * pkt_bytes)
+            rate_pps = sim.schedule.mean_rate_mbps() * 1e6 / (8 * traces.PACKET_BYTES)
             sim = replace(sim, buffer_pkts=max(1, round(rate_pps * rtt_ms * 1e-3)))
         for seed in seeds:
             run = replace(sim, seed=seed)
@@ -477,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exploration", choices=EXPLORATION_MODES)
         p.add_argument("--slowdown", choices=("on", "off"))
         p.add_argument("--mitigation", choices=("on", "off"))
-        p.add_argument("--aimd", choices=("on", "off"))
         p.add_argument("--warmup", help="analysis warmup seconds")
         p.add_argument("--bin-s", dest="bin_s", help="timeseries bin seconds")
 

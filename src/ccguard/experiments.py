@@ -15,15 +15,15 @@ from dataclasses import replace
 
 from .guardian import GuardianConfig
 from .netsim import INFINITE_BUFFER, FlowSpec, SimConfig
-from .traces import TraceSchedule, synth_constant, synth_step
+from .traces import PACKET_BYTES, synth_constant, synth_step
 
 MIN_RTT_S = 0.020
 OWD_S = MIN_RTT_S / 2.0
 DEEP_BUFFER = 3200
 
 
-def bdp_packets(rate_mbps: float, rtt_s: float = MIN_RTT_S, packet_bytes: int = 1500) -> float:
-    return rate_mbps * 1e6 * rtt_s / (8 * packet_bytes)
+def bdp_packets(rate_mbps: float, rtt_s: float = MIN_RTT_S) -> float:
+    return rate_mbps * 1e6 * rtt_s / (8 * PACKET_BYTES)
 
 
 def guarded_flow(

@@ -11,16 +11,18 @@ smallest sample such that at least p% of samples are <= it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .netsim import SimLog
-from .traces import TraceSchedule, capacity_delivered
+from .traces import PACKET_BYTES, capacity_delivered
 
 US_PER_S = 1_000_000
 
 DEFAULT_WARMUP_S = 5.0
+
+_BITS_PER_PKT = 8.0 * PACKET_BYTES
 
 
 def jain_index(values) -> float:
@@ -79,23 +81,7 @@ class MetricsSummary:
     flows: list[FlowMetrics] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        d = {
-            "window_t0_s": self.window_t0_s,
-            "window_t1_s": self.window_t1_s,
-            "empty": self.empty,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "throughput_mbps": self.throughput_mbps,
-            "utilization": self.utilization,
-            "mean_rtt_s": self.mean_rtt_s,
-            "p95_rtt_s": self.p95_rtt_s,
-            "mean_queuing_delay_s": self.mean_queuing_delay_s,
-            "p95_queuing_delay_s": self.p95_queuing_delay_s,
-            "delay_vs_threshold": self.delay_vs_threshold,
-            "jain_index": self.jain_index,
-            "flows": [vars(f).copy() for f in self.flows],
-        }
-        return d
+        return asdict(self)
 
 
 def _ledger_views(log: SimLog):
@@ -143,7 +129,6 @@ def summarize(
     qdelay_s = rtt_s - 2.0 * cfg.one_way_delay_s
     flows_in_window = flow[in_window]
 
-    bits_per_pkt = 8.0 * cfg.packet_bytes
     capacity = capacity_delivered(cfg.schedule, warmup_s, t1_s)
 
     per_flow: list[FlowMetrics] = []
@@ -152,7 +137,7 @@ def summarize(
         m = flows_in_window == fi
         n = int(m.sum())
         nd = int((flow[drop_window] == fi).sum())
-        tput = n * bits_per_pkt / window_s / 1e6
+        tput = n * _BITS_PER_PKT / window_s / 1e6
         tputs.append(tput)
         f_rtt = rtt_s[m]
         f_q = qdelay_s[m]
@@ -180,7 +165,7 @@ def summarize(
         empty=empty,
         delivered=n_total,
         dropped=n_drops,
-        throughput_mbps=n_total * bits_per_pkt / window_s / 1e6,
+        throughput_mbps=n_total * _BITS_PER_PKT / window_s / 1e6,
         utilization=(n_total / capacity) if capacity > 0 else math.nan,
         mean_rtt_s=mean_rtt,
         p95_rtt_s=percentile_nearest_rank(rtt_s, 95.0) if not empty else math.nan,
@@ -205,6 +190,11 @@ TIMESERIES_COLUMNS = (
 )
 
 
+def bin_count(duration_s: float, bin_s: float) -> int:
+    """Timeseries bins per flow over a run; the last one may be partial."""
+    return math.ceil(duration_s / bin_s - 1e-9)
+
+
 def timeseries(log: SimLog, bin_s: float = 1.0) -> list[dict]:
     """Per-flow, per-bin rows (bin label = bin start). Bins with no
     deliveries carry nan delay fields and zero throughput; guardian columns
@@ -214,9 +204,8 @@ def timeseries(log: SimLog, bin_s: float = 1.0) -> list[dict]:
     if bin_us < 1:
         raise ValueError("bin_s must be at least 1 us")
     cfg = log.config
-    n_bins = math.ceil(cfg.duration_s / bin_s - 1e-9)
+    n_bins = bin_count(cfg.duration_s, bin_s)
     owd_us = round(cfg.one_way_delay_s * US_PER_S)
-    bits_per_pkt = 8.0 * cfg.packet_bytes
 
     flow, sent, delivered, dropped = _ledger_views(log)
     mask = delivered >= 0
@@ -270,7 +259,7 @@ def timeseries(log: SimLog, bin_s: float = 1.0) -> list[dict]:
                 {
                     "t_s": t0 / US_PER_S,
                     "flow_id": flow_id,
-                    "throughput_mbps": n * bits_per_pkt / ((t1 - t0) / US_PER_S) / 1e6,
+                    "throughput_mbps": n * _BITS_PER_PKT / ((t1 - t0) / US_PER_S) / 1e6,
                     "rtt_ms_avg": rtt_avg * 1e3 if n else math.nan,
                     "queuing_delay_ms_avg": (rtt_avg - 2.0 * cfg.one_way_delay_s) * 1e3
                     if n

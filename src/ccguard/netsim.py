@@ -57,6 +57,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
+import numpy as np
+
 from .aimd import AVOIDANCE, AimdWindow
 from .guardian import Guardian, GuardianConfig
 from .traces import TraceSchedule
@@ -92,7 +94,6 @@ class FlowSpec:
     cwnd_floor: float = 2.0
     ssthresh_init: float = 64.0
     start_in_avoidance: bool = False
-    aimd_enabled: bool = True  # ablation switch: no ack-driven window changes
     guardian: GuardianConfig = field(default_factory=GuardianConfig)
 
     def validate(self) -> None:
@@ -114,7 +115,6 @@ class SimConfig:
     duration_s: float
     one_way_delay_s: float = 0.010
     buffer_pkts: int = INFINITE_BUFFER
-    packet_bytes: int = 1500
     seed: int = 1
     flows: list[FlowSpec] = field(default_factory=lambda: [FlowSpec()])
     cwnd_watermark: float | None = None  # record first time cwnd >= this
@@ -139,9 +139,9 @@ class SimConfig:
 
 class _FlowState:
     __slots__ = (
-        "spec", "win", "guardian", "rng", "inflight", "next_seq",
+        "spec", "win", "guardian", "inflight", "next_seq",
         "next_expected", "dup_count", "min_rtt_s", "si_sum", "si_n",
-        "guardian_active", "awaiting_guardian", "aimd_on",
+        "guardian_active", "awaiting_guardian",
         "next_cwnd_sample_us", "watermark_us",
     )
 
@@ -155,7 +155,6 @@ class _FlowState:
         )
         guarded = spec.controller == "guarded"
         self.guardian = Guardian(spec.guardian, rng) if guarded else None
-        self.rng = rng
         self.inflight = 0
         self.next_seq = 0
         self.next_expected = 0
@@ -165,9 +164,8 @@ class _FlowState:
         self.si_n = 0
         self.guardian_active = False
         # A guarded flow's guardian starts on the first ack that finds the
-        # window in congestion avoidance (or AIMD switched off).
+        # window in congestion avoidance.
         self.awaiting_guardian = guarded
-        self.aimd_on = spec.aimd_enabled
         self.next_cwnd_sample_us = 0
         self.watermark_us = -1
 
@@ -215,12 +213,23 @@ class SimLog:
         return self.p_sent_us[pid] + round(self.config.one_way_delay_s * US_PER_S)
 
     def check_conservation(self) -> None:
-        if self.n_sent != self.n_delivered + self.n_dropped + self.n_in_queue + self.n_in_flight:
+        """The counters against the ledgers: one entry per sent packet in each
+        ledger, as many delivered and dropped as counted and none both, and
+        the queued and in-flight counts not negative and making up the rest."""
+        n = self.n_sent
+        ledgers = (self.p_flow, self.p_seq, self.p_sent_us, self.p_delivered_us, self.p_dropped_us)
+        dlv = np.frombuffer(self.p_delivered_us, dtype=np.int64) >= 0
+        drp = np.frombuffer(self.p_dropped_us, dtype=np.int64) >= 0
+        if (any(len(a) != n for a in ledgers)
+                or (np.count_nonzero(dlv), np.count_nonzero(drp), np.count_nonzero(dlv & drp))
+                != (self.n_delivered, self.n_dropped, 0)
+                or min(self.n_in_queue, self.n_in_flight) < 0
+                or n != self.n_delivered + self.n_dropped + self.n_in_queue + self.n_in_flight):
             raise SimulationError(
                 "packet conservation violated: "
-                f"sent={self.n_sent} delivered={self.n_delivered} "
+                f"sent={n} delivered={self.n_delivered} "
                 f"dropped={self.n_dropped} queued={self.n_in_queue} "
-                f"in_flight={self.n_in_flight}"
+                f"in_flight={self.n_in_flight}; ledger lengths {[len(a) for a in ledgers]}"
             )
 
 
@@ -318,8 +327,7 @@ def run_sim(config: SimConfig) -> SimLog:
                 f.next_expected = s + 1
                 f.dup_count = 0
                 f.inflight -= 1
-                if f.aimd_on:
-                    f.win.on_ack()
+                f.win.on_ack()
             elif s > f.next_expected:
                 f.dup_count += 1
                 f.inflight -= 1
@@ -330,11 +338,10 @@ def run_sim(config: SimConfig) -> SimLog:
                     f.inflight -= s - f.next_expected - 2
                     f.next_expected = s + 1
                     f.dup_count = 0
-                    if f.aimd_on:
-                        f.win.on_loss()
+                    f.win.on_loss()
             # (s < next_expected is impossible: per-flow delivery order
             # is send order, and resync only moves next_expected forward.)
-            if f.awaiting_guardian and (f.win.phase == AVOIDANCE or not f.aimd_on):
+            if f.awaiting_guardian and f.win.phase == AVOIDANCE:
                 f.awaiting_guardian = False
                 f.guardian_active = True
                 f.si_sum = 0.0

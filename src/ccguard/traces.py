@@ -25,6 +25,7 @@ from array import array
 
 import numpy as np
 
+# One delivery opportunity carries one MTU-sized packet, as in mahimahi.
 PACKET_BYTES = 1500
 
 US_PER_MS = 1000
@@ -38,8 +39,8 @@ MAX_TIMESTAMP_MS = (2**63 - 1) // US_PER_MS
 MAX_SYNTH_OPPORTUNITIES = 2**23
 
 
-def _mean_rate_mbps(opportunities: int, loop_length_ms: int, packet_bytes: int) -> float:
-    bits = opportunities * packet_bytes * 8
+def _mean_rate_mbps(opportunities: int, loop_length_ms: int) -> float:
+    bits = opportunities * PACKET_BYTES * 8
     return bits / (loop_length_ms / 1000.0) / 1e6
 
 
@@ -112,8 +113,8 @@ class TraceSchedule:
     def loop_length_us(self) -> int:
         return self.loop_length_ms * US_PER_MS
 
-    def mean_rate_mbps(self, packet_bytes: int = PACKET_BYTES) -> float:
-        return _mean_rate_mbps(len(self._offsets), self.loop_length_ms, packet_bytes)
+    def mean_rate_mbps(self) -> float:
+        return _mean_rate_mbps(len(self._offsets), self.loop_length_ms)
 
     def offsets_us(self) -> array:
         """Microsecond offsets of one loop, sorted, each in (0, loop_length_us]."""
@@ -226,20 +227,20 @@ def _check_size(n: float, what: str) -> None:
                          f"trace holds at most {MAX_SYNTH_OPPORTUNITIES}")
 
 
-def _segment_count(rate_mbps: float, duration_s: float, packet_bytes: int) -> int:
+def _segment_count(rate_mbps: float, duration_s: float) -> int:
     """Opportunity count n of a constant-rate segment, after synth_constant's
     checks; the size cap is checked before n is rounded or anything built."""
     duration_ms = round(duration_s * 1000)
     if duration_ms < 1:
         raise ValueError("trace duration must be at least 1 ms")
-    exact = rate_mbps * 1e6 * duration_s / (packet_bytes * 8)
+    exact = rate_mbps * 1e6 * duration_s / (PACKET_BYTES * 8)
     _check_size(exact, f"rate {rate_mbps} Mbps over {duration_s} s")
     n = round(exact)
     if n < 1:
         raise ValueError(
             f"rate {rate_mbps} Mbps over {duration_s} s yields no delivery opportunities"
         )
-    realized = _mean_rate_mbps(n, duration_ms, packet_bytes)
+    realized = _mean_rate_mbps(n, duration_ms)
     if abs(realized - rate_mbps) > 0.005 * rate_mbps:
         raise ValueError(
             f"realized rate {realized:.4f} Mbps is more than 0.5% from {rate_mbps} Mbps"
@@ -258,9 +259,7 @@ def _constant_timestamps(n: int, duration_s: float) -> np.ndarray:
     return timestamps
 
 
-def synth_constant(
-    rate_mbps: float, duration_s: float, packet_bytes: int = PACKET_BYTES
-) -> TraceSchedule:
+def synth_constant(rate_mbps: float, duration_s: float) -> TraceSchedule:
     """Constant-rate schedule: n = round(rate * duration / packet bits)
     opportunities spread evenly over the duration.
 
@@ -269,14 +268,12 @@ def synth_constant(
     very short/slow traces), or the trace would hold more than
     ``MAX_SYNTH_OPPORTUNITIES``.
     """
-    n = _segment_count(rate_mbps, duration_s, packet_bytes)
+    n = _segment_count(rate_mbps, duration_s)
     timestamps = _constant_timestamps(n, duration_s)
     return TraceSchedule(timestamps, int(timestamps[-1]))
 
 
-def synth_step(
-    segments: list[tuple[float, float]], packet_bytes: int = PACKET_BYTES
-) -> TraceSchedule:
+def synth_step(segments: list[tuple[float, float]]) -> TraceSchedule:
     """Concatenate constant-rate segments [(rate_mbps, duration_s), ...] into
     one schedule whose loop spans the total duration. A zero-rate segment
     contributes silence. The segments together may hold at most
@@ -287,8 +284,7 @@ def synth_step(
     for rate_mbps, duration_s in segments:
         if round(duration_s * 1000) < 1:
             raise ValueError("every segment needs a duration of at least 1 ms")
-        counts.append(_segment_count(rate_mbps, duration_s, packet_bytes)
-                      if rate_mbps > 0.0 else 0)
+        counts.append(_segment_count(rate_mbps, duration_s) if rate_mbps > 0.0 else 0)
     _check_size(sum(counts), f"a step trace of {len(segments)} segments")
     parts: list[np.ndarray] = []
     base_ms = 0
@@ -325,7 +321,7 @@ def capacity_delivered(
 _SPEC_RE = re.compile(r"^(constant|step):(.+)$")
 
 
-def from_spec(spec: str, packet_bytes: int = PACKET_BYTES) -> TraceSchedule:
+def from_spec(spec: str) -> TraceSchedule:
     """Build a schedule from a compact string.
 
     ``constant:RATE@DUR`` or ``step:RATE@DUR,RATE@DUR,...`` with rates in
@@ -352,5 +348,5 @@ def from_spec(spec: str, packet_bytes: int = PACKET_BYTES) -> TraceSchedule:
     if kind == "constant":
         if len(segments) != 1:
             raise ValueError("constant trace spec takes exactly one RATE@DUR")
-        return synth_constant(segments[0][0], segments[0][1], packet_bytes)
-    return synth_step(segments, packet_bytes)
+        return synth_constant(segments[0][0], segments[0][1])
+    return synth_step(segments)

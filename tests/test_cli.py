@@ -170,6 +170,9 @@ BAD_INPUT_BASE = ["run", "--trace", "constant:12@1", "--duration", "2",
     ([], "[link]\none_way_delay_ms = 0\n"),
     (["sweep", "--param", "intrinsic_rtt_ms", "--values", "0"], None),
     (["sweep", "--param", "intrinsic_rtt_ms", "--values", "0.0008"], None),
+    ([], "[flow]\naimd = off\n"),
+    ([], "[link]\npacket_bytes = 1000\n"),
+    (["--bin-s", "1e-6"], None),
 ])
 def test_bad_input_exits_2_with_one_line_and_no_output(out_root, tmp_path, capsys,
                                                        extra, ini):
@@ -182,7 +185,18 @@ def test_bad_input_exits_2_with_one_line_and_no_output(out_root, tmp_path, capsy
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+    assert key_set_by(extra, ini) in err
     assert not (out_root / "bad").exists()
+
+
+def key_set_by(extra, ini):
+    """The INI key a bad input sets: the one its INI text names, the one its
+    flag writes, or, for the RTT sweep, half the RTT as the one-way delay."""
+    if ini is not None:
+        return ini.split("\n")[1].split("=")[0].strip()
+    if extra[0] == "sweep":
+        return "one_way_delay_ms"
+    return cli._FLAG_KEYS[extra[0].lstrip("-").replace("-", "_")][1]
 
 
 @pytest.mark.parametrize("argv, builds", [
@@ -401,16 +415,14 @@ def flow0(d):
     ("link", "trace", "constant:24@1", lambda d, r: d["config"]["trace"], "constant:24@1"),
     ("link", "one_way_delay_ms", "4", lambda d, r: d["config"]["one_way_delay_s"], 0.004),
     ("link", "buffer_pkts", "77", lambda d, r: d["config"]["buffer_pkts"], 77),
-    ("link", "packet_bytes", "1000", lambda d, r: d["config"]["packet_bytes"], 1000),
     ("flow", "controller", "aimd", lambda d, r: flow0(d)["controller"], "aimd"),
+    ("flow", "exploration", "deterministic",
+     lambda d, r: flow0(d)["guardian"]["exploration"], "deterministic"),
     ("flow", "threshold", "40ms",
      lambda d, r: (flow0(d)["guardian"]["threshold_multiplier"],
                    flow0(d)["guardian"]["threshold_fixed_s"]), (None, 0.04)),
-    ("flow", "exploration", "deterministic",
-     lambda d, r: flow0(d)["guardian"]["exploration"], "deterministic"),
     ("flow", "slowdown", "off", lambda d, r: flow0(d)["guardian"]["slowdown"], False),
     ("flow", "mitigation", "off", lambda d, r: flow0(d)["guardian"]["mitigation"], False),
-    ("flow", "aimd", "off", lambda d, r: flow0(d)["aimd_enabled"], False),
     ("flow", "cwnd_init", "4", lambda d, r: flow0(d)["cwnd_init"], 4.0),
     ("flow", "cwnd_floor", "3", lambda d, r: flow0(d)["cwnd_floor"], 3.0),
     ("flow", "ssthresh_init", "32", lambda d, r: flow0(d)["ssthresh_init"], 32.0),
@@ -487,3 +499,33 @@ def test_cli_outputs_match_frozen_digest(out_root, tmp_path, name, capsys):
     argv = [a.format(ini=ini) for a in FROZEN_RUNS[name]] + ["--out", "frozen"]
     assert main(argv) == EXIT_OK
     assert output_digest(out_root / "frozen") == FROZEN_DIGESTS[name], name
+
+
+# ---------------------------------------------------------------------------
+# the documented options are the accepted ones
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_ini_keys():
+    """{section: keys} of the README's INI block, comments stripped."""
+    with open(README) as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = {}
+    for line in block.splitlines():
+        line = line.split(";", 1)[0].strip()
+        if line.startswith("["):
+            section = keys.setdefault(line.strip("[]"), set())
+        elif line:
+            section.add(line.split("=", 1)[0].strip())
+    return keys
+
+
+def test_readme_ini_block_lists_exactly_the_accepted_keys():
+    assert readme_ini_keys() == {**cli._SECTION_KEYS, "flow": cli._FLOW_KEYS, "flow:NAME": set()}
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--param", "threshold", "--values", "2x"]],
+                         ids=["run", "sweep"])
+def test_every_flag_that_sets_a_key_is_declared(argv):
+    assert set(cli._FLAG_KEYS) <= set(vars(cli.build_parser().parse_args(argv)))

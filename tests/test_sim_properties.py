@@ -55,7 +55,6 @@ def flow_specs(draw, flow_id):
         cwnd_floor=floor,
         ssthresh_init=draw(st.sampled_from([4.0, 64.0, 1e9])),
         start_in_avoidance=draw(st.booleans()),
-        aimd_enabled=draw(st.booleans()) if guarded else True,
         guardian=guardian,
     )
 

@@ -240,12 +240,6 @@ def test_from_spec_missing_file_raises_file_not_found():
         from_spec("/nonexistent/path/foo.trace")
 
 
-def test_mean_rate_accounts_for_packet_size():
-    sched = TraceSchedule([1], 1)  # 1 packet per ms
-    assert sched.mean_rate_mbps(1500) == pytest.approx(12.0)
-    assert sched.mean_rate_mbps(750) == pytest.approx(6.0)
-
-
 # ---------------------------------------------------------------------------
 # Equivalence with pure-Python references: the per-group loop for the offsets
 # and the list comprehensions for synthesized timestamps. The vectorized code
