@@ -132,6 +132,34 @@ def _scenarios():
                 aimd("c", cwnd_init=2.0),
             ],
         ),
+        # A 4 ms loop, shorter than the 10 ms round trip, whose first
+        # millisecond holds 1200 opportunities, so some microsecond offsets
+        # repeat; the queue builds between bursts and the buffer drops.
+        "dense-short-loop": SimConfig(
+            schedule=TraceSchedule([1] * 1200 + [2, 3, 3, 4], 4), duration_s=0.2,
+            one_way_delay_s=0.005, buffer_pkts=150, seed=6,
+            flows=[guarded("a"), aimd("b", start_s=0.0123, cwnd_init=40.0)],
+        ),
+        # Three staggered flows into a 2-packet and a 1-packet buffer: runs
+        # of drops begin and end at every phase of the round trip.
+        "three-flows-buffer-2": SimConfig(
+            schedule=synth_constant(12.0, 1.0), duration_s=2.0, one_way_delay_s=0.003,
+            buffer_pkts=2, seed=7,
+            flows=[
+                aimd("a", cwnd_init=4.0),
+                guarded("b", start_s=0.0031, cwnd_init=3.0),
+                aimd("c", start_s=0.0077, cwnd_init=5.0, cwnd_floor=3.0),
+            ],
+        ),
+        "three-flows-buffer-1": SimConfig(
+            schedule=TraceSchedule([2, 2, 2, 5, 6, 6, 11, 12], 12), duration_s=2.0,
+            one_way_delay_s=0.0045, buffer_pkts=1, seed=11,
+            flows=[
+                guarded("a", cwnd_init=6.0, guardian=fixed_threshold(0.012)),
+                aimd("b", start_s=0.0042, cwnd_init=2.0),
+                aimd("c", start_s=0.0093, cwnd_init=7.0),
+            ],
+        ),
     }
 
 
@@ -146,6 +174,9 @@ GOLDEN = {
     "zero-flows": "cd92c43ded1791ead5faae7b13dd440e59de51c873f1d526ccdb965646df9d42",
     "horizon-full-queue": "89e1e03da8541fde4caf4b1098accd7996c1fb5a988ec83a43ffd68d7ede50cd",
     "owd-1us": "99527869d96e93921571f67e49fd98db2266dd6a4dd302592b50e8676b867d6f",
+    "dense-short-loop": "c9151c42e887c49aaf791729ccbd26211397312de6d3ee84a8d0eb1db40dfc46",
+    "three-flows-buffer-2": "865191b515e6cb3193e502e6a5f0a8d8245ce773e207df576932c7df8a1dd796",
+    "three-flows-buffer-1": "f801527b9d2b5c3e4bc38511d87f54d716d1a1c325a4a34927a17b7aa6fb021b",
 }
 
 
