@@ -355,8 +355,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ConfigError("sweep needs at least one value")
-    out_dir = _out_root(args.out)
-    agg_rows = []
+    # Every value's config is built and checked before the first run, so a
+    # bad value exits 2 with nothing written.
+    runs = []
     for value in values:
         if args.param == "buffer_pkts":
             cp.read_dict({"link": {"buffer_pkts": value}})
@@ -378,6 +379,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.param == "intrinsic_rtt_ms":
             rate_pps = sim.schedule.mean_rate_mbps() * 1e6 / (8 * traces.PACKET_BYTES)
             sim = replace(sim, buffer_pkts=max(1, round(rate_pps * rtt_ms * 1e-3)))
+        runs.append((value, sim, analysis, seeds))
+    out_dir = _out_root(args.out)
+    agg_rows = []
+    for value, sim, analysis, seeds in runs:
         for seed in seeds:
             run = replace(sim, seed=seed)
             log = run_sim(run)
