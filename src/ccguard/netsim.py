@@ -19,15 +19,34 @@ queue at its send time plus the delay and finds there exactly the earlier
 kept packets not yet delivered. It is dropped if that count reaches the
 buffer; otherwise it leaves at the first opportunity at or after both its
 arrival and the previous kept packet's departure + 1 (Lindley's recursion).
-The next opportunity comes from a cursor into the schedule's per-loop
-offsets that only moves forward.
+Deliveries therefore need no events: acks, guardian ticks and flow starts
+are the only ones.
 
-Deliveries therefore need no events, and the loop draws from two sources:
+The loop runs in windows. A window opens at the next event, at w0, and
+ends at w_end, the later of w0 + 2 x delay and the last kept packet's
+delivery + 1 + delay. A packet sent inside the window arrives at or after
+w0 + delay and leaves after that last delivery, so its ack comes at or after
+w_end: nothing inside the window depends on the fate of a packet sent in it.
+When the window opens its acks are known, the kept packets delivered before
+w_end - delay, and numpy lists their time, flow, sequence number and RTT.
+Its events then run one by one, acks from that list and ticks and starts
+from a heap over a stop entry just past the horizon; each event only notes
+how many packets it sends. When the window closes, ``window_fates`` fixes the
+fates of all its sends in one numpy pass:
 
-* the ack cursor, which walks the kept packets in send order, each due at
-  its delivery plus the delay (deliveries are in send order);
-* a heap of guardian ticks and flow starts, over a stop entry just past the
-  horizon.
+* Lindley's recursion in index space. Opportunity i is instant i % n of loop
+  i // n. With g_k the index of the first opportunity at or after packet k's
+  arrival, the kept packets take j_k = max(g_k, j_{k-1} + 1), so j_k - k is
+  the running maximum of g_k - k. This is exact integer arithmetic.
+* Distinct instants. A trace with more than 1000 opportunities in one
+  millisecond repeats a microsecond offset. A repeat can never carry a
+  second packet, since the next one leaves at least 1 us later, so the index
+  runs over the loop's distinct instants.
+* Runs of drops. With every packet kept, the queue each one finds is counted
+  from the sorted deliveries. At the first that finds it full, the queue
+  stays full until its next departure, so every packet arriving by then is
+  dropped too (a packet leaving at the arrival instant still counts as
+  queued). The pass starts again after that run.
 
 The one-way delay is at least 1 us, so the order of a delivery and the
 other events at its instant cannot matter: everything that delivery takes in
@@ -35,7 +54,14 @@ was sent earlier. At equal times the heap event runs first, as one priority
 queue keyed by (time, insertion sequence) would run it. A heap event due at
 T was created at the start or at T - r, where r >= 2 x delay > delay: a tick
 interval is the min RTT, and an RTT is at least twice the delay. The ack due
-at T was created by its delivery at T - delay, which is later.
+at T was created by its delivery at T - delay, which is later. A tick can
+come due inside the window that created it when the window is longer than
+2 x delay; the loop takes heap events as they come due, so it runs in order.
+
+Each window costs a fixed few dozen numpy calls. With a standing queue a
+window holds about a round trip of packets; with the queue near empty and a
+sub-millisecond delay it may hold a single event, and the run is slower than
+an event-at-a-time loop would be.
 
 At the end, deliveries after the horizon revert to -1. The last delivery at
 or before the horizon took in every packet that had arrived by then; the
@@ -53,7 +79,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -67,9 +92,8 @@ INFINITE_BUFFER = 2**31
 
 US_PER_S = 1_000_000
 
-# Event kinds. Ticks, starts and the stop entry share the heap; acks come
-# from a cursor of their own.
-_ACK = 0
+# Heap event kinds: ticks, starts and the stop entry. Acks come from each
+# window's list.
 _TICK = 1
 _START = 2
 _STOP = 3
@@ -137,26 +161,27 @@ class SimConfig:
             f.validate()
 
 
-class _FlowState:
+class _FlowState(AimdWindow):
+    """One sender: its AIMD window, which it extends, plus sequencing,
+    RTT samples and guardian state."""
+
     __slots__ = (
-        "spec", "win", "guardian", "inflight", "next_seq",
-        "next_expected", "dup_count", "min_rtt_s", "si_sum", "si_n",
+        "spec", "guardian", "inflight", "next_expected", "dup_count", "min_rtt_s", "si_sum", "si_n",
         "guardian_active", "awaiting_guardian",
         "next_cwnd_sample_us", "watermark_us",
     )
 
     def __init__(self, spec: FlowSpec, rng: random.Random):
-        self.spec = spec
-        self.win = AimdWindow(
+        super().__init__(
             cwnd=spec.cwnd_init,
             ssthresh=spec.ssthresh_init,
             floor=spec.cwnd_floor,
             start_in_avoidance=spec.start_in_avoidance,
         )
+        self.spec = spec
         guarded = spec.controller == "guarded"
         self.guardian = Guardian(spec.guardian, rng) if guarded else None
         self.inflight = 0
-        self.next_seq = 0
         self.next_expected = 0
         self.dup_count = 0
         self.min_rtt_s = math.inf
@@ -233,6 +258,81 @@ class SimLog:
             )
 
 
+def distinct_instants(offsets: array) -> np.ndarray:
+    """A loop's opportunity offsets with each repeated microsecond kept once.
+    A repeat is unusable: the packet after one that leaves at an instant
+    leaves at least 1 us later. Shares the schedule's memory when nothing
+    repeats."""
+    offs = np.frombuffer(offsets, dtype=np.int64)
+    if len(offs) > 1 and (offs[1:] == offs[:-1]).any():
+        return np.unique(offs)
+    return offs
+
+
+def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
+                 instants: np.ndarray, loop_us: int, buffer_pkts: int) -> np.ndarray:
+    """Fates of a batch of packets that reach the queue at ``arrive``
+    (nondecreasing, in send order): each one's delivery instant, or -1 where
+    the drop-tail buffer turns it away.
+
+    ``queued`` holds the sorted deliveries of earlier kept packets; it must
+    include every one at or after ``arrive[0]``, and earlier ones are
+    ignored. ``last_dlv`` is the last kept packet's delivery (0 before any).
+    ``instants`` are the loop's distinct opportunity offsets, sorted, in
+    (0, loop_us], the last equal to ``loop_us``.
+    """
+    n = len(instants)
+    # Opportunity i is instant i % n of loop i // n. g: the index of the
+    # first opportunity at or after each arrival; cursor: the first after
+    # the last delivery.
+    loops, rem = np.divmod(arrive - 1, loop_us)
+    g = np.searchsorted(instants, rem + 1)
+    g += loops * n
+    loops, rem = divmod(last_dlv, loop_us)
+    cursor = loops * n + int(np.searchsorted(instants, rem + 1))
+    if len(queued) + len(arrive) > buffer_pkts:
+        queued = queued[np.searchsorted(queued, arrive[0]):]
+    fates = []
+    while True:
+        # Lindley's recursion over the rest, all kept, in index space:
+        # j_k = max(g_k, j_{k-1} + 1), so j_k - k is a running maximum.
+        step = np.arange(len(g))
+        j = g - step
+        if j[0] < cursor:
+            j[0] = cursor
+        np.maximum.accumulate(j, out=j)
+        j += step
+        loops, j = np.divmod(j, n)
+        d = loops * loop_us + instants[j]
+        if len(queued) + len(d) <= buffer_pkts:
+            fates.append(d)
+            break
+        # The queue each packet finds: the earlier kept packets not yet
+        # delivered when it arrives (one leaving at that instant counts).
+        kept = np.concatenate((queued, d))
+        full = len(queued) + step - np.searchsorted(kept, arrive) >= buffer_pkts
+        f = int(full.argmax())
+        if not full[f]:
+            fates.append(d)
+            break
+        # The first overflow. The queue stays full until its next departure,
+        # so every packet arriving by then is dropped too; pass again from
+        # the first packet after that run of drops.
+        kept = kept[:len(queued) + f]
+        departure = kept[np.searchsorted(kept, arrive[f])]
+        burst = int(np.searchsorted(arrive[f:], departure, side="right"))
+        fates += d[:f], np.full(burst, -1, dtype=np.int64)
+        if f:
+            cursor = int(loops[f - 1] * n + j[f - 1]) + 1
+        f += burst
+        if f == len(arrive):
+            break
+        arrive = arrive[f:]
+        g = g[f:]
+        queued = kept[np.searchsorted(kept, arrive[0]):]
+    return np.concatenate(fates)
+
+
 def run_sim(config: SimConfig) -> SimLog:
     """Run one simulation to completion and return its log."""
     config.validate()
@@ -241,19 +341,20 @@ def run_sim(config: SimConfig) -> SimLog:
     owd_us = round(config.one_way_delay_s * US_PER_S)
     buffer_pkts = config.buffer_pkts
     watermark = config.cwnd_watermark
+    loop_us = schedule.loop_length_us
+    instants = distinct_instants(schedule.offsets_us())
 
     flows = [
         _FlowState(spec, random.Random(config.seed * 1_000_003 + i))
         for i, spec in enumerate(config.flows)
     ]
 
-    # Packet ledgers (global packet id -> fields). A kept packet's delivery
-    # is written when it is sent; p_dropped is built after the run.
+    # Packet ledgers (global packet id -> fields), extended a window at a
+    # time; p_dropped is built after the run.
     p_flow = array("h")
     p_seq = array("q")
     p_sent = array("q")
     p_delivered = array("q")
-    drops = array("q")  # ids of the packets the queue turned away
 
     tick_t: list[int] = []
     tick_flow: list[int] = []
@@ -269,28 +370,12 @@ def run_sim(config: SimConfig) -> SimLog:
 
     threshold_raised = False
     n_sent = 0
-
-    # Queue accounting for the drop check. n_kept counts kept packets and
-    # n_gone those below packet id `gone` that left before the latest
-    # arrival, so n_kept - n_gone bounds the queue an arrival finds.
     n_kept = 0
-    gone = n_gone = 0
-
-    # Opportunity cursor: obase + offs[oi] (cached in opp_t) is the schedule
-    # entry after the one the last kept packet takes, at last_dlv.
-    # offs[-1] equals the loop length, so any target in
-    # (obase, obase + loop_us] lies in the current loop.
-    offs = schedule.offsets_us()
-    loop_us = schedule.loop_length_us
-    n_offs = len(offs)
-    oi = 0
-    obase = 0
-    opp_t = offs[0]
     last_dlv = 0
-
-    # Ack cursor: the kept packet a_pid is acked next, at a_t.
-    a_pid = 0
-    a_t = _NEVER
+    # Kept packets not yet acked, in send order; rows: delivery, flow,
+    # sequence number, send time.
+    pending = np.empty((4, 0), dtype=np.int64)
+    next_seq = np.zeros(len(flows), dtype=np.int64)
 
     # Ticks and starts, over a stop entry just past the horizon.
     heap = [(duration_us + 1, -1, _STOP, -1)]
@@ -300,177 +385,183 @@ def run_sim(config: SimConfig) -> SimLog:
         eseq += 1
     h_t = heap[0][0]
 
-    while True:
-        # A heap event wins a tie with an ack; see the module docstring.
-        if a_t < h_t:
-            t = a_t
-            kind = _ACK
-        else:
-            t, _, kind, fi = heappop(heap)
+    # Windows until the one in which the stop entry comes up.
+    kind = _START
+    while kind != _STOP:
+        # Open a window at the next event. It ends when the first ack of a
+        # packet sent in it could come: 2 x delay later, or a delay after
+        # the last kept packet's delivery, if later. Its acks are the kept
+        # packets delivered before its end minus the delay.
+        w0 = h_t
+        if pending.shape[1] and pending[0, 0] + owd_us < w0:
+            w0 = int(pending[0, 0]) + owd_us
+        w_end = max(w0 + 2 * owd_us, last_dlv + 1 + owd_us)
+        n_acks = int(np.searchsorted(pending[0], w_end - owd_us))
+        due = pending[:, :n_acks]
+        pending = pending[:, n_acks:]
+        ack_t = due[0] + owd_us
+        a_t = _NEVER
+        if n_acks:
+            # Each ack comes with the time of the one after it.
+            ack_ts = ack_t.tolist()
+            a_t = ack_ts.pop(0)
+            ack_ts.append(_NEVER)
+            next_ack = zip(
+                ack_ts, due[1].tolist(), due[2].tolist(),
+                ((ack_t - due[3]) * 1e-6).tolist(),
+            ).__next__
+        # Per event, its flow's window less its packets in flight (it sends
+        # that many when positive), and where the heap events fall among them.
+        sends: list[int] = []
+        record_sends = sends.append
+        heap_events: list[tuple[int, int, int]] = []
 
-        if kind == _ACK:
-            pid = a_pid
-            a_pid += 1
-            while a_pid < n_sent and p_delivered[a_pid] < 0:
-                a_pid += 1
-            a_t = p_delivered[a_pid] + owd_us if a_pid < n_sent else _NEVER
-            fi = p_flow[pid]
-            f = flows[fi]
-            rtt_s = (t - p_sent[pid]) * 1e-6
-            if rtt_s < f.min_rtt_s:
-                f.min_rtt_s = rtt_s
-            if f.guardian_active:
-                f.si_sum += rtt_s
-                f.si_n += 1
-            s = p_seq[pid]
-            if s == f.next_expected:
-                f.next_expected = s + 1
-                f.dup_count = 0
-                f.inflight -= 1
-                f.win.on_ack()
-            elif s > f.next_expected:
-                f.dup_count += 1
-                f.inflight -= 1
-                if f.dup_count == 3:
-                    # Gap sequences [next_expected, s] minus the 3
-                    # delivered duplicates are lost for good; free
-                    # their window slots.
-                    f.inflight -= s - f.next_expected - 2
+        while True:
+            # A heap event wins a tie with an ack; see the module docstring.
+            if a_t < h_t:
+                t = a_t
+                a_t, fi, s, rtt_s = next_ack()
+                f = flows[fi]
+                if rtt_s < f.min_rtt_s:
+                    f.min_rtt_s = rtt_s
+                if f.guardian_active:
+                    f.si_sum += rtt_s
+                    f.si_n += 1
+                if s == f.next_expected:
                     f.next_expected = s + 1
                     f.dup_count = 0
-                    f.win.on_loss()
-            # (s < next_expected is impossible: per-flow delivery order
-            # is send order, and resync only moves next_expected forward.)
-            if f.awaiting_guardian and f.win.phase == AVOIDANCE:
-                f.awaiting_guardian = False
-                f.guardian_active = True
-                f.si_sum = 0.0
-                f.si_n = 0
-                t_next = t + round(f.min_rtt_s * US_PER_S)
-                if t_next <= duration_us:
-                    heappush(heap, (t_next, eseq, _TICK, fi))
-                    eseq += 1
-                    h_t = heap[0][0]
-        elif kind == _STOP:
-            break
-        else:
-            h_t = heap[0][0]
-            f = flows[fi]
-            if kind == _TICK:
-                mean_delay = f.si_sum / f.si_n if f.si_n else None
-                f.si_sum = 0.0
-                f.si_n = 0
-                action = f.guardian.tick(mean_delay, t * 1e-6, f.min_rtt_s)
-                if action.multiplier != 1.0:
-                    f.win.cwnd *= action.multiplier
-                    f.win.clamp()
-                if action.threshold_raised:
-                    threshold_raised = True
-                tick_t.append(t)
-                tick_flow.append(fi)
-                tick_zone.append(action.zone.value)
-                tick_mult.append(action.multiplier)
-                tick_mean.append(action.mean)
-                tick_delay.append(action.delay_s if action.delay_s is not None else math.nan)
-                tick_thresh.append(action.threshold_s)
-                tick_cwnd.append(f.win.cwnd)
-                t_next = t + round(f.min_rtt_s * US_PER_S)
-                if t_next <= duration_us:
-                    heappush(heap, (t_next, eseq, _TICK, fi))
-                    eseq += 1
-                    h_t = heap[0][0]
-
-        # The flow's cwnd trail (at most one sample per 100 ms), its
-        # watermark, then sends up to the window.
-        cwnd = f.win.cwnd
-        if t >= f.next_cwnd_sample_us:
-            cwnd_t.append(t)
-            cwnd_flow.append(fi)
-            cwnd_val.append(cwnd)
-            f.next_cwnd_sample_us = t + 100_000
-        if watermark is not None and f.watermark_us < 0 and cwnd >= watermark:
-            f.watermark_us = t
-        k = int(cwnd) - f.inflight
-        if k <= 0:
-            continue
-        f.inflight += k
-        s = f.next_seq
-        f.next_seq = s + k
-        first = n_sent
-        arrive = t + owd_us
-        while k:
-            k -= 1
-            p_flow.append(fi)
-            p_seq.append(s)
-            s += 1
-            p_sent.append(t)
-            # Drop-tail: the queue this packet finds is the earlier kept
-            # packets not yet delivered when it arrives.
-            q = n_kept - n_gone
-            if q >= buffer_pkts:
-                while n_gone < n_kept:
-                    d = p_delivered[gone]
-                    if d >= arrive:
-                        break
-                    gone += 1
-                    if d >= 0:
-                        n_gone += 1
-                q = n_kept - n_gone
-            if q >= buffer_pkts:
-                drops.append(n_sent)
-                p_delivered.append(-1)
+                    f.inflight -= 1
+                    f.on_ack()
+                elif s > f.next_expected:
+                    f.dup_count += 1
+                    f.inflight -= 1
+                    if f.dup_count == 3:
+                        # Gap sequences [next_expected, s] minus the 3
+                        # delivered duplicates are lost for good; free
+                        # their window slots.
+                        f.inflight -= s - f.next_expected - 2
+                        f.next_expected = s + 1
+                        f.dup_count = 0
+                        f.on_loss()
+                # (s < next_expected is impossible: per-flow delivery order
+                # is send order, and resync only moves next_expected forward.)
+                if f.awaiting_guardian and f.phase == AVOIDANCE:
+                    f.awaiting_guardian = False
+                    f.guardian_active = True
+                    f.si_sum = 0.0
+                    f.si_n = 0
+                    t_next = t + round(f.min_rtt_s * US_PER_S)
+                    if t_next <= duration_us:
+                        heappush(heap, (t_next, eseq, _TICK, fi))
+                        eseq += 1
+                        h_t = heap[0][0]
+            elif h_t < w_end:
+                t, _, kind, fi = heappop(heap)
+                if kind == _STOP:
+                    break
+                heap_events.append((len(sends), t, fi))
+                h_t = heap[0][0]
+                f = flows[fi]
+                if kind == _TICK:
+                    mean_delay = f.si_sum / f.si_n if f.si_n else None
+                    f.si_sum = 0.0
+                    f.si_n = 0
+                    action = f.guardian.tick(mean_delay, t * 1e-6, f.min_rtt_s)
+                    if action.multiplier != 1.0:
+                        f.cwnd *= action.multiplier
+                        f.clamp()
+                    if action.threshold_raised:
+                        threshold_raised = True
+                    tick_t.append(t)
+                    tick_flow.append(fi)
+                    tick_zone.append(action.zone.value)
+                    tick_mult.append(action.multiplier)
+                    tick_mean.append(action.mean)
+                    tick_delay.append(action.delay_s if action.delay_s is not None else math.nan)
+                    tick_thresh.append(action.threshold_s)
+                    tick_cwnd.append(f.cwnd)
+                    t_next = t + round(f.min_rtt_s * US_PER_S)
+                    if t_next <= duration_us:
+                        heappush(heap, (t_next, eseq, _TICK, fi))
+                        eseq += 1
+                        h_t = heap[0][0]
             else:
-                # Delivered at the first opportunity at or after both its
-                # arrival and the previous kept packet's delivery + 1.
-                x = arrive if arrive > last_dlv else last_dlv + 1
-                if opp_t < x:
-                    r = x - obase
-                    if r <= loop_us:
-                        oi = bisect_left(offs, r, oi)
-                    else:
-                        loops, rem = divmod(x - 1, loop_us)
-                        obase = loops * loop_us
-                        oi = bisect_left(offs, rem + 1)
-                    opp_t = obase + offs[oi]
-                last_dlv = opp_t
-                p_delivered.append(opp_t)
-                n_kept += 1
-                oi += 1
-                if oi == n_offs:
-                    oi = 0
-                    obase += loop_us
-                opp_t = obase + offs[oi]
-            n_sent += 1
-        # With every earlier kept packet acked the first of these packets
-        # found the queue empty, so it was kept.
-        if a_t == _NEVER:
-            a_pid = first
-            a_t = p_delivered[first] + owd_us
+                break
+
+            # The flow's cwnd trail (at most one sample per 100 ms), its
+            # watermark, then sends up to the window.
+            cwnd = f.cwnd
+            if t >= f.next_cwnd_sample_us:
+                cwnd_t.append(t)
+                cwnd_flow.append(fi)
+                cwnd_val.append(cwnd)
+                f.next_cwnd_sample_us = t + 100_000
+            if watermark is not None and f.watermark_us < 0 and cwnd >= watermark:
+                f.watermark_us = t
+            k = int(cwnd) - f.inflight
+            if k > 0:
+                f.inflight += k
+            record_sends(k)
+
+        # Close the window: the fates of its sends, in send order. Each
+        # event's packets leave at its time and belong to its flow.
+        counts = np.array(sends, dtype=np.int64)
+        np.maximum(counts, 0, out=counts)
+        ev_t = ack_t[:len(sends) - len(heap_events)]
+        ev_f = due[1, :len(ev_t)]
+        if heap_events:
+            at, ht, hf = np.array(heap_events, dtype=np.int64).T
+            acks = np.ones(len(sends), dtype=bool)
+            acks[at] = False
+            ev = np.empty((2, len(sends)), dtype=np.int64)
+            ev[:, acks] = ev_t, ev_f
+            ev[:, at] = ht, hf
+            ev_t, ev_f = ev
+        sent = np.repeat(ev_t, counts)
+        if len(sent):
+            flow = np.repeat(ev_f, counts)
+            # Each flow's sequence numbers go on from its last send: a
+            # packet's place among the window's packets sorted by flow, less
+            # its flow's first place there, plus the flow's next number.
+            per_flow = np.bincount(flow, minlength=len(flows))
+            seq = np.empty_like(flow)
+            seq[np.argsort(flow, kind="stable")] = np.arange(len(flow))
+            seq += (next_seq + per_flow - np.cumsum(per_flow))[flow]
+            next_seq += per_flow
+            # Packets acked in this window may still be queued when its
+            # sends arrive.
+            dlv = window_fates(sent + owd_us, np.concatenate((due[0], pending[0])),
+                               last_dlv, instants, loop_us, buffer_pkts)
+            p_flow.frombytes(flow.astype(np.int16).tobytes())
+            p_seq.frombytes(seq.tobytes())
+            p_sent.frombytes(sent.tobytes())
+            p_delivered.frombytes(dlv.tobytes())
+            n_sent += len(sent)
+            kept = np.stack((dlv, flow, seq, sent))
+            if dlv.min() < 0:
+                kept = kept[:, dlv >= 0]
+            if kept.shape[1]:
+                n_kept += kept.shape[1]
+                last_dlv = int(kept[0, -1])
+                pending = np.concatenate((pending, kept), axis=1)
 
     # End of run. Deliveries after the horizon did not happen. The last one
     # that did (at -1 if none did) took in every packet that had arrived by
     # then; the rest are still in flight, and a drop counts only among the
     # packets taken in.
-    n_delivered = n_kept
-    last = -1
-    pid = n_sent - 1
-    while pid >= 0:
-        d = p_delivered[pid]
-        if d > duration_us:
-            p_delivered[pid] = -1
-            n_delivered -= 1
-        elif d >= 0:
-            last = d
-            break
-        pid -= 1
-    n_taken = bisect_right(p_sent, last - owd_us)
+    sent = np.frombuffer(p_sent, dtype=np.int64)
+    dlv = np.frombuffer(p_delivered, dtype=np.int64)
+    turned_away = dlv < 0
+    late = dlv > duration_us
+    dlv[late] = -1
+    n_delivered = n_kept - int(np.count_nonzero(late))
+    last = int(dlv.max()) if n_sent else -1
+    n_taken = int(np.searchsorted(sent, last - owd_us, side="right"))
     p_dropped = array("q", [-1]) * n_sent
-    n_dropped = 0
-    for pid in drops:
-        if pid >= n_taken:
-            break
-        p_dropped[pid] = p_sent[pid] + owd_us
-        n_dropped += 1
+    turned_away = turned_away[:n_taken]
+    np.frombuffer(p_dropped, dtype=np.int64)[:n_taken][turned_away] = (
+        sent[:n_taken][turned_away] + owd_us)
+    n_dropped = int(np.count_nonzero(turned_away))
 
     log = SimLog(
         config=config,

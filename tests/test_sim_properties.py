@@ -8,13 +8,19 @@ is checked from the returned ledgers, not from the simulator's own counters
 alone.
 """
 
+from array import array
+from bisect import bisect_left
 from itertools import groupby
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccguard.guardian import GuardianConfig
-from ccguard.netsim import INFINITE_BUFFER, FlowSpec, SimConfig, US_PER_S, run_sim
+from ccguard.netsim import (
+    INFINITE_BUFFER, FlowSpec, SimConfig, US_PER_S, distinct_instants, run_sim,
+    window_fates,
+)
 from ccguard.traces import TraceSchedule, capacity_delivered
 
 
@@ -165,3 +171,70 @@ def check_invariants(cfg, log):
 def test_simulator_invariants_hold(cfg):
     check_invariants(cfg, run_sim(cfg))
 
+
+
+def reference_fates(arrive, queued, last, offsets, loop_us, buffer_pkts):
+    """The per-packet rule, one packet at a time: a packet is dropped when
+    the earlier kept packets not yet delivered at its arrival fill the
+    buffer; otherwise it leaves at the first opportunity at or after both its
+    arrival and the previous kept packet's delivery + 1."""
+    kept = list(queued)
+    fates = []
+    for a in arrive:
+        if sum(d >= a for d in kept) >= buffer_pkts:
+            fates.append(-1)
+            continue
+        loops, rem = divmod(max(a, last + 1) - 1, loop_us)
+        last = loops * loop_us + offsets[bisect_left(offsets, rem + 1)]
+        kept.append(last)
+        fates.append(last)
+    return fates
+
+
+@st.composite
+def fate_batches(draw):
+    """A short loop whose offsets may repeat, arrivals in bursts of up to six
+    with gaps of up to three loops, and the point where the batch begins."""
+    loop_us = draw(st.integers(1, 40))
+    offsets = sorted(draw(st.lists(st.integers(1, loop_us), max_size=12)) + [loop_us])
+    bursts = draw(st.lists(st.tuples(st.integers(0, 3 * loop_us), st.integers(1, 6)),
+                           min_size=1, max_size=16))
+    arrive = []
+    t = 1
+    for gap, k in bursts:
+        t += gap
+        arrive += [t] * k
+    split = draw(st.integers(0, len(arrive) - 1))
+    buffer_pkts = draw(st.sampled_from([1, 1, 2, 2, 3, 5, INFINITE_BUFFER]))
+    return loop_us, offsets, arrive, split, buffer_pkts
+
+
+def fates_both_ways(loop_us, offsets, arrive, split, buffer_pkts):
+    """The batch from ``split`` on, by the per-packet rule and by
+    ``window_fates`` given the state the packets before it left."""
+    before = reference_fates(arrive[:split], [], 0, offsets, loop_us, buffer_pkts)
+    queued = [d for d in before if d >= 0]
+    last = queued[-1] if queued else 0
+    expected = reference_fates(arrive[split:], queued, last, offsets, loop_us, buffer_pkts)
+    got = window_fates(
+        np.array(arrive[split:], dtype=np.int64), np.array(queued, dtype=np.int64), last,
+        distinct_instants(array("q", offsets)), loop_us, buffer_pkts,
+    )
+    return got.tolist(), expected
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(fate_batches())
+def test_window_fates_match_the_per_packet_rule(case):
+    got, expected = fates_both_ways(*case)
+    assert got == expected
+
+
+def test_window_fates_with_several_drop_runs():
+    # Bursts of six into a 2-packet buffer, one opportunity per 10 us: each
+    # burst keeps two and drops four, and a burst landing on the instant
+    # the queue's head leaves finds it full.
+    arrive = [5] * 6 + [20] * 6 + [30] * 6 + [100] * 3
+    got, expected = fates_both_ways(10, [10], arrive, 3, 2)
+    assert got == expected
+    assert got.count(-1) >= 8
