@@ -258,17 +258,6 @@ class SimLog:
             )
 
 
-def distinct_instants(offsets: array) -> np.ndarray:
-    """A loop's opportunity offsets with each repeated microsecond kept once.
-    A repeat is unusable: the packet after one that leaves at an instant
-    leaves at least 1 us later. Shares the schedule's memory when nothing
-    repeats."""
-    offs = np.frombuffer(offsets, dtype=np.int64)
-    if len(offs) > 1 and (offs[1:] == offs[:-1]).any():
-        return np.unique(offs)
-    return offs
-
-
 def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
                  instants: np.ndarray, loop_us: int, buffer_pkts: int) -> np.ndarray:
     """Fates of a batch of packets that reach the queue at ``arrive``
@@ -342,7 +331,11 @@ def run_sim(config: SimConfig) -> SimLog:
     buffer_pkts = config.buffer_pkts
     watermark = config.cwnd_watermark
     loop_us = schedule.loop_length_us
-    instants = distinct_instants(schedule.offsets_us())
+    # The loop's distinct instants (see the module docstring), sharing the
+    # schedule's memory when none repeats.
+    instants = np.frombuffer(schedule.offsets_us(), dtype=np.int64)
+    if len(instants) > 1 and (instants[1:] == instants[:-1]).any():
+        instants = np.unique(instants)
 
     flows = [
         _FlowState(spec, random.Random(config.seed * 1_000_003 + i))
@@ -410,8 +403,7 @@ def run_sim(config: SimConfig) -> SimLog:
                 ack_ts, due[1].tolist(), due[2].tolist(),
                 ((ack_t - due[3]) * 1e-6).tolist(),
             ).__next__
-        # Per event, its flow's window less its packets in flight (it sends
-        # that many when positive), and where the heap events fall among them.
+        # Packets each event sends, and where the heap events fall among them.
         sends: list[int] = []
         record_sends = sends.append
         heap_events: list[tuple[int, int, int]] = []
@@ -501,12 +493,13 @@ def run_sim(config: SimConfig) -> SimLog:
             k = int(cwnd) - f.inflight
             if k > 0:
                 f.inflight += k
-            record_sends(k)
+                record_sends(k)
+            else:
+                record_sends(0)
 
         # Close the window: the fates of its sends, in send order. Each
         # event's packets leave at its time and belong to its flow.
         counts = np.array(sends, dtype=np.int64)
-        np.maximum(counts, 0, out=counts)
         ev_t = ack_t[:len(sends) - len(heap_events)]
         ev_f = due[1, :len(ev_t)]
         if heap_events:

@@ -8,7 +8,6 @@ is checked from the returned ledgers, not from the simulator's own counters
 alone.
 """
 
-from array import array
 from bisect import bisect_left
 from itertools import groupby
 
@@ -18,8 +17,7 @@ from hypothesis import strategies as st
 
 from ccguard.guardian import GuardianConfig
 from ccguard.netsim import (
-    INFINITE_BUFFER, FlowSpec, SimConfig, US_PER_S, distinct_instants, run_sim,
-    window_fates,
+    INFINITE_BUFFER, FlowSpec, SimConfig, US_PER_S, run_sim, window_fates,
 )
 from ccguard.traces import TraceSchedule, capacity_delivered
 
@@ -218,7 +216,7 @@ def fates_both_ways(loop_us, offsets, arrive, split, buffer_pkts):
     expected = reference_fates(arrive[split:], queued, last, offsets, loop_us, buffer_pkts)
     got = window_fates(
         np.array(arrive[split:], dtype=np.int64), np.array(queued, dtype=np.int64), last,
-        distinct_instants(array("q", offsets)), loop_us, buffer_pkts,
+        np.unique(offsets), loop_us, buffer_pkts,
     )
     return got.tolist(), expected
 
