@@ -166,8 +166,8 @@ class _FlowState(AimdWindow):
     RTT samples and guardian state."""
 
     __slots__ = (
-        "spec", "guardian", "inflight", "next_expected", "dup_count", "min_rtt_s", "si_sum", "si_n",
-        "guardian_active", "awaiting_guardian",
+        "spec", "guardian", "inflight", "next_expected", "dup_count",
+        "min_rtt_s", "si_sum", "si_n", "guardian_active", "awaiting_guardian",
         "next_cwnd_sample_us", "watermark_us",
     )
 
@@ -279,8 +279,7 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
     g += loops * n
     loops, rem = divmod(last_dlv, loop_us)
     cursor = loops * n + int(np.searchsorted(instants, rem + 1))
-    if len(queued) + len(arrive) > buffer_pkts:
-        queued = queued[np.searchsorted(queued, arrive[0]):]
+    queued = queued[np.searchsorted(queued, arrive[0]):]
     fates = []
     while True:
         # Lindley's recursion over the rest, all kept, in index space:

@@ -229,10 +229,10 @@ def test_window_fates_match_the_per_packet_rule(case):
 
 
 def test_window_fates_with_several_drop_runs():
-    # Bursts of six into a 2-packet buffer, one opportunity per 10 us: each
-    # burst keeps two and drops four, and a burst landing on the instant
-    # the queue's head leaves finds it full.
+    # Bursts of six into a 2-packet buffer, one opportunity per 10 us, the
+    # batch starting inside the first run of drops. The bursts at 20 and 30
+    # us arrive as the queue's head leaves, which still counts as queued, so
+    # each keeps one packet and drops five.
     arrive = [5] * 6 + [20] * 6 + [30] * 6 + [100] * 3
     got, expected = fates_both_ways(10, [10], arrive, 3, 2)
-    assert got == expected
-    assert got.count(-1) >= 8
+    assert got == expected == [-1] * 3 + [30] + [-1] * 5 + [40] + [-1] * 5 + [100, 110, -1]
