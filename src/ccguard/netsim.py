@@ -364,8 +364,8 @@ def run_sim(config: SimConfig) -> SimLog:
     n_sent = 0
     n_kept = 0
     last_dlv = 0
-    # Kept packets not yet acked, in send order; rows: delivery, flow,
-    # sequence number, send time.
+    # Kept packets not yet acked, in send order; rows: delivery, send time,
+    # flow, sequence number.
     pending = np.empty((4, 0), dtype=np.int64)
     next_seq = np.zeros(len(flows), dtype=np.int64)
 
@@ -399,8 +399,8 @@ def run_sim(config: SimConfig) -> SimLog:
             a_t = ack_ts.pop(0)
             ack_ts.append(_NEVER)
             next_ack = zip(
-                ack_ts, due[1].tolist(), due[2].tolist(),
-                ((ack_t - due[3]) * 1e-6).tolist(),
+                ack_ts, due[2].tolist(), due[3].tolist(),
+                ((ack_t - due[1]) * 1e-6).tolist(),
             ).__next__
         # Packets each event sends, and where the heap events fall among them.
         sends: list[int] = []
@@ -497,45 +497,45 @@ def run_sim(config: SimConfig) -> SimLog:
                 record_sends(0)
 
         # Close the window: the fates of its sends, in send order. Each
-        # event's packets leave at its time and belong to its flow.
+        # event's packets leave at its time and belong to its flow; the rows
+        # of `ev` are those of `pending`, the time and flow filled in from
+        # the acks and the heap events between them.
         counts = np.array(sends, dtype=np.int64)
-        ev_t = ack_t[:len(sends) - len(heap_events)]
-        ev_f = due[1, :len(ev_t)]
+        n_acked = len(sends) - len(heap_events)
+        ev = np.empty((4, len(sends)), dtype=np.int64)
+        acks = np.ones(len(sends), dtype=bool)
         if heap_events:
             at, ht, hf = np.array(heap_events, dtype=np.int64).T
-            acks = np.ones(len(sends), dtype=bool)
             acks[at] = False
-            ev = np.empty((2, len(sends)), dtype=np.int64)
-            ev[:, acks] = ev_t, ev_f
-            ev[:, at] = ht, hf
-            ev_t, ev_f = ev
-        sent = np.repeat(ev_t, counts)
-        if len(sent):
-            flow = np.repeat(ev_f, counts)
+            ev[1, at] = ht
+            ev[2, at] = hf
+        ev[1, acks] = ack_t[:n_acked]
+        ev[2, acks] = due[2, :n_acked]
+        batch = np.repeat(ev, counts, axis=1)
+        if batch.shape[1]:
+            dlv, sent, flow, seq = batch
             # Each flow's sequence numbers go on from its last send: a
             # packet's place among the window's packets sorted by flow, less
             # its flow's first place there, plus the flow's next number.
             per_flow = np.bincount(flow, minlength=len(flows))
-            seq = np.empty_like(flow)
             seq[np.argsort(flow, kind="stable")] = np.arange(len(flow))
             seq += (next_seq + per_flow - np.cumsum(per_flow))[flow]
             next_seq += per_flow
             # Packets acked in this window may still be queued when its
             # sends arrive.
-            dlv = window_fates(sent + owd_us, np.concatenate((due[0], pending[0])),
-                               last_dlv, instants, loop_us, buffer_pkts)
+            dlv[:] = window_fates(sent + owd_us, np.concatenate((due[0], pending[0])),
+                                  last_dlv, instants, loop_us, buffer_pkts)
             p_flow.frombytes(flow.astype(np.int16).tobytes())
             p_seq.frombytes(seq.tobytes())
             p_sent.frombytes(sent.tobytes())
             p_delivered.frombytes(dlv.tobytes())
             n_sent += len(sent)
-            kept = np.stack((dlv, flow, seq, sent))
             if dlv.min() < 0:
-                kept = kept[:, dlv >= 0]
-            if kept.shape[1]:
-                n_kept += kept.shape[1]
-                last_dlv = int(kept[0, -1])
-                pending = np.concatenate((pending, kept), axis=1)
+                batch = batch[:, dlv >= 0]
+            if batch.shape[1]:
+                n_kept += batch.shape[1]
+                last_dlv = int(batch[0, -1])
+                pending = np.concatenate((pending, batch), axis=1)
 
     # End of run. Deliveries after the horizon did not happen. The last one
     # that did (at -1 if none did) took in every packet that had arrived by
