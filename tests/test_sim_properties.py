@@ -5,7 +5,8 @@ Traces mix bursts, silences and very short loops; buffers range from one
 packet to unbounded; one to four flows of either controller start at
 staggered times; the one-way delay runs from 1 us to 10 ms. Every invariant
 is checked from the returned ledgers, not from the simulator's own counters
-alone.
+alone. The window fate step, ``window_fates``, is checked against the
+one-packet-at-a-time rule it replaces.
 """
 
 from bisect import bisect_left
@@ -168,7 +169,6 @@ def check_invariants(cfg, log):
 @given(sim_configs())
 def test_simulator_invariants_hold(cfg):
     check_invariants(cfg, run_sim(cfg))
-
 
 
 def reference_fates(arrive, queued, last, offsets, loop_us, buffer_pkts):
