@@ -160,6 +160,36 @@ def _scenarios():
                 aimd("c", start_s=0.0093, cwnd_init=7.0),
             ],
         ),
+        # Two guarded flows leave slow start in the same window, the last
+        # listed first, with the AIMD flow's acks between them. Each first
+        # tick is pushed at its flow's activating ack, after the ticks that
+        # come before that ack; the push order breaks ties between ticks.
+        "two-activations-one-window": SimConfig(
+            schedule=synth_constant(24.0, 1.0), duration_s=0.3, one_way_delay_s=0.003,
+            buffer_pkts=60, seed=3,
+            flows=[
+                guarded("a", start_s=0.004, cwnd_init=2.0, ssthresh_init=12.0),
+                aimd("b", start_s=0.001, cwnd_init=3.0),
+                guarded("c", cwnd_init=3.0, ssthresh_init=16.0),
+            ],
+        ),
+        # A 3-packet buffer and a fixed threshold: the guarded flow's ticks
+        # often fall between the duplicate acks of one loss episode.
+        "tick-inside-dup-episode": SimConfig(
+            schedule=synth_constant(12.0, 1.0), duration_s=0.5, one_way_delay_s=0.002,
+            buffer_pkts=3, seed=2,
+            flows=[guarded("a", cwnd_init=8.0, guardian=fixed_threshold(0.006)),
+                   aimd("b", start_s=0.01, cwnd_init=4.0)],
+        ),
+        # A guarded flow crosses a fractional watermark in congestion
+        # avoidance, at the fourth ack after one of its ticks and before the
+        # next.
+        "guarded-watermark-between-ticks": SimConfig(
+            schedule=synth_constant(24.0, 1.0), duration_s=0.5, one_way_delay_s=0.002,
+            seed=1, cwnd_watermark=30.6,
+            flows=[guarded("a", cwnd_init=4.0, cwnd_floor=1.0, ssthresh_init=8.0,
+                           start_in_avoidance=True)],
+        ),
     }
 
 
@@ -177,6 +207,9 @@ GOLDEN = {
     "dense-short-loop": "c9151c42e887c49aaf791729ccbd26211397312de6d3ee84a8d0eb1db40dfc46",
     "three-flows-buffer-2": "865191b515e6cb3193e502e6a5f0a8d8245ce773e207df576932c7df8a1dd796",
     "three-flows-buffer-1": "f801527b9d2b5c3e4bc38511d87f54d716d1a1c325a4a34927a17b7aa6fb021b",
+    "two-activations-one-window": "849931aa5334713a38f8d24724fd9e5e5d0ae074057197e44b7bfa91a14a58cb",
+    "tick-inside-dup-episode": "fce383d5787c99f1b8d655b317966a76094e2a7356c6d8c90237cd69a3b7bda6",
+    "guarded-watermark-between-ticks": "27633d254914dbb5ccaaeaafd7126229e03b35b621ebc723ca149b67befc986e",
 }
 
 
