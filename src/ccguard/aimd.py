@@ -39,12 +39,28 @@ class AimdWindow:
 
     def on_ack(self) -> None:
         """Advance the window for one new (in-order) ack."""
+        self.on_acks(1)
+
+    def on_acks(self, n: int) -> list[float]:
+        """Advance the window for ``n`` new (in-order) acks and return the
+        window after each one. This is the rule's only definition."""
+        cwnds: list[float] = []
+        record = cwnds.append
+        cwnd = self.cwnd
         if self.phase == SLOW_START:
-            self.cwnd += 1.0
-            if self.cwnd >= self.ssthresh:
-                self.phase = AVOIDANCE
-        else:
-            self.cwnd += 1.0 / self.cwnd
+            ssthresh = self.ssthresh
+            for _ in range(n):
+                cwnd += 1.0
+                record(cwnd)
+                if cwnd >= ssthresh:
+                    self.phase = AVOIDANCE
+                    break
+            n -= len(cwnds)
+        for _ in range(n):
+            cwnd += 1.0 / cwnd
+            record(cwnd)
+        self.cwnd = cwnd
+        return cwnds
 
     def on_loss(self) -> None:
         """Multiplicative decrease for one loss event."""

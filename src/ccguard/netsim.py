@@ -28,11 +28,27 @@ delivery + 1 + delay. A packet sent inside the window arrives at or after
 w0 + delay and leaves after that last delivery, so its ack comes at or after
 w_end: nothing inside the window depends on the fate of a packet sent in it.
 When the window opens its acks are known, the kept packets delivered before
-w_end - delay, and numpy lists their time, flow, sequence number and RTT.
-Its events then run one by one, acks from that list and ticks and starts
-from a heap over a stop entry just past the horizon; each event only notes
-how many packets it sends. When the window closes, ``window_fates`` fixes the
-fates of all its sends in one numpy pass:
+w_end - delay, and numpy lists their time, sequence number and RTT, grouped
+by flow. Ticks and starts come from a heap over a stop entry just past the
+horizon. Each event only notes how many packets it sends.
+
+Acks are taken a flow at a time. Between two heap events an ack changes only
+its own flow: its window, sequencing, RTT samples and sends. No other flow
+reads them, and the packets it sends get their fates only when the window
+closes. So a flow takes all its pending acks in one call, ``take_acks``, just
+before each of its own heap events, and every flow takes the rest when the
+window closes. Along a run of in-order acks the window only grows, so once
+one ack sends, each later one sends one packet for the packet it frees plus
+the growth of floor(cwnd); only the acks that drain a window left above cwnd
+by a cut send nothing. A guarded flow whose guardian has not started is the
+exception: its first tick is pushed at the ack that finds its window in
+congestion avoidance, and the order of pushes sets the insertion sequence
+that breaks ties between ticks. Such a flow takes its acks one at a time when
+the window opens and stops at that ack; the tick is pushed when the heap loop
+reaches the ack's time, after every heap event at or before it.
+
+When the window closes, ``window_fates`` fixes the fates of all its sends in
+one numpy pass:
 
 * Lindley's recursion in index space. Opportunity i is instant i % n of loop
   i // n. With g_k the index of the first opportunity at or after packet k's
@@ -79,8 +95,12 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
 from heapq import heappop, heappush
+from itertools import chain
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -99,6 +119,8 @@ _START = 2
 _STOP = 3
 # Key of an empty event source: later than any event time.
 _NEVER = 1 << 62
+# A flow's cwnd trail takes at most one sample per this many microseconds.
+_CWND_SAMPLE_US = 100_000
 
 CONTROLLERS = ("guarded", "aimd")
 
@@ -167,7 +189,7 @@ class _FlowState(AimdWindow):
 
     __slots__ = (
         "spec", "guardian", "inflight", "next_expected", "dup_count",
-        "min_rtt_s", "si_sum", "si_n", "guardian_active", "awaiting_guardian",
+        "min_rtt_s", "si_sum", "si_n", "guardian_active",
         "next_cwnd_sample_us", "watermark_us",
     )
 
@@ -187,10 +209,9 @@ class _FlowState(AimdWindow):
         self.min_rtt_s = math.inf
         self.si_sum = 0.0
         self.si_n = 0
-        self.guardian_active = False
         # A guarded flow's guardian starts on the first ack that finds the
         # window in congestion avoidance.
-        self.awaiting_guardian = guarded
+        self.guardian_active = False
         self.next_cwnd_sample_us = 0
         self.watermark_us = -1
 
@@ -321,6 +342,102 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
     return np.concatenate(fates)
 
 
+def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
+              lo: int, hi: int, watermark: float | None,
+              sends: list[int], trail: list[tuple[int, float]]) -> None:
+    """Flow ``f`` takes its acks ``lo`` to ``hi - 1`` in one call: the acks
+    at times ``ts`` carrying sequence numbers ``seqs`` and RTT samples
+    ``rtts`` (seconds), all its own, in order, with none of its other events
+    among them. Appends how many packets each ack sends to ``sends``, and a
+    ``(time, cwnd)`` pair to ``trail`` for each cwnd sample; sets the flow's
+    watermark instant when cwnd first reaches ``watermark``."""
+    r = rtts[lo:hi]
+    m = min(r)
+    if m < f.min_rtt_s:
+        f.min_rtt_s = m
+    if f.guardian_active:
+        # A left fold, as one ack at a time would add. Never sum(): from
+        # Python 3.12 it compensates, and the digests would depend on it.
+        f.si_sum = reduce(add, r, f.si_sum)
+        f.si_n += hi - lo
+    record = sends.append
+    expected = f.next_expected
+    inflight = f.inflight
+    next_sample = f.next_cwnd_sample_us
+    if f.watermark_us >= 0:
+        watermark = None
+    i = lo
+    while i < hi:
+        s = seqs[i]
+        if s == expected:
+            # A run of in-order acks; seqs[k] - k is constant along it. (No
+            # duplicate is pending: every ack after one is past it too.)
+            e = hi
+            if seqs[hi - 1] - s != hi - 1 - i:
+                e = bisect_left(range(hi), s - i + 1, i, hi, key=lambda k: seqs[k] - k)
+            cwnds = f.on_acks(e - i)
+            expected = seqs[e - 1] + 1
+            floors = list(map(math.trunc, cwnds))
+            # Acks that only drain a window left above cwnd by a cut send
+            # nothing. The window only grows along the run, so from the
+            # first ack that sends on, each ack sends one packet for the one
+            # it frees plus the window's growth.
+            k = 0
+            for w in floors:
+                inflight -= 1
+                if w > inflight:
+                    record(w - inflight)
+                    inflight = w
+                    for w in floors[k + 1:]:
+                        record(1 + w - inflight)
+                        inflight = w
+                    break
+                record(0)
+                k += 1
+            if ts[e - 1] >= next_sample:
+                p = bisect_left(ts, next_sample, i, e)
+                while p < e:
+                    trail.append((ts[p], cwnds[p - i]))
+                    next_sample = ts[p] + _CWND_SAMPLE_US
+                    p = bisect_left(ts, next_sample, p + 1, e)
+            if watermark is not None and cwnds[-1] >= watermark:
+                f.watermark_us = ts[i + bisect_left(cwnds, watermark)]
+                watermark = None
+            i = e
+            continue
+        # A duplicate ack: s is past the next expected number. (Below it is
+        # impossible: per-flow delivery order is send order, and resync only
+        # moves the expected number forward.)
+        inflight -= 1
+        dups = f.dup_count + 1
+        if dups == 3:
+            # Gap sequences [expected, s] minus the 3 delivered duplicates
+            # are lost for good; free their window slots.
+            inflight -= s - expected - 2
+            expected = s + 1
+            dups = 0
+            f.on_loss()
+        f.dup_count = dups
+        cwnd = f.cwnd
+        t = ts[i]
+        if t >= next_sample:
+            trail.append((t, cwnd))
+            next_sample = t + _CWND_SAMPLE_US
+        if watermark is not None and cwnd >= watermark:
+            f.watermark_us = t
+            watermark = None
+        k = int(cwnd) - inflight
+        if k > 0:
+            inflight += k
+            record(k)
+        else:
+            record(0)
+        i += 1
+    f.next_expected = expected
+    f.inflight = inflight
+    f.next_cwnd_sample_us = next_sample
+
+
 def run_sim(config: SimConfig) -> SimLog:
     """Run one simulation to completion and return its log."""
     config.validate()
@@ -376,6 +493,9 @@ def run_sim(config: SimConfig) -> SimLog:
         heappush(heap, (round(f.spec.start_s * US_PER_S), eseq, _START, fi))
         eseq += 1
     h_t = heap[0][0]
+    n_flows = len(flows)
+    # Guarded flows whose guardian has not started yet.
+    awaiting = [fi for fi, f in enumerate(flows) if f.guardian is not None]
 
     # Windows until the one in which the stop entry comes up.
     kind = _START
@@ -383,134 +503,159 @@ def run_sim(config: SimConfig) -> SimLog:
         # Open a window at the next event. It ends when the first ack of a
         # packet sent in it could come: 2 x delay later, or a delay after
         # the last kept packet's delivery, if later. Its acks are the kept
-        # packets delivered before its end minus the delay.
+        # packets delivered before its end minus the delay, up to the
+        # horizon.
         w0 = h_t
         if pending.shape[1] and pending[0, 0] + owd_us < w0:
             w0 = int(pending[0, 0]) + owd_us
         w_end = max(w0 + 2 * owd_us, last_dlv + 1 + owd_us)
-        n_acks = int(np.searchsorted(pending[0], w_end - owd_us))
+        n_acks = int(np.searchsorted(pending[0], min(w_end, duration_us + 1) - owd_us))
         due = pending[:, :n_acks]
         pending = pending[:, n_acks:]
         ack_t = due[0] + owd_us
-        a_t = _NEVER
-        if n_acks:
-            # Each ack comes with the time of the one after it.
-            ack_ts = ack_t.tolist()
-            a_t = ack_ts.pop(0)
-            ack_ts.append(_NEVER)
-            next_ack = zip(
-                ack_ts, due[2].tolist(), due[3].tolist(),
-                ((ack_t - due[1]) * 1e-6).tolist(),
-            ).__next__
-        # Packets each event sends, and where the heap events fall among them.
-        sends: list[int] = []
-        record_sends = sends.append
-        heap_events: list[tuple[int, int, int]] = []
+        # The acks grouped by flow, each flow's in window order: flow fi's
+        # are [cursor[fi], ends[fi]) of the lists ts, seqs and rtts.
+        grouped = due
+        ends = [n_acks] * n_flows
+        if n_flows > 1 and n_acks:
+            order = np.argsort(due[2], kind="stable")
+            grouped = due[:, order]
+            ends = np.cumsum(np.bincount(due[2], minlength=n_flows)).tolist()
+        cursor = [0, *ends[:-1]]
+        g_t = grouped[0] + owd_us
+        ts = g_t.tolist()
+        seqs = grouped[3].tolist()
+        rtts = ((g_t - grouped[1]) * 1e-6).tolist()
+        sends: list[list[int]] = [[] for _ in flows]
+        trails: list[list[tuple[int, float]]] = [[] for _ in flows]
 
-        while True:
-            # A heap event wins a tie with an ack; see the module docstring.
-            if a_t < h_t:
-                t = a_t
-                a_t, fi, s, rtt_s = next_ack()
-                f = flows[fi]
-                if rtt_s < f.min_rtt_s:
-                    f.min_rtt_s = rtt_s
-                if f.guardian_active:
-                    f.si_sum += rtt_s
-                    f.si_n += 1
-                if s == f.next_expected:
-                    f.next_expected = s + 1
-                    f.dup_count = 0
-                    f.inflight -= 1
-                    f.on_ack()
-                elif s > f.next_expected:
-                    f.dup_count += 1
-                    f.inflight -= 1
-                    if f.dup_count == 3:
-                        # Gap sequences [next_expected, s] minus the 3
-                        # delivered duplicates are lost for good; free
-                        # their window slots.
-                        f.inflight -= s - f.next_expected - 2
-                        f.next_expected = s + 1
-                        f.dup_count = 0
-                        f.on_loss()
-                # (s < next_expected is impossible: per-flow delivery order
-                # is send order, and resync only moves next_expected forward.)
-                if f.awaiting_guardian and f.phase == AVOIDANCE:
-                    f.awaiting_guardian = False
+        # A flow awaiting its guardian takes its acks one at a time, up to
+        # the one that starts it; its first tick is pushed when the heap
+        # loop reaches that ack.
+        first_ticks: list[tuple[int, int, int]] = []
+        for fi in list(awaiting):
+            f = flows[fi]
+            c = cursor[fi]
+            while c < ends[fi]:
+                take_acks(f, ts, seqs, rtts, c, c + 1, watermark, sends[fi], trails[fi])
+                c += 1
+                if f.phase == AVOIDANCE:
+                    awaiting.remove(fi)
                     f.guardian_active = True
                     f.si_sum = 0.0
                     f.si_n = 0
-                    t_next = t + round(f.min_rtt_s * US_PER_S)
+                    t_next = ts[c - 1] + round(f.min_rtt_s * US_PER_S)
                     if t_next <= duration_us:
-                        heappush(heap, (t_next, eseq, _TICK, fi))
-                        eseq += 1
-                        h_t = heap[0][0]
-            elif h_t < w_end:
-                t, _, kind, fi = heappop(heap)
-                if kind == _STOP:
+                        first_ticks.append((ts[c - 1], t_next, fi))
                     break
-                heap_events.append((len(sends), t, fi))
-                h_t = heap[0][0]
-                f = flows[fi]
-                if kind == _TICK:
-                    mean_delay = f.si_sum / f.si_n if f.si_n else None
-                    f.si_sum = 0.0
-                    f.si_n = 0
-                    action = f.guardian.tick(mean_delay, t * 1e-6, f.min_rtt_s)
-                    if action.multiplier != 1.0:
-                        f.cwnd *= action.multiplier
-                        f.clamp()
-                    if action.threshold_raised:
-                        threshold_raised = True
-                    tick_t.append(t)
-                    tick_flow.append(fi)
-                    tick_zone.append(action.zone.value)
-                    tick_mult.append(action.multiplier)
-                    tick_mean.append(action.mean)
-                    tick_delay.append(action.delay_s if action.delay_s is not None else math.nan)
-                    tick_thresh.append(action.threshold_s)
-                    tick_cwnd.append(f.cwnd)
-                    t_next = t + round(f.min_rtt_s * US_PER_S)
-                    if t_next <= duration_us:
-                        heappush(heap, (t_next, eseq, _TICK, fi))
-                        eseq += 1
-                        h_t = heap[0][0]
-            else:
-                break
+            cursor[fi] = c
+        first_ticks.sort()
+        first_ticks.append((_NEVER, 0, -1))
+        ft_next = 0
+        ft_t = first_ticks[0][0]
 
-            # The flow's cwnd trail (at most one sample per 100 ms), its
-            # watermark, then sends up to the window.
+        # The heap events, in order. Between two of them an ack changes only
+        # its own flow, so a flow takes its acks before each of its own heap
+        # events, and every flow takes the rest when the window closes.
+        heap_events: list[tuple[int, int, int]] = []
+        heap_trail: list[tuple[int, int, int, float]] = []
+        while True:
+            # A heap event wins a tie with an ack; see the module docstring.
+            if ft_t < h_t:
+                _, t_next, fi = first_ticks[ft_next]
+                heappush(heap, (t_next, eseq, _TICK, fi))
+                eseq += 1
+                h_t = heap[0][0]
+                ft_next += 1
+                ft_t = first_ticks[ft_next][0]
+                continue
+            if h_t >= w_end:
+                break
+            t, _, kind, fi = heappop(heap)
+            if kind == _STOP:
+                break
+            h_t = heap[0][0]
+            f = flows[fi]
+            c = cursor[fi]
+            if c < ends[fi] and ts[c] < t:
+                cursor[fi] = bisect_left(ts, t, c, ends[fi])
+                take_acks(f, ts, seqs, rtts, c, cursor[fi], watermark, sends[fi], trails[fi])
+            if kind == _TICK:
+                mean_delay = f.si_sum / f.si_n if f.si_n else None
+                f.si_sum = 0.0
+                f.si_n = 0
+                action = f.guardian.tick(mean_delay, t * 1e-6, f.min_rtt_s)
+                if action.multiplier != 1.0:
+                    f.cwnd *= action.multiplier
+                    f.clamp()
+                if action.threshold_raised:
+                    threshold_raised = True
+                tick_t.append(t)
+                tick_flow.append(fi)
+                tick_zone.append(action.zone.value)
+                tick_mult.append(action.multiplier)
+                tick_mean.append(action.mean)
+                tick_delay.append(action.delay_s if action.delay_s is not None else math.nan)
+                tick_thresh.append(action.threshold_s)
+                tick_cwnd.append(f.cwnd)
+                t_next = t + round(f.min_rtt_s * US_PER_S)
+                if t_next <= duration_us:
+                    heappush(heap, (t_next, eseq, _TICK, fi))
+                    eseq += 1
+                    h_t = heap[0][0]
+            # The flow's cwnd trail, its watermark, then sends up to the
+            # window.
             cwnd = f.cwnd
             if t >= f.next_cwnd_sample_us:
-                cwnd_t.append(t)
-                cwnd_flow.append(fi)
-                cwnd_val.append(cwnd)
-                f.next_cwnd_sample_us = t + 100_000
+                heap_trail.append((t, 0, fi, cwnd))
+                f.next_cwnd_sample_us = t + _CWND_SAMPLE_US
             if watermark is not None and f.watermark_us < 0 and cwnd >= watermark:
                 f.watermark_us = t
             k = int(cwnd) - f.inflight
             if k > 0:
                 f.inflight += k
-                record_sends(k)
             else:
-                record_sends(0)
+                k = 0
+            heap_events.append((t, fi, k))
 
-        # Close the window: the fates of its sends, in send order. Each
-        # event's packets leave at its time and belong to its flow; the rows
-        # of `ev` are those of `pending`, the time and flow filled in from
-        # the acks and the heap events between them.
-        counts = np.array(sends, dtype=np.int64)
-        n_acked = len(sends) - len(heap_events)
-        ev = np.empty((4, len(sends)), dtype=np.int64)
-        acks = np.ones(len(sends), dtype=bool)
+        # Close the window. Every flow takes the rest of its acks; the cwnd
+        # samples go to the trail in event order.
+        for fi in range(n_flows):
+            if cursor[fi] < ends[fi]:
+                take_acks(flows[fi], ts, seqs, rtts, cursor[fi], ends[fi], watermark,
+                          sends[fi], trails[fi])
+        samples = heap_trail + [(t, 1, fi, c) for fi in range(n_flows) for t, c in trails[fi]]
+        if samples:
+            samples.sort(key=itemgetter(0, 1))
+            for t, _, fi, c in samples:
+                cwnd_t.append(t)
+                cwnd_flow.append(fi)
+                cwnd_val.append(c)
+
+        # The fates of its sends, in send order. Each event's packets leave
+        # at its time and belong to its flow; the rows of `ev` are those of
+        # `pending`, the time and flow filled in from the acks and the heap
+        # events, which go before the acks at or after their time.
+        counts = np.array(list(chain.from_iterable(sends)), dtype=np.int64)
+        if grouped is not due:
+            counts[order] = counts.copy()
+        ev = np.empty((4, n_acks + len(heap_events)), dtype=np.int64)
         if heap_events:
-            at, ht, hf = np.array(heap_events, dtype=np.int64).T
+            ht, hf, hk = np.array(heap_events, dtype=np.int64).T
+            at = np.searchsorted(ack_t, ht) + np.arange(len(ht))
+            acks = np.ones(ev.shape[1], dtype=bool)
             acks[at] = False
             ev[1, at] = ht
             ev[2, at] = hf
-        ev[1, acks] = ack_t[:n_acked]
-        ev[2, acks] = due[2, :n_acked]
+            ev[1, acks] = ack_t
+            ev[2, acks] = due[2]
+            c = np.empty(ev.shape[1], dtype=np.int64)
+            c[at] = hk
+            c[acks] = counts
+            counts = c
+        else:
+            ev[1] = ack_t
+            ev[2] = due[2]
         batch = np.repeat(ev, counts, axis=1)
         if batch.shape[1]:
             dlv, sent, flow, seq = batch

@@ -1,6 +1,10 @@
 """Unit tests for the ack-driven AIMD window."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccguard.aimd import AVOIDANCE, SLOW_START, AimdWindow
 
@@ -80,3 +84,49 @@ def test_growth_rate_supports_long_additive_ramp():
         rtts += 1
     assert rtts >= 500
     assert rtts < 520  # and not wildly more
+
+
+def one_ack(win):
+    """The per-ack rule as it stood before ``on_acks``, one ack per call."""
+    if win.phase == SLOW_START:
+        win.cwnd += 1.0
+        if win.cwnd >= win.ssthresh:
+            win.phase = AVOIDANCE
+    else:
+        win.cwnd += 1.0 / win.cwnd
+
+
+@st.composite
+def ack_runs(draw):
+    """A window, and runs of acks whose total lands anywhere from well
+    before to well after the slow-start threshold."""
+    cwnd = draw(st.one_of(st.integers(1, 300).map(float), st.floats(1.0, 300.0)))
+    ssthresh = cwnd + draw(st.one_of(st.integers(-5, 60).map(float), st.floats(-5.0, 60.0)))
+    avoidance = draw(st.booleans())
+    to_switch = max(0, math.ceil(ssthresh - cwnd))
+    total = max(0, to_switch + draw(st.integers(-6, 40)))
+    runs = draw(st.lists(st.integers(0, total), max_size=3))
+    return cwnd, ssthresh, avoidance, sorted(runs), total
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ack_runs())
+def test_on_acks_matches_one_ack_at_a_time(case):
+    cwnd, ssthresh, avoidance, cuts, total = case
+    win = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, start_in_avoidance=avoidance)
+    ref = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, start_in_avoidance=avoidance)
+    expected = []
+    for _ in range(total):
+        one_ack(ref)
+        expected.append(ref.cwnd)
+    got = []
+    for lo, hi in zip([0] + cuts, cuts + [total]):
+        got += win.on_acks(hi - lo)
+    assert got == expected
+    assert (win.cwnd, win.ssthresh, win.phase) == (ref.cwnd, ref.ssthresh, ref.phase)
+
+
+def test_on_acks_switches_to_avoidance_mid_run():
+    win = AimdWindow(cwnd=2.0, ssthresh=4.0)
+    assert win.on_acks(3) == [3.0, 4.0, 4.25]
+    assert win.phase == AVOIDANCE

@@ -6,6 +6,7 @@ import importlib
 import os
 
 from ccguard import cli
+from ccguard.aimd import AimdWindow
 from ccguard.traces import TraceSchedule
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -21,6 +22,7 @@ def test_every_traced_entry_point_resolves(monkeypatch):
 
 def test_names_the_workloads_call_resolve():
     assert callable(cli.main) and callable(cli.run_sim)
+    assert callable(AimdWindow.on_ack)
     assert cli.EXIT_OK == 0
     assert callable(TraceSchedule.next_opportunity)
     assert callable(TraceSchedule.offsets_us)

@@ -6,11 +6,13 @@ packet to unbounded; one to four flows of either controller start at
 staggered times; the one-way delay runs from 1 us to 10 ms. Every invariant
 is checked from the returned ledgers, not from the simulator's own counters
 alone. The window fate step, ``window_fates``, is checked against the
-one-packet-at-a-time rule it replaces.
+one-packet-at-a-time rule it replaces, and the per-flow ack step,
+``take_acks``, against the one-ack-at-a-time body it replaces.
 """
 
+import random
 from bisect import bisect_left
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 
 from ccguard.guardian import GuardianConfig
 from ccguard.netsim import (
-    INFINITE_BUFFER, FlowSpec, SimConfig, US_PER_S, run_sim, window_fates,
+    INFINITE_BUFFER, FlowSpec, SimConfig, US_PER_S, _FlowState, run_sim, take_acks,
+    window_fates,
 )
 from ccguard.traces import TraceSchedule, capacity_delivered
 
@@ -236,3 +239,83 @@ def test_window_fates_with_several_drop_runs():
     arrive = [5] * 6 + [20] * 6 + [30] * 6 + [100] * 3
     got, expected = fates_both_ways(10, [10], arrive, 3, 2)
     assert got == expected == [-1] * 3 + [30] + [-1] * 5 + [40] + [-1] * 5 + [100, 110, -1]
+
+
+def reference_acks(f, acks, watermark, sends, trail):
+    """The per-ack body, one ack at a time."""
+    for t, s, rtt in acks:
+        if rtt < f.min_rtt_s:
+            f.min_rtt_s = rtt
+        if f.guardian_active:
+            f.si_sum += rtt
+            f.si_n += 1
+        if s == f.next_expected:
+            f.next_expected, f.dup_count, f.inflight = s + 1, 0, f.inflight - 1
+            f.on_ack()
+        elif s > f.next_expected:
+            f.dup_count, f.inflight = f.dup_count + 1, f.inflight - 1
+            if f.dup_count == 3:
+                f.inflight -= s - f.next_expected - 2
+                f.next_expected, f.dup_count = s + 1, 0
+                f.on_loss()
+        if t >= f.next_cwnd_sample_us:
+            trail.append((t, f.cwnd))
+            f.next_cwnd_sample_us = t + 100_000
+        if watermark is not None and f.watermark_us < 0 and f.cwnd >= watermark:
+            f.watermark_us = t
+        k = int(f.cwnd) - f.inflight
+        f.inflight += max(k, 0)
+        sends.append(max(k, 0))
+
+
+FLOW_FIELDS = ("cwnd", "ssthresh", "phase", "inflight", "next_expected", "dup_count",
+               "min_rtt_s", "si_sum", "si_n", "next_cwnd_sample_us", "watermark_us")
+
+
+@st.composite
+def ack_batches(draw):
+    """One flow's acks: sequence numbers with gaps (so duplicate-ack episodes
+    that may fire a loss), times spanning several cwnd samples, and a window
+    that may start below the packets in flight, as after a cut; plus the
+    points where the acks are split into calls."""
+    n = draw(st.integers(1, 150))
+    gaps = draw(st.lists(st.sampled_from([1] * 12 + [2, 3, 7]), min_size=n, max_size=n))
+    steps = draw(st.lists(st.sampled_from([1, 3, 250, 9_000, 31_000]), min_size=n, max_size=n))
+    rtts = draw(st.lists(st.sampled_from([0.02, 0.021, 0.0195, 0.03, 0.0201]),
+                         min_size=n, max_size=n))
+    acks = list(zip(accumulate(steps), [s - 1 for s in accumulate(gaps)], rtts))
+    cwnd = draw(st.sampled_from([1.0, 2.0, 5.5, 30.0, 61.7]))
+    state = dict(
+        cwnd=cwnd, floor=draw(st.sampled_from([1.0, 2.0])),
+        ssthresh=cwnd + draw(st.sampled_from([-1.0, 0.0, 3.0, 12.5, 200.0])),
+        phase=draw(st.integers(0, 1)), guardian_active=draw(st.booleans()),
+        inflight=int(cwnd) + draw(st.sampled_from([0, 0, 1, 5, 40])),
+        next_cwnd_sample_us=draw(st.sampled_from([0, 30_000, 10**9])),
+        min_rtt_s=draw(st.sampled_from([float("inf"), 0.0199])),
+    )
+    cuts = sorted(draw(st.lists(st.integers(1, len(acks)), max_size=6)))
+    watermark = draw(st.sampled_from([None, 3.0, 8.25, 40.0, 100.0]))
+    return acks, state, cuts, watermark
+
+
+def flow_state(state):
+    f = _FlowState(FlowSpec(controller="aimd"), random.Random(0))
+    for name, value in state.items():
+        setattr(f, name, value)
+    return f
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ack_batches())
+def test_take_acks_matches_the_per_ack_body(case):
+    acks, state, cuts, watermark = case
+    ref, got = flow_state(state), flow_state(state)
+    ref_sends, ref_trail = [], []
+    reference_acks(ref, acks, watermark, ref_sends, ref_trail)
+    ts, seqs, rtts = map(list, zip(*acks))
+    sends, trail = [], []
+    for lo, hi in zip([0] + cuts, cuts + [len(acks)]):
+        if hi > lo:
+            take_acks(got, ts, seqs, rtts, lo, hi, watermark, sends, trail)
+    assert (sends, trail) == (ref_sends, ref_trail)
+    assert [getattr(got, k) for k in FLOW_FIELDS] == [getattr(ref, k) for k in FLOW_FIELDS]
