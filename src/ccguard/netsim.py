@@ -345,10 +345,10 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
 def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
               lo: int, hi: int, watermark: float | None,
               sends: list[int], trail: list[tuple[int, float]]) -> None:
-    """Flow ``f`` takes its acks ``lo`` to ``hi - 1`` in one call: the acks
-    at times ``ts`` carrying sequence numbers ``seqs`` and RTT samples
-    ``rtts`` (seconds), all its own, in order, with none of its other events
-    among them. Appends how many packets each ack sends to ``sends``, and a
+    """Flow ``f`` takes its acks ``lo`` to ``hi - 1``, at least one, in one
+    call: the acks at times ``ts`` carrying sequence numbers ``seqs`` and RTT
+    samples ``rtts`` (seconds), all its own, in order, with none of its other
+    events among them. Appends how many packets each ack sends to ``sends``, and a
     ``(time, cwnd)`` pair to ``trail`` for each cwnd sample; sets the flow's
     watermark instant when cwnd first reaches ``watermark``."""
     r = rtts[lo:hi]
@@ -512,20 +512,22 @@ def run_sim(config: SimConfig) -> SimLog:
         n_acks = int(np.searchsorted(pending[0], min(w_end, duration_us + 1) - owd_us))
         due = pending[:, :n_acks]
         pending = pending[:, n_acks:]
-        ack_t = due[0] + owd_us
         # The acks grouped by flow, each flow's in window order: flow fi's
         # are [cursor[fi], ends[fi]) of the lists ts, seqs and rtts.
-        grouped = due
         ends = [n_acks] * n_flows
-        if n_flows > 1 and n_acks:
-            order = np.argsort(due[2], kind="stable")
-            grouped = due[:, order]
-            ends = np.cumsum(np.bincount(due[2], minlength=n_flows)).tolist()
+        ts = seqs = rtts = []
+        if n_acks:
+            ack_t = due[0] + owd_us
+            grouped = due
+            if n_flows > 1:
+                order = np.argsort(due[2], kind="stable")
+                grouped = due[:, order]
+                ends = np.cumsum(np.bincount(due[2], minlength=n_flows)).tolist()
+            g_t = ack_t if grouped is due else grouped[0] + owd_us
+            ts = g_t.tolist()
+            seqs = grouped[3].tolist()
+            rtts = ((g_t - grouped[1]) * 1e-6).tolist()
         cursor = [0, *ends[:-1]]
-        g_t = grouped[0] + owd_us
-        ts = g_t.tolist()
-        seqs = grouped[3].tolist()
-        rtts = ((g_t - grouped[1]) * 1e-6).tolist()
         sends: list[list[int]] = [[] for _ in flows]
         trails: list[list[tuple[int, float]]] = [[] for _ in flows]
 
@@ -549,25 +551,22 @@ def run_sim(config: SimConfig) -> SimLog:
                         first_ticks.append((ts[c - 1], t_next, fi))
                     break
             cursor[fi] = c
-        first_ticks.sort()
-        first_ticks.append((_NEVER, 0, -1))
-        ft_next = 0
-        ft_t = first_ticks[0][0]
+        first_ticks.sort(reverse=True)
+        ft_t = first_ticks[-1][0] if first_ticks else _NEVER
 
         # The heap events, in order. Between two of them an ack changes only
         # its own flow, so a flow takes its acks before each of its own heap
         # events, and every flow takes the rest when the window closes.
-        heap_events: list[tuple[int, int, int]] = []
+        heap_events: list[tuple[int, int, int]] = []  # (sends, time, flow)
         heap_trail: list[tuple[int, int, int, float]] = []
         while True:
             # A heap event wins a tie with an ack; see the module docstring.
             if ft_t < h_t:
-                _, t_next, fi = first_ticks[ft_next]
+                _, t_next, fi = first_ticks.pop()
                 heappush(heap, (t_next, eseq, _TICK, fi))
                 eseq += 1
                 h_t = heap[0][0]
-                ft_next += 1
-                ft_t = first_ticks[ft_next][0]
+                ft_t = first_ticks[-1][0] if first_ticks else _NEVER
                 continue
             if h_t >= w_end:
                 break
@@ -616,7 +615,7 @@ def run_sim(config: SimConfig) -> SimLog:
                 f.inflight += k
             else:
                 k = 0
-            heap_events.append((t, fi, k))
+            heap_events.append((k, t, fi))
 
         # Close the window. Every flow takes the rest of its acks; the cwnd
         # samples go to the trail in event order.
@@ -635,37 +634,41 @@ def run_sim(config: SimConfig) -> SimLog:
         # The fates of its sends, in send order. Each event's packets leave
         # at its time and belong to its flow; the rows of `ev` are those of
         # `pending`, the time and flow filled in from the acks and the heap
-        # events, which go before the acks at or after their time.
-        counts = np.array(list(chain.from_iterable(sends)), dtype=np.int64)
-        if grouped is not due:
-            counts[order] = counts.copy()
+        # events, which go before the acks at or after their time. Row 0
+        # holds each event's send count until the fates replace it.
         ev = np.empty((4, n_acks + len(heap_events)), dtype=np.int64)
+        if n_acks:
+            counts = np.array(sends[0] if n_flows == 1 else list(chain.from_iterable(sends)),
+                              dtype=np.int64)
+            if grouped is not due:
+                counts[order] = counts.copy()
+            ack_rows = (counts, ack_t, due[2])
         if heap_events:
-            ht, hf, hk = np.array(heap_events, dtype=np.int64).T
-            at = np.searchsorted(ack_t, ht) + np.arange(len(ht))
-            acks = np.ones(ev.shape[1], dtype=bool)
-            acks[at] = False
-            ev[1, at] = ht
-            ev[2, at] = hf
-            ev[1, acks] = ack_t
-            ev[2, acks] = due[2]
-            c = np.empty(ev.shape[1], dtype=np.int64)
-            c[at] = hk
-            c[acks] = counts
-            counts = c
-        else:
-            ev[1] = ack_t
-            ev[2] = due[2]
-        batch = np.repeat(ev, counts, axis=1)
+            hev = np.array(heap_events, dtype=np.int64).T
+            if n_acks:
+                at = np.searchsorted(ack_t, hev[1]) + np.arange(len(heap_events))
+                acks = np.ones(ev.shape[1], dtype=bool)
+                acks[at] = False
+                ev[:3, at] = hev
+                ev[:3, acks] = ack_rows
+            else:
+                ev[:3] = hev
+        elif n_acks:
+            ev[:3] = ack_rows
+        batch = np.repeat(ev, ev[0], axis=1)
         if batch.shape[1]:
             dlv, sent, flow, seq = batch
             # Each flow's sequence numbers go on from its last send: a
             # packet's place among the window's packets sorted by flow, less
             # its flow's first place there, plus the flow's next number.
-            per_flow = np.bincount(flow, minlength=len(flows))
-            seq[np.argsort(flow, kind="stable")] = np.arange(len(flow))
-            seq += (next_seq + per_flow - np.cumsum(per_flow))[flow]
-            next_seq += per_flow
+            if n_flows == 1:
+                seq[:] = np.arange(next_seq[0], next_seq[0] + len(seq))
+                next_seq[0] += len(seq)
+            else:
+                per_flow = np.bincount(flow, minlength=n_flows)
+                seq[np.argsort(flow, kind="stable")] = np.arange(len(flow))
+                seq += (next_seq + per_flow - np.cumsum(per_flow))[flow]
+                next_seq += per_flow
             # Packets acked in this window may still be queued when its
             # sends arrive.
             dlv[:] = window_fates(sent + owd_us, np.concatenate((due[0], pending[0])),
