@@ -105,8 +105,8 @@ def ack_runs(draw):
     avoidance = draw(st.booleans())
     to_switch = max(0, math.ceil(ssthresh - cwnd))
     total = max(0, to_switch + draw(st.integers(-6, 40)))
-    runs = draw(st.lists(st.integers(0, total), max_size=3))
-    return cwnd, ssthresh, avoidance, sorted(runs), total
+    cuts = draw(st.lists(st.integers(0, total), max_size=3))
+    return cwnd, ssthresh, avoidance, sorted(cuts), total
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

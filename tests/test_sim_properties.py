@@ -242,7 +242,7 @@ def test_window_fates_with_several_drop_runs():
 
 
 def reference_acks(f, acks, watermark, sends, trail):
-    """The per-ack body, one ack at a time."""
+    """The per-ack body that ``take_acks`` replaces, one ack at a time."""
     for t, s, rtt in acks:
         if rtt < f.min_rtt_s:
             f.min_rtt_s = rtt
