@@ -382,8 +382,7 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
             # nothing. The window only grows along the run, so from the
             # first ack that sends on, each ack sends one packet for the one
             # it frees plus the window's growth.
-            k = 0
-            for w in floors:
+            for k, w in enumerate(floors):
                 inflight -= 1
                 if w > inflight:
                     record(w - inflight)
@@ -393,7 +392,6 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
                         inflight = w
                     break
                 record(0)
-                k += 1
             if ts[e - 1] >= next_sample:
                 p = bisect_left(ts, next_sample, i, e)
                 while p < e:
