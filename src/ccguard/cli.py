@@ -20,11 +20,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import io
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 from . import experiments, metrics, theory, traces
@@ -47,11 +47,26 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------- utilities
 
 
-def _atomic_write(path: str, data: str) -> None:
+@contextmanager
+def _atomic_open(path: str):
+    """A text file that appears at ``path`` only whole: written to a temp
+    file, renamed on success and removed on failure. newline="" keeps the
+    \r\n that csv ends each row in."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(data)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+    except BaseException:
+        os.unlink(tmp)
+        raise
     os.replace(tmp, path)
+
+
+def _write_csv(path: str, header, rows) -> None:
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _no_nan(obj):
@@ -304,20 +319,11 @@ def write_run_outputs(out_dir: str, sim_config: SimConfig, log, analysis: dict) 
         "watermark_us": log.watermark_us,
         "threshold_raised": log.threshold_raised,
     }
-    _atomic_write(
-        os.path.join(out_dir, "summary.json"),
-        json.dumps(_no_nan(payload), indent=2, sort_keys=True) + "\n",
-    )
+    with _atomic_open(os.path.join(out_dir, "summary.json")) as fh:
+        fh.write(json.dumps(_no_nan(payload), indent=2, sort_keys=True) + "\n")
     rows = metrics.timeseries(log, bin_s=analysis["bin_s"])
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(metrics.TIMESERIES_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [_fmt(row[col]) if col not in ("flow_id", "zone") else row[col]
-             for col in metrics.TIMESERIES_COLUMNS]
-        )
-    _atomic_write(os.path.join(out_dir, "timeseries.csv"), buf.getvalue())
+    _write_csv(os.path.join(out_dir, "timeseries.csv"), metrics.TIMESERIES_COLUMNS,
+               zip(*(map(_fmt, rows[c]) for c in metrics.TIMESERIES_COLUMNS)))
     return payload
 
 
@@ -395,14 +401,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                  _fmt(m["mean_queuing_delay_s"] * 1e3), _fmt(m["jain_index"])]
             )
             print(f"{args.param}={value} seed={seed}: util {m['utilization']:.3f}")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
+    _write_csv(
+        os.path.join(out_dir, "aggregate.csv"),
         [args.param, "seed", "throughput_mbps", "utilization",
-         "mean_rtt_ms", "p95_rtt_ms", "mean_queuing_delay_ms", "jain_index"]
+         "mean_rtt_ms", "p95_rtt_ms", "mean_queuing_delay_ms", "jain_index"],
+        agg_rows,
     )
-    writer.writerows(agg_rows)
-    _atomic_write(os.path.join(out_dir, "aggregate.csv"), buf.getvalue())
     print(f"aggregate -> {os.path.join(out_dir, 'aggregate.csv')}")
     return EXIT_OK
 

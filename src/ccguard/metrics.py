@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .guardian import Zone
 from .netsim import SimLog
 from .traces import PACKET_BYTES, capacity_delivered
 
@@ -195,17 +196,20 @@ def bin_count(duration_s: float, bin_s: float) -> int:
     return math.ceil(duration_s / bin_s - 1e-9)
 
 
-def timeseries(log: SimLog, bin_s: float = 1.0) -> list[dict]:
-    """Per-flow, per-bin rows (bin label = bin start). Bins with no
-    deliveries carry nan delay fields and zero throughput; guardian columns
-    show the last tick in the bin (empty zone / multiplier 1 / nan mu when the
-    flow ticked never or not in this bin)."""
+def timeseries(log: SimLog, bin_s: float = 1.0) -> np.ndarray:
+    """Per-flow, per-bin rows (bin label = bin start) as a structured array:
+    one record per row, flow by flow, one field per ``TIMESERIES_COLUMNS``
+    name. Bins with no deliveries carry nan delay fields and zero
+    throughput; guardian columns show the last tick in the bin (empty zone /
+    multiplier 1 / nan mu when the flow ticked never or not in this bin)."""
     bin_us = round(bin_s * US_PER_S) if bin_s > 0.0 else 0
     if bin_us < 1:
         raise ValueError("bin_s must be at least 1 us")
     cfg = log.config
     n_bins = bin_count(cfg.duration_s, bin_s)
     owd_us = round(cfg.one_way_delay_s * US_PER_S)
+    t0 = np.arange(n_bins, dtype=np.int64) * bin_us
+    t1 = np.minimum(t0 + bin_us, round(cfg.duration_s * US_PER_S))
 
     flow, sent, delivered, dropped = _ledger_views(log)
     mask = delivered >= 0
@@ -215,61 +219,48 @@ def timeseries(log: SimLog, bin_s: float = 1.0) -> list[dict]:
     # delivered>=0 selects queue-exit order; bin membership below just divides.
     bin_idx = np.minimum((d_us - 1) // bin_us, n_bins - 1)
 
-    tick_t = np.asarray(log.tick_t_us, dtype=np.int64)
+    # Times, means and cwnd values end in a sentinel entry, picked by index
+    # -1: no tick or no sample at or before a bin's end. The sentinel tick
+    # time is before every bin.
+    tick_t = np.array([*log.tick_t_us, -1], dtype=np.int64)
     tick_flow = np.asarray(log.tick_flow, dtype=np.int16)
+    tick_zone = np.array(log.tick_zone, dtype=str)
+    tick_mult = np.asarray(log.tick_multiplier, dtype=np.float64)
+    tick_mean = np.array([*log.tick_mean, math.nan])
     cwnd_t = np.asarray(log.cwnd_t_us, dtype=np.int64)
     cwnd_flow = np.asarray(log.cwnd_flow, dtype=np.int16)
-    cwnd_val = np.asarray(log.cwnd_val, dtype=np.float64)
+    cwnd_val = np.array([*log.cwnd_val, math.nan])
 
-    rows: list[dict] = []
+    widths = {"flow_id": max(map(len, log.flow_ids), default=1),
+              "zone": max(len(z.value) for z in Zone)}
+    rows = np.zeros(len(log.flow_ids) * n_bins, dtype=[
+        (c, f"U{widths[c]}" if c in widths else np.float64) for c in TIMESERIES_COLUMNS])
     for fi, flow_id in enumerate(log.flow_ids):
         fm = flow_all == fi
-        f_bins = bin_idx[fm]
-        f_rtt = rtt_all[fm]
-        counts = np.bincount(f_bins, minlength=n_bins).astype(np.float64)
-        rtt_sums = np.bincount(f_bins, weights=f_rtt, minlength=n_bins)
+        counts = np.bincount(bin_idx[fm], minlength=n_bins).astype(np.float64)
+        rtt_sums = np.bincount(bin_idx[fm], weights=rtt_all[fm], minlength=n_bins)
+        # The last tick in (t0, t1] and the last cwnd sample <= t1.
+        f_tick = np.append(np.nonzero(tick_flow == fi)[0], -1)
+        k = f_tick[np.searchsorted(tick_t[f_tick[:-1]], t1, side="right") - 1]
+        in_bin = tick_t[k] > t0
+        f_cwnd = np.append(np.nonzero(cwnd_flow == fi)[0], -1)
+        c = f_cwnd[np.searchsorted(cwnd_t[f_cwnd[:-1]], t1, side="right") - 1]
 
-        f_tick_sel = np.nonzero(tick_flow == fi)[0]
-        f_tick_t = tick_t[f_tick_sel]
-        f_cwnd_sel = np.nonzero(cwnd_flow == fi)[0]
-        f_cwnd_t = cwnd_t[f_cwnd_sel]
-        f_cwnd_v = cwnd_val[f_cwnd_sel]
-
-        for b in range(n_bins):
-            t0 = b * bin_us
-            t1 = min((b + 1) * bin_us, round(cfg.duration_s * US_PER_S))
-            n = counts[b]
-            rtt_avg = rtt_sums[b] / n if n else math.nan
-            # last guardian tick in (t0, t1]
-            k = np.searchsorted(f_tick_t, t1, side="right") - 1
-            if k >= 0 and f_tick_t[k] > t0:
-                gi = f_tick_sel[k]
-                zone = log.tick_zone[gi]
-                mult = log.tick_multiplier[gi]
-                mu = log.tick_mean[gi]
-            else:
-                zone = ""
-                mult = 1.0
-                # mu persists between bins once the guardian has ticked
-                mu = log.tick_mean[f_tick_sel[k]] if k >= 0 else math.nan
-            # last known cwnd sample <= t1
-            c = np.searchsorted(f_cwnd_t, t1, side="right") - 1
-            cwnd = float(f_cwnd_v[c]) if c >= 0 else math.nan
-            rows.append(
-                {
-                    "t_s": t0 / US_PER_S,
-                    "flow_id": flow_id,
-                    "throughput_mbps": n * _BITS_PER_PKT / ((t1 - t0) / US_PER_S) / 1e6,
-                    "rtt_ms_avg": rtt_avg * 1e3 if n else math.nan,
-                    "queuing_delay_ms_avg": (rtt_avg - 2.0 * cfg.one_way_delay_s) * 1e3
-                    if n
-                    else math.nan,
-                    "cwnd_pkts": cwnd,
-                    "zone": zone,
-                    "guardian_multiplier": mult,
-                    "mu": mu,
-                }
-            )
+        r = rows[fi * n_bins:(fi + 1) * n_bins]
+        r["t_s"] = t0 / US_PER_S
+        r["flow_id"] = flow_id
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # 0/0 is nan: a bin with no deliveries has no mean delay.
+            rtt_avg = rtt_sums / counts
+            r["throughput_mbps"] = counts * _BITS_PER_PKT / ((t1 - t0) / US_PER_S) / 1e6
+        r["rtt_ms_avg"] = rtt_avg * 1e3
+        r["queuing_delay_ms_avg"] = (rtt_avg - 2.0 * cfg.one_way_delay_s) * 1e3
+        r["cwnd_pkts"] = cwnd_val[c]
+        r["zone"][in_bin] = tick_zone[k[in_bin]]
+        r["guardian_multiplier"] = 1.0
+        r["guardian_multiplier"][in_bin] = tick_mult[k[in_bin]]
+        # mu persists between bins once the guardian has ticked
+        r["mu"] = tick_mean[k]
     return rows
 
 

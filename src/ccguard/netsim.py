@@ -471,9 +471,11 @@ def run_sim(config: SimConfig) -> SimLog:
     tick_delay: list[float] = []
     tick_thresh: list[float] = []
     tick_cwnd: list[float] = []
-    cwnd_t: list[int] = []
-    cwnd_flow: list[int] = []
-    cwnd_val: list[float] = []
+    # The cwnd trail, sorted when the run ends: samples taken at heap events
+    # as (time, 0, flow, cwnd), and each flow's samples taken at acks as
+    # (time, cwnd).
+    heap_trail: list[tuple[int, int, int, float]] = []
+    trails: list[list[tuple[int, float]]] = [[] for _ in flows]
 
     threshold_raised = False
     n_sent = 0
@@ -527,7 +529,6 @@ def run_sim(config: SimConfig) -> SimLog:
             rtts = ((g_t - grouped[1]) * 1e-6).tolist()
         cursor = [0, *ends[:-1]]
         sends: list[list[int]] = [[] for _ in flows]
-        trails: list[list[tuple[int, float]]] = [[] for _ in flows]
 
         # A flow awaiting its guardian takes its acks one at a time, up to
         # the one that starts it; its first tick is pushed when the heap
@@ -556,7 +557,6 @@ def run_sim(config: SimConfig) -> SimLog:
         # its own flow, so a flow takes its acks before each of its own heap
         # events, and every flow takes the rest when the window closes.
         heap_events: list[tuple[int, int, int]] = []  # (sends, time, flow)
-        heap_trail: list[tuple[int, int, int, float]] = []
         while True:
             # A heap event wins a tie with an ack; see the module docstring.
             if ft_t < h_t:
@@ -615,19 +615,11 @@ def run_sim(config: SimConfig) -> SimLog:
                 k = 0
             heap_events.append((k, t, fi))
 
-        # Close the window. Every flow takes the rest of its acks; the cwnd
-        # samples go to the trail in event order.
+        # Close the window: every flow takes the rest of its acks.
         for fi in range(n_flows):
             if cursor[fi] < ends[fi]:
                 take_acks(flows[fi], ts, seqs, rtts, cursor[fi], ends[fi], watermark,
                           sends[fi], trails[fi])
-        samples = heap_trail + [(t, 1, fi, c) for fi in range(n_flows) for t, c in trails[fi]]
-        if samples:
-            samples.sort(key=itemgetter(0, 1))
-            for t, _, fi, c in samples:
-                cwnd_t.append(t)
-                cwnd_flow.append(fi)
-                cwnd_val.append(c)
 
         # The fates of its sends, in send order. Each event's packets leave
         # at its time and belong to its flow; the rows of `ev` are those of
@@ -682,6 +674,15 @@ def run_sim(config: SimConfig) -> SimLog:
                 n_kept += batch.shape[1]
                 last_dlv = int(batch[0, -1])
                 pending = np.concatenate((pending, batch), axis=1)
+
+    # The cwnd samples in event order. Windows do not overlap in time, so
+    # one sort by (time, heap event before ack) puts every window's samples
+    # in its own order.
+    samples = heap_trail + [(t, 1, fi, c) for fi in range(n_flows) for t, c in trails[fi]]
+    samples.sort(key=itemgetter(0, 1))
+    cwnd_t = [t for t, _, _, _ in samples]
+    cwnd_flow = [fi for _, _, fi, _ in samples]
+    cwnd_val = [c for _, _, _, c in samples]
 
     # End of run. Deliveries after the horizon did not happen. The last one
     # that did (at -1 if none did) took in every packet that had arrived by

@@ -5,9 +5,10 @@ checks fail fast instead."""
 import importlib
 import os
 
-from ccguard import cli
+from ccguard import cli, metrics
 from ccguard.aimd import AimdWindow
-from ccguard.traces import TraceSchedule
+from ccguard.netsim import FlowSpec, SimConfig, run_sim
+from ccguard.traces import TraceSchedule, synth_constant
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -29,3 +30,12 @@ def test_names_the_workloads_call_resolve():
     assert callable(TraceSchedule.opportunities_until)
     assert isinstance(TraceSchedule.opportunities_per_loop, property)
     assert isinstance(TraceSchedule.loop_length_us, property)
+
+
+def test_timeseries_length_counts_rows():
+    # The workloads check and sum len() of a timeseries as its row count.
+    log = run_sim(SimConfig(schedule=synth_constant(12.0, 1.0), duration_s=2.5, seed=1,
+                            flows=[FlowSpec("a"), FlowSpec("b", controller="aimd")]))
+    for bin_s in (1.0, 0.1):
+        rows = metrics.timeseries(log, bin_s)
+        assert len(rows) == 2 * metrics.bin_count(2.5, bin_s)

@@ -82,6 +82,17 @@ def test_run_writes_summary_and_timeseries(out_root, capsys):
     assert "seed 3:" in capsys.readouterr().out
 
 
+def test_a_failed_write_leaves_no_file(out_root):
+    def rows():
+        yield ["1", "2"]
+        raise RuntimeError("disk gone")
+
+    path = out_root / "part.csv"
+    with pytest.raises(RuntimeError):
+        cli._write_csv(str(path), ["a", "b"], rows())
+    assert list(out_root.iterdir()) == []
+
+
 def test_run_multi_seed_layout(out_root):
     rc = main([
         "run", "--trace", "constant:12@1", "--duration", "2",
