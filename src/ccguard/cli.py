@@ -29,7 +29,7 @@ from dataclasses import asdict, replace
 
 from . import experiments, metrics, theory, traces
 from .guardian import EXPLORATION_MODES, GuardianConfig
-from .netsim import INFINITE_BUFFER, FlowSpec, SimConfig, run_sim
+from .netsim import INFINITE_BUFFER, MAX_FLOWS, FlowSpec, SimConfig, run_sim
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,6 +38,8 @@ EXIT_THEORY = 4
 
 # Most timeseries rows (flows x bins) a run may write.
 MAX_TIMESERIES_ROWS = 2**20
+# Timeseries rows formatted for the CSV at a time.
+_CSV_CHUNK_ROWS = 2**16
 
 
 class ConfigError(ValueError):
@@ -323,8 +325,23 @@ def write_run_outputs(out_dir: str, sim_config: SimConfig, log, analysis: dict) 
         fh.write(json.dumps(_no_nan(payload), indent=2, sort_keys=True) + "\n")
     rows = metrics.timeseries(log, bin_s=analysis["bin_s"])
     _write_csv(os.path.join(out_dir, "timeseries.csv"), metrics.TIMESERIES_COLUMNS,
-               zip(*(map(_fmt, rows[c]) for c in metrics.TIMESERIES_COLUMNS)))
+               _csv_rows(rows))
     return payload
+
+
+def _csv_rows(rows):
+    """The text of a structured array's rows, formatted a column at a time
+    (floats as ``_fmt`` writes them) in chunks of ``_CSV_CHUNK_ROWS``."""
+    for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+        chunk = rows[lo:lo + _CSV_CHUNK_ROWS]
+        yield from zip(*(_column_text(chunk[name]) for name in chunk.dtype.names))
+
+
+def _column_text(col) -> list:
+    values = col.tolist()
+    if col.dtype.kind == "f":
+        return [format(v, ".10g") for v in values]
+    return values
 
 
 def _fmt(v) -> str:
@@ -412,20 +429,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fairness(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.duration) and 0.0 < args.window <= args.duration):
-        raise ConfigError("need 0 < --window <= --duration, both finite")
-    if not (math.isfinite(args.rate) and args.rate > 0.0):
-        raise ConfigError("need a finite --rate > 0")
-    sim = experiments.fairness(
-        n_flows=args.flows, gap_s=args.gap_s, seed=args.seed,
-        rate_mbps=args.rate, duration_s=args.duration,
-    )
+    # Flow i starts i x gap in; the index covers the final window.
+    if not 1 <= args.flows <= MAX_FLOWS:
+        raise ConfigError(f"need 1 <= --flows <= {MAX_FLOWS}")
+    cp = _parser()
+    cp.read_dict({
+        "experiment": {"duration_s": repr(args.duration),
+                       "warmup_s": repr(args.duration - args.window),
+                       "seeds": str(args.seed)},
+        "link": {"trace": f"constant:{args.rate}@1"},
+        **{f"flow:flow{i}": {"start_s": repr(i * args.gap_s)} for i in range(args.flows)},
+    })
+    sim, analysis, _ = build_sim_config(cp)
     log = run_sim(sim)
-    analysis = {
-        "warmup_s": args.duration - args.window,
-        "bin_s": 1.0,
-        "trace": f"constant:{args.rate}@1",
-    }
     out_dir = _out_root(args.out)
     payload = write_run_outputs(out_dir, sim, log, analysis)
     jain = payload["metrics"]["jain_index"]

@@ -85,14 +85,6 @@ class MetricsSummary:
         return asdict(self)
 
 
-def _ledger_views(log: SimLog):
-    flow = np.frombuffer(log.p_flow, dtype=np.int16)
-    sent = np.frombuffer(log.p_sent_us, dtype=np.int64)
-    delivered = np.frombuffer(log.p_delivered_us, dtype=np.int64)
-    dropped = np.frombuffer(log.p_dropped_us, dtype=np.int64)
-    return flow, sent, delivered, dropped
-
-
 def summarize(
     log: SimLog,
     warmup_s: float = DEFAULT_WARMUP_S,
@@ -122,9 +114,9 @@ def summarize(
     window_s = t1_s - warmup_s
     owd_us = round(cfg.one_way_delay_s * US_PER_S)
 
-    flow, sent, delivered, dropped = _ledger_views(log)
+    flow, sent, delivered = log.p_flow, log.p_sent_us, log.p_delivered_us
     in_window = (delivered > t0_us) & (delivered <= t1_us)
-    drop_window = (dropped > t0_us) & (dropped <= t1_us)
+    drop_window = (log.p_dropped_us > t0_us) & (log.p_dropped_us <= t1_us)
 
     rtt_s = (delivered[in_window] + owd_us - sent[in_window]) * 1e-6
     qdelay_s = rtt_s - 2.0 * cfg.one_way_delay_s
@@ -192,8 +184,9 @@ TIMESERIES_COLUMNS = (
 
 
 def bin_count(duration_s: float, bin_s: float) -> int:
-    """Timeseries bins per flow over a run; the last one may be partial."""
-    return math.ceil(duration_s / bin_s - 1e-9)
+    """Timeseries bins per flow over a run, each a whole number of
+    microseconds wide; the last one may be partial."""
+    return -(-round(duration_s * US_PER_S) // round(bin_s * US_PER_S))
 
 
 def timeseries(log: SimLog, bin_s: float = 1.0) -> np.ndarray:
@@ -211,7 +204,7 @@ def timeseries(log: SimLog, bin_s: float = 1.0) -> np.ndarray:
     t0 = np.arange(n_bins, dtype=np.int64) * bin_us
     t1 = np.minimum(t0 + bin_us, round(cfg.duration_s * US_PER_S))
 
-    flow, sent, delivered, dropped = _ledger_views(log)
+    flow, sent, delivered = log.p_flow, log.p_sent_us, log.p_delivered_us
     mask = delivered >= 0
     d_us = delivered[mask]
     rtt_all = (d_us + owd_us - sent[mask]) * 1e-6
@@ -278,7 +271,7 @@ def time_to_utilization(
     if not 0.0 < target <= 1.0:
         raise ValueError("target utilization must be in (0, 1]")
     cfg = log.config
-    _, _, delivered, _ = _ledger_views(log)
+    delivered = log.p_delivered_us
     d_sorted = np.sort(delivered[delivered >= 0])
     t = from_s + window_s
     while t <= cfg.duration_s + 1e-9:

@@ -110,6 +110,9 @@ from .traces import TraceSchedule
 
 INFINITE_BUFFER = 2**31
 
+# Most flows a run may hold: every flow index fits the int16 flow ledger.
+MAX_FLOWS = 2**15 - 1
+
 US_PER_S = 1_000_000
 
 # Heap event kinds: ticks, starts and the stop entry. Acks come from each
@@ -176,6 +179,8 @@ class SimConfig:
             raise ValueError("buffer_pkts must be >= 1")
         # Zero flows is legal: the run produces an empty log and every
         # delivery opportunity goes to waste.
+        if len(self.flows) > MAX_FLOWS:
+            raise ValueError(f"{len(self.flows)} flows; a run holds at most {MAX_FLOWS}")
         ids = [f.flow_id for f in self.flows]
         if len(set(ids)) != len(ids):
             raise ValueError("flow_id values must be unique")
@@ -225,11 +230,11 @@ class SimLog:
 
     config: SimConfig
     flow_ids: list[str]
-    p_flow: array
-    p_seq: array
-    p_sent_us: array
-    p_delivered_us: array
-    p_dropped_us: array
+    p_flow: np.ndarray             # int16
+    p_seq: np.ndarray              # int64, as are the other ledgers
+    p_sent_us: np.ndarray
+    p_delivered_us: np.ndarray
+    p_dropped_us: np.ndarray
     # Guardian tick trail (parallel lists, one row per tick of any flow).
     tick_t_us: list[int]
     tick_flow: list[int]
@@ -253,19 +258,14 @@ class SimLog:
     watermark_us: list[int]        # first time cwnd >= watermark, -1 if never
     threshold_raised: bool
 
-    def enqueued_us(self, pid: int) -> int:
-        """When packet ``pid`` reached the queue (or the drop decision):
-        its send time plus the one-way propagation delay."""
-        return self.p_sent_us[pid] + round(self.config.one_way_delay_s * US_PER_S)
-
     def check_conservation(self) -> None:
         """The counters against the ledgers: one entry per sent packet in each
         ledger, as many delivered and dropped as counted and none both, and
         the queued and in-flight counts not negative and making up the rest."""
         n = self.n_sent
         ledgers = (self.p_flow, self.p_seq, self.p_sent_us, self.p_delivered_us, self.p_dropped_us)
-        dlv = np.frombuffer(self.p_delivered_us, dtype=np.int64) >= 0
-        drp = np.frombuffer(self.p_dropped_us, dtype=np.int64) >= 0
+        dlv = self.p_delivered_us >= 0
+        drp = self.p_dropped_us >= 0
         if (any(len(a) != n for a in ledgers)
                 or (np.count_nonzero(dlv), np.count_nonzero(drp), np.count_nonzero(dlv & drp))
                 != (self.n_delivered, self.n_dropped, 0)
@@ -277,6 +277,11 @@ class SimLog:
                 f"dropped={self.n_dropped} queued={self.n_in_queue} "
                 f"in_flight={self.n_in_flight}; ledger lengths {[len(a) for a in ledgers]}"
             )
+
+
+def _columns(rows: list[tuple], width: int) -> list[list]:
+    """Rows of ``width`` fields as one list per field."""
+    return [list(c) for c in zip(*rows)] if rows else [[] for _ in range(width)]
 
 
 def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
@@ -447,7 +452,7 @@ def run_sim(config: SimConfig) -> SimLog:
     loop_us = schedule.loop_length_us
     # The loop's distinct instants (see the module docstring), sharing the
     # schedule's memory when none repeats.
-    instants = np.frombuffer(schedule.offsets_us(), dtype=np.int64)
+    instants = schedule.offsets_us()
     if len(instants) > 1 and (instants[1:] == instants[:-1]).any():
         instants = np.unique(instants)
 
@@ -457,20 +462,14 @@ def run_sim(config: SimConfig) -> SimLog:
     ]
 
     # Packet ledgers (global packet id -> fields), extended a window at a
-    # time; p_dropped is built after the run.
+    # time and wrapped as arrays when the run ends; p_dropped is built then.
     p_flow = array("h")
     p_seq = array("q")
     p_sent = array("q")
     p_delivered = array("q")
 
-    tick_t: list[int] = []
-    tick_flow: list[int] = []
-    tick_zone: list[str] = []
-    tick_mult: list[float] = []
-    tick_mean: list[float] = []
-    tick_delay: list[float] = []
-    tick_thresh: list[float] = []
-    tick_cwnd: list[float] = []
+    # The tick trail, one row per tick in SimLog's tick_* order.
+    ticks: list[tuple] = []
     # The cwnd trail, sorted when the run ends: samples taken at heap events
     # as (time, 0, flow, cwnd), and each flow's samples taken at acks as
     # (time, cwnd).
@@ -587,14 +586,9 @@ def run_sim(config: SimConfig) -> SimLog:
                     f.clamp()
                 if action.threshold_raised:
                     threshold_raised = True
-                tick_t.append(t)
-                tick_flow.append(fi)
-                tick_zone.append(action.zone.value)
-                tick_mult.append(action.multiplier)
-                tick_mean.append(action.mean)
-                tick_delay.append(action.delay_s if action.delay_s is not None else math.nan)
-                tick_thresh.append(action.threshold_s)
-                tick_cwnd.append(f.cwnd)
+                ticks.append((t, fi, action.zone.value, action.multiplier, action.mean,
+                              action.delay_s if action.delay_s is not None else math.nan,
+                              action.threshold_s, f.cwnd))
                 t_next = t + round(f.min_rtt_s * US_PER_S)
                 if t_next <= duration_us:
                     heappush(heap, (t_next, eseq, _TICK, fi))
@@ -680,9 +674,9 @@ def run_sim(config: SimConfig) -> SimLog:
     # in its own order.
     samples = heap_trail + [(t, 1, fi, c) for fi in range(n_flows) for t, c in trails[fi]]
     samples.sort(key=itemgetter(0, 1))
-    cwnd_t = [t for t, _, _, _ in samples]
-    cwnd_flow = [fi for _, _, fi, _ in samples]
-    cwnd_val = [c for _, _, _, c in samples]
+    cwnd_t, _, cwnd_flow, cwnd_val = _columns(samples, 4)
+    (tick_t, tick_flow, tick_zone, tick_mult, tick_mean, tick_delay, tick_thresh,
+     tick_cwnd) = _columns(ticks, 8)
 
     # End of run. Deliveries after the horizon did not happen. The last one
     # that did (at -1 if none did) took in every packet that had arrived by
@@ -696,20 +690,19 @@ def run_sim(config: SimConfig) -> SimLog:
     n_delivered = n_kept - int(np.count_nonzero(late))
     last = int(dlv.max()) if n_sent else -1
     n_taken = int(np.searchsorted(sent, last - owd_us, side="right"))
-    p_dropped = array("q", [-1]) * n_sent
+    dropped = np.full(n_sent, -1, dtype=np.int64)
     turned_away = turned_away[:n_taken]
-    np.frombuffer(p_dropped, dtype=np.int64)[:n_taken][turned_away] = (
-        sent[:n_taken][turned_away] + owd_us)
+    dropped[:n_taken][turned_away] = sent[:n_taken][turned_away] + owd_us
     n_dropped = int(np.count_nonzero(turned_away))
 
     log = SimLog(
         config=config,
         flow_ids=[f.spec.flow_id for f in flows],
-        p_flow=p_flow,
-        p_seq=p_seq,
-        p_sent_us=p_sent,
-        p_delivered_us=p_delivered,
-        p_dropped_us=p_dropped,
+        p_flow=np.frombuffer(p_flow, dtype=np.int16),
+        p_seq=np.frombuffer(p_seq, dtype=np.int64),
+        p_sent_us=sent,
+        p_delivered_us=dlv,
+        p_dropped_us=dropped,
         tick_t_us=tick_t,
         tick_flow=tick_flow,
         tick_zone=tick_zone,

@@ -7,7 +7,7 @@ last timestamp, so cycle c replays every opportunity shifted by c * loop
 milliseconds. Leading silence (a first timestamp above 1) is part of the
 pattern and survives a parse/write round trip.
 
-A schedule stores one thing: an ``array('q')`` of the loop's opportunity
+A schedule stores one thing: an int64 ndarray of the loop's opportunity
 times on a microsecond grid. The k opportunities of millisecond m are spread
 uniformly across (m-1, m] ms, the last landing exactly on m ms (so a lone
 opportunity fires at its nominal timestamp); rounding each offset up to the
@@ -17,11 +17,9 @@ timestamps and offsets with numpy.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import re
-from array import array
 
 import numpy as np
 
@@ -44,18 +42,14 @@ def _mean_rate_mbps(opportunities: int, loop_length_ms: int) -> float:
     return bits / (loop_length_ms / 1000.0) / 1e6
 
 
-def _spread_us(ts: np.ndarray) -> array:
+def _spread_us(ts: np.ndarray) -> np.ndarray:
     """Offsets of validated timestamps: opportunity j (1-based) of the k in
     millisecond m lands at (m-1) * 1000 + ceil(j * 1000 / k) microseconds."""
     n = len(ts)
     first = np.flatnonzero(np.concatenate(([True], ts[1:] != ts[:-1])))
     k = np.diff(first, append=n)
-    # numpy writes through a view of the array('q') the schedule keeps, so
-    # the offsets exist once.
-    offsets = array("q", [0]) * n
-    out = np.frombuffer(offsets, dtype=np.int64)
     # j: a running count that drops back to 1 where each millisecond starts.
-    out += 1
+    out = np.ones(n, dtype=np.int64)
     out[first[1:]] -= k[:-1]
     np.cumsum(out, out=out)
     per = np.repeat(k, k)
@@ -66,7 +60,7 @@ def _spread_us(ts: np.ndarray) -> array:
     np.subtract(ts, 1, out=per)
     per *= US_PER_MS
     out += per
-    return offsets
+    return out
 
 
 class TraceSchedule:
@@ -102,8 +96,7 @@ class TraceSchedule:
     def timestamps_ms(self) -> list[int]:
         """The millisecond timestamps, one per opportunity: each offset
         rounded up to its millisecond."""
-        offs = np.frombuffer(self._offsets, dtype=np.int64)
-        return (-(-offs // US_PER_MS)).tolist()
+        return (-(-self._offsets // US_PER_MS)).tolist()
 
     @property
     def opportunities_per_loop(self) -> int:
@@ -116,7 +109,7 @@ class TraceSchedule:
     def mean_rate_mbps(self) -> float:
         return _mean_rate_mbps(len(self._offsets), self.loop_length_ms)
 
-    def offsets_us(self) -> array:
+    def offsets_us(self) -> np.ndarray:
         """Microsecond offsets of one loop, sorted, each in (0, loop_length_us]."""
         return self._offsets
 
@@ -126,7 +119,7 @@ class TraceSchedule:
             return 0
         offs = self._offsets
         loops, rem = divmod(t_us, self.loop_length_us)
-        return loops * len(offs) + bisect.bisect_right(offs, rem)
+        return loops * len(offs) + int(offs.searchsorted(rem, "right"))
 
     def next_opportunity(self, t_us: int) -> int:
         """Smallest opportunity time >= t_us (microseconds)."""
@@ -134,10 +127,10 @@ class TraceSchedule:
             t_us = 1
         offs = self._offsets
         loops, rem = divmod(t_us - 1, self.loop_length_us)
-        idx = bisect.bisect_left(offs, rem + 1)
+        idx = offs.searchsorted(rem + 1)
         if idx < len(offs):
-            return loops * self.loop_length_us + offs[idx]
-        return (loops + 1) * self.loop_length_us + offs[0]
+            return loops * self.loop_length_us + int(offs[idx])
+        return (loops + 1) * self.loop_length_us + int(offs[0])
 
 
 # Numbers this many digits long or shorter always fit an int64.

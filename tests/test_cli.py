@@ -320,24 +320,52 @@ def test_fairness_subcommand(out_root, capsys):
     assert "jain index" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("window, duration, rate", [
-    pytest.param(w, d, "12", id=f"{w}-{d}")
+@pytest.mark.parametrize("flows, window, duration, rate", [
+    pytest.param("2", w, d, "12", id=f"{w}-{d}")
     for w, d in [("5", "2"), ("0", "2"), ("-1", "2"), ("nan", "2"), ("inf", "2"), ("1", "inf")]
 ] + [
-    pytest.param("1", "2", r, id=f"rate-{r}") for r in ("inf", "nan", "0", "-12")
+    pytest.param("2", "1", "2", r, id=f"rate-{r}") for r in ("inf", "nan", "0", "-12")
+] + [
+    # No flow at all; and 3 x 400 000 one-second bins, over the row cap.
+    pytest.param("0", "1", "2", "12", id="flows-0"),
+    pytest.param("3", "1", "400000", "12", id="rows-1.2M"),
 ])
 def test_fairness_bad_window_exits_2_before_simulating(out_root, monkeypatch, capsys,
-                                                        window, duration, rate):
+                                                        flows, window, duration, rate):
     def no_run(config):
         raise AssertionError("simulated despite a bad window or rate")
 
     monkeypatch.setattr(cli, "run_sim", no_run)
-    rc = main(["fairness", "--flows", "2", "--gap-s", "1", "--rate", rate,
+    rc = main(["fairness", "--flows", flows, "--gap-s", "1", "--rate", rate,
                "--duration", duration, "--window", window, "--out", "fair-bad"])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
     assert not (out_root / "fair-bad").exists()
+
+
+@pytest.mark.parametrize("source", ["fairness", "ini"])
+def test_more_flows_than_the_flow_ledger_holds_exit_2(out_root, tmp_path, monkeypatch,
+                                                      capsys, source):
+    # The flow ledger is int16: flow 32 767 is the last it can name.
+    def no_run(config):
+        raise AssertionError("simulated more flows than the flow ledger holds")
+
+    monkeypatch.setattr(cli, "run_sim", no_run)
+    if source == "fairness":
+        argv = ["fairness", "--flows", "32770", "--gap-s", "0", "--rate", "12",
+                "--duration", "0.005", "--window", "0.005"]
+    else:
+        ini = tmp_path / "many.ini"
+        ini.write_text("[experiment]\nduration_s = 0.005\nwarmup_s = 0\n"
+                       "[link]\ntrace = constant:12@1\n"
+                       + "".join(f"[flow:f{i}]\n" for i in range(32768)))
+        argv = ["run", "--config", str(ini)]
+    assert main(argv + ["--out", "many"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+    assert str(cli.MAX_FLOWS) in err
+    assert not (out_root / "many").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +406,15 @@ PRECEDENCE_INI = (
 def timeseries_rows(run_dir):
     with open(run_dir / "timeseries.csv") as fh:
         return len(list(csv.reader(fh))) - 1
+
+
+def test_bins_are_whole_microseconds_and_end_with_the_run(out_root):
+    # A 0.6 us bin rounds to 1 us: ten bins over 10 us, none past the end.
+    assert main(["run", "--trace", "constant:12@1", "--duration", "0.00001",
+                 "--warmup", "0", "--bin-s", "6e-7", "--out", "fine"]) == EXIT_OK
+    with open(out_root / "fine" / "timeseries.csv") as fh:
+        t_s = [float(row["t_s"]) for row in csv.DictReader(fh)]
+    assert t_s == [i / 1e6 for i in range(10)]
 
 
 @pytest.mark.parametrize("flag, value, read, expected", [

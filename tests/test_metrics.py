@@ -191,7 +191,7 @@ def reference_timeseries(log, bin_s):
     bin_us, cfg = round(bin_s * 1e6), log.config
     n_bins, end_us = metrics.bin_count(cfg.duration_s, bin_s), round(cfg.duration_s * 1e6)
     owd_us = round(cfg.one_way_delay_s * 1e6)
-    flow, sent, delivered, _ = metrics._ledger_views(log)
+    flow, sent, delivered = log.p_flow, log.p_sent_us, log.p_delivered_us
     mask = delivered >= 0
     rtt_all, flow_all = (delivered[mask] + owd_us - sent[mask]) * 1e-6, flow[mask]
     bin_idx = np.minimum((delivered[mask] - 1) // bin_us, n_bins - 1)

@@ -363,4 +363,4 @@ def test_write_parse_roundtrip_is_exact(timestamps):
             assert fh.read() == "".join(f"{t}\n" for t in timestamps)
         back = parse_trace(path)
     assert back.timestamps_ms == timestamps
-    assert back.offsets_us() == sched.offsets_us()
+    assert np.array_equal(back.offsets_us(), sched.offsets_us())
