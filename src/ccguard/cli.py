@@ -133,6 +133,12 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _exploration(text: str) -> str:
+    if text not in EXPLORATION_MODES:
+        raise ValueError(f"must be one of {EXPLORATION_MODES}")
+    return text
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -148,29 +154,15 @@ _SECTION_KEYS = {
     "experiment": {"duration_s", "warmup_s", "bin_s", "seeds", "seed"},
     "link": {"trace", "one_way_delay_ms", "buffer_pkts"},
 }
-_FLOW_KEYS = {
-    "controller", "threshold", "exploration", "slowdown", "mitigation",
-    "cwnd_init", "cwnd_floor", "ssthresh_init", "start_in_avoidance", "start_s",
-}
 
-# Flag (argparse dest) -> the (section, option) it overrides. Flags are
-# written in this order, so --seeds wins over --seed; both replace the
-# file's seeds and seed.
-_FLAG_KEYS = {
-    "trace": ("link", "trace"),
-    "duration": ("experiment", "duration_s"),
-    "seed": ("experiment", "seeds"),
-    "seeds": ("experiment", "seeds"),
-    "owd_ms": ("link", "one_way_delay_ms"),
-    "buffer": ("link", "buffer_pkts"),
-    "warmup": ("experiment", "warmup_s"),
-    "bin_s": ("experiment", "bin_s"),
-    "controller": ("flow", "controller"),
-    "threshold": ("flow", "threshold"),
-    "exploration": ("flow", "exploration"),
-    "slowdown": ("flow", "slowdown"),
-    "mitigation": ("flow", "mitigation"),
+# The parser of each [flow] option, by the dataclass field it sets. An unset
+# option keeps the dataclass default; threshold sets two GuardianConfig fields.
+_FLOW_SPEC_OPTIONS = {
+    "controller": str, "start_s": _finite, "cwnd_init": _finite, "cwnd_floor": _finite,
+    "ssthresh_init": _finite, "start_in_avoidance": _parse_bool,
 }
+_GUARDIAN_OPTIONS = {"exploration": _exploration, "slowdown": _parse_bool, "mitigation": _parse_bool}
+_FLOW_KEYS = {"threshold", *_FLOW_SPEC_OPTIONS, *_GUARDIAN_OPTIONS}
 
 
 def _parser() -> configparser.ConfigParser:
@@ -202,16 +194,17 @@ def load_ini(path: str) -> configparser.ConfigParser:
 
 
 def _read_config(args: argparse.Namespace) -> configparser.ConfigParser:
-    """The INI file, if any, with the flags written over it."""
+    """The INI file, if any, with each given flag written over the key its
+    dest names; of --seed and --seeds, the later one given wins."""
     cp = load_ini(args.config) if args.config else _parser()
-    for dest, (section, option) in _FLAG_KEYS.items():
-        value = getattr(args, dest)
-        if value is not None:
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, option = dest.split(".")
             cp.read_dict({section: {option: value}})
     return cp
 
 
-def _typed(where: str, opts, option: str, parse, default):
+def _typed(where: str, opts, option: str, parse, default=None):
     """``parse`` applied to one option's text, or ``default`` when unset."""
     text = opts.get(option)
     if text is None:
@@ -222,27 +215,17 @@ def _typed(where: str, opts, option: str, parse, default):
         raise ConfigError(f"[{where}] {option} = {text!r}: {exc}") from None
 
 
+def _options(where: str, opts, parsers: dict) -> dict:
+    return {key: _typed(where, opts, key, parse) for key, parse in parsers.items() if key in opts}
+
+
 def _flow(flow_id: str, where: str, opts) -> FlowSpec:
-    mult, fixed = _typed(where, opts, "threshold", parse_threshold, (1.5, None))
-    exploration = opts.get("exploration", "stochastic")
-    if exploration not in EXPLORATION_MODES:
-        raise ConfigError(f"[{where}] exploration must be one of {EXPLORATION_MODES}")
-    return FlowSpec(
-        flow_id=flow_id,
-        controller=opts.get("controller", "guarded"),
-        start_s=_typed(where, opts, "start_s", _finite, 0.0),
-        cwnd_init=_typed(where, opts, "cwnd_init", _finite, 10.0),
-        cwnd_floor=_typed(where, opts, "cwnd_floor", _finite, 2.0),
-        ssthresh_init=_typed(where, opts, "ssthresh_init", _finite, 64.0),
-        start_in_avoidance=_typed(where, opts, "start_in_avoidance", _parse_bool, False),
-        guardian=GuardianConfig(
-            threshold_multiplier=mult,
-            threshold_fixed_s=fixed,
-            exploration=exploration,
-            slowdown=_typed(where, opts, "slowdown", _parse_bool, True),
-            mitigation=_typed(where, opts, "mitigation", _parse_bool, True),
-        ),
-    )
+    guardian = _options(where, opts, _GUARDIAN_OPTIONS)
+    if "threshold" in opts:
+        mult, fixed = _typed(where, opts, "threshold", parse_threshold)
+        guardian.update(threshold_multiplier=mult, threshold_fixed_s=fixed)
+    return FlowSpec(flow_id=flow_id, guardian=GuardianConfig(**guardian),
+                    **_options(where, opts, _FLOW_SPEC_OPTIONS))
 
 
 def build_sim_config(cp: configparser.ConfigParser) -> tuple[SimConfig, dict, list[int]]:
@@ -262,10 +245,10 @@ def build_sim_config(cp: configparser.ConfigParser) -> tuple[SimConfig, dict, li
     if not 0.0 <= warmup_s < duration_s:
         raise ConfigError("need 0 <= warmup_s < duration_s")
     bin_s = _typed("experiment", exp, "bin_s", _finite, 1.0)
-    if round(bin_s * metrics.US_PER_S) < 1:
+    if round(bin_s * traces.US_PER_S) < 1:
         raise ConfigError("bin_s must be at least 1 us")
     owd_s = _typed("link", link, "one_way_delay_ms", _finite, 10.0) / 1000.0
-    if round(owd_s * metrics.US_PER_S) < 1:
+    if round(owd_s * traces.US_PER_S) < 1:
         raise ConfigError("[link] one_way_delay_ms must be at least 0.001 (1 us)")
 
     base = dict(cp["flow"]) if cp.has_section("flow") else {}
@@ -296,7 +279,8 @@ def build_sim_config(cp: configparser.ConfigParser) -> tuple[SimConfig, dict, li
 # ------------------------------------------------------------------ writers
 
 
-def write_run_outputs(out_dir: str, sim_config: SimConfig, log, analysis: dict) -> dict:
+def write_run_outputs(out_dir: str, log, analysis: dict) -> dict:
+    sim_config = log.config
     os.makedirs(out_dir, exist_ok=True)
     summary = metrics.summarize(log, warmup_s=analysis["warmup_s"])
     payload = {
@@ -360,7 +344,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         run = replace(sim, seed=seed)
         log = run_sim(run)
         run_dir = out_dir if len(seeds) == 1 else os.path.join(out_dir, f"seed-{seed}")
-        payload = write_run_outputs(run_dir, run, log, analysis)
+        payload = write_run_outputs(run_dir, log, analysis)
         m = payload["metrics"]
         print(
             f"seed {seed}: {m['throughput_mbps']:.1f} Mbps, "
@@ -410,7 +394,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             run = replace(sim, seed=seed)
             log = run_sim(run)
             run_dir = os.path.join(out_dir, f"{args.param}-{value}", f"seed-{seed}")
-            payload = write_run_outputs(run_dir, run, log, analysis)
+            payload = write_run_outputs(run_dir, log, analysis)
             m = payload["metrics"]
             agg_rows.append(
                 [value, seed, _fmt(m["throughput_mbps"]), _fmt(m["utilization"]),
@@ -443,9 +427,9 @@ def cmd_fairness(args: argparse.Namespace) -> int:
     sim, analysis, _ = build_sim_config(cp)
     log = run_sim(sim)
     out_dir = _out_root(args.out)
-    payload = write_run_outputs(out_dir, sim, log, analysis)
+    payload = write_run_outputs(out_dir, log, analysis)
     jain = payload["metrics"]["jain_index"]
-    print(f"jain index over final {args.window:.0f} s: {jain:.4f} -> {out_dir}")
+    print(f"jain index over final {args.window:g} s: {jain:.4f} -> {out_dir}")
     return EXIT_OK
 
 
@@ -487,19 +471,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="INI experiment file")
-        p.add_argument("--trace", help="trace spec (constant:RATE@DUR, step:..., or a file path)")
-        p.add_argument("--duration", help="simulated seconds")
-        p.add_argument("--seed", help="single seed")
-        p.add_argument("--seeds", help="comma-separated seeds (one run dir each)")
-        p.add_argument("--owd-ms", help="one-way propagation delay, ms")
-        p.add_argument("--buffer", help="bottleneck buffer in packets, or 'infinite'")
-        p.add_argument("--controller", choices=("guarded", "aimd"))
-        p.add_argument("--threshold", help="delay threshold: '1.5x', '40ms', ...")
-        p.add_argument("--exploration", choices=EXPLORATION_MODES)
-        p.add_argument("--slowdown", choices=("on", "off"))
-        p.add_argument("--mitigation", choices=("on", "off"))
-        p.add_argument("--warmup", help="analysis warmup seconds")
-        p.add_argument("--bin-s", dest="bin_s", help="timeseries bin seconds")
+
+        def key_flag(flag: str, key: str, help: str, **kwargs) -> None:
+            # The dest is the SECTION.OPTION the flag writes over the file.
+            p.add_argument(flag, dest=key, metavar=key, help=help, **kwargs)
+
+        key_flag("--trace", "link.trace", "trace spec (constant:RATE@DUR, step:..., or a file path)")
+        key_flag("--duration", "experiment.duration_s", "simulated seconds")
+        key_flag("--seed", "experiment.seeds", "single seed")
+        key_flag("--seeds", "experiment.seeds", "comma-separated seeds (one run dir each)")
+        key_flag("--owd-ms", "link.one_way_delay_ms", "one-way propagation delay, ms")
+        key_flag("--buffer", "link.buffer_pkts", "bottleneck buffer in packets, or 'infinite'")
+        key_flag("--controller", "flow.controller", "%(choices)s", choices=("guarded", "aimd"))
+        key_flag("--threshold", "flow.threshold", "delay threshold: '1.5x', '40ms', ...")
+        key_flag("--exploration", "flow.exploration", "%(choices)s", choices=EXPLORATION_MODES)
+        key_flag("--slowdown", "flow.slowdown", "%(choices)s", choices=("on", "off"))
+        key_flag("--mitigation", "flow.mitigation", "%(choices)s", choices=("on", "off"))
+        key_flag("--warmup", "experiment.warmup_s", "analysis warmup seconds")
+        key_flag("--bin-s", "experiment.bin_s", "timeseries bin seconds")
 
     run_p = sub.add_parser("run", help="run one experiment")
     add_common(run_p)

@@ -17,9 +17,7 @@ import numpy as np
 
 from .guardian import Zone
 from .netsim import SimLog
-from .traces import PACKET_BYTES, capacity_delivered
-
-US_PER_S = 1_000_000
+from .traces import PACKET_BYTES, US_PER_S, capacity_delivered
 
 DEFAULT_WARMUP_S = 5.0
 

@@ -106,14 +106,12 @@ import numpy as np
 
 from .aimd import AVOIDANCE, AimdWindow
 from .guardian import Guardian, GuardianConfig
-from .traces import TraceSchedule
+from .traces import US_PER_S, TraceSchedule
 
 INFINITE_BUFFER = 2**31
 
 # Most flows a run may hold: every flow index fits the int16 flow ledger.
 MAX_FLOWS = 2**15 - 1
-
-US_PER_S = 1_000_000
 
 # Heap event kinds: ticks, starts and the stop entry. Acks come from each
 # window's list.

@@ -133,37 +133,16 @@ class TraceSchedule:
         return (loops + 1) * self.loop_length_us + int(offs[0])
 
 
-# Numbers this many digits long or shorter always fit an int64.
-_MAX_DIGITS = 18
-
-
-def _scan_digits(raw: bytes) -> np.ndarray | None:
+def _load_digits(path: str | os.PathLike, raw: bytes) -> np.ndarray | None:
     """Timestamps of a valid trace file made only of ASCII digits and line
-    breaks, with no number longer than 18 digits; None for any other file,
-    which the caller reads line by line instead."""
-    if raw.translate(None, b"0123456789\r\n"):
+    breaks, read by ``np.loadtxt``; None for any other file, which the caller
+    reads line by line instead."""
+    if raw.translate(None, b"0123456789\r\n") or not raw.strip():
         return None
-    b = np.frombuffer(raw, dtype=np.uint8)
-    digit = np.zeros(b.size + 2, dtype=bool)
-    digit[1:-1] = b >= ord("0")
-    starts = np.flatnonzero(digit[1:] > digit[:-1])  # first digit of each number
-    pos = np.flatnonzero(digit[:-1] > digit[1:])  # one past its last digit
-    del digit
-    if pos.size == 0:
+    try:
+        values = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    except ValueError:  # a number past int64
         return None
-    lengths = pos - starts
-    del starts
-    width = int(lengths.max())
-    if width > _MAX_DIGITS:
-        return None
-    values = np.zeros(pos.size, dtype=np.int64)
-    for place in range(width):  # least significant digit first
-        pos -= 1
-        digits = b[pos].astype(np.int64)
-        digits -= ord("0")
-        digits[lengths <= place] = 0
-        digits *= 10**place
-        values += digits
     if values[0] < 1 or (values[1:] < values[:-1]).any():
         return None
     return values
@@ -198,12 +177,12 @@ def _read_lines(path: str | os.PathLike) -> list[int]:
 def parse_trace(path: str | os.PathLike) -> TraceSchedule:
     """Read a mahimahi trace file. Errors carry 1-based line numbers.
 
-    A file of ASCII digits and line breaks is converted with numpy; any other
-    file, or one holding a bad value, is read again line by line, which
+    A file of ASCII digits and line breaks is read with ``np.loadtxt``; any
+    other file, or one holding a bad value, is read again line by line, which
     accepts blank lines and surrounding whitespace and names the first bad
     line."""
     with open(path, "rb") as fh:
-        timestamps = _scan_digits(fh.read())
+        timestamps = _load_digits(path, fh.read())
     if timestamps is None:
         timestamps = _read_lines(path)
     return TraceSchedule(timestamps, int(timestamps[-1]))

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 
@@ -208,7 +209,9 @@ def key_set_by(extra, ini):
         return ini.split("\n")[1].split("=")[0].strip()
     if extra[0] == "sweep":
         return "one_way_delay_ms"
-    return cli._FLAG_KEYS[extra[0].lstrip("-").replace("-", "_")][1]
+    args = vars(cli.build_parser().parse_args(["run", *extra[:2]]))
+    [dest] = [dest for dest, value in args.items() if "." in dest and value is not None]
+    return dest.split(".")[1]
 
 
 @pytest.mark.parametrize("argv, builds", [
@@ -234,6 +237,14 @@ def test_run_bad_threshold_exits_2(capsys):
     rc = main(RUN_FAST[:-2] + ["--out", "r3", "--threshold", "fast"])
     assert rc == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_unknown_exploration_exits_2_for_an_aimd_flow_too(tmp_path, capsys):
+    ini = tmp_path / "explore.ini"
+    ini.write_text("[flow]\ncontroller = aimd\nexploration = sometimes\n")
+    assert main(RUN_FAST + ["--config", str(ini)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "exploration" in err and len(err.strip().splitlines()) == 1
 
 
 def test_parse_threshold_forms():
@@ -318,6 +329,12 @@ def test_fairness_subcommand(out_root, capsys):
     assert len(d["config"]["flows"]) == 2
     assert 0.0 < d["metrics"]["jain_index"] <= 1.0
     assert "jain index" in capsys.readouterr().out
+
+
+def test_fairness_prints_a_fractional_window(out_root, capsys):
+    assert main(["fairness", "--flows", "2", "--gap-s", "1", "--rate", "24",
+                 "--duration", "4", "--window", "0.5", "--out", "fair"]) == EXIT_OK
+    assert "jain index over final 0.5 s:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flows, window, duration, rate", [
@@ -556,12 +573,15 @@ def test_cli_outputs_match_frozen_digest(out_root, tmp_path, name, capsys):
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
+def readme_ini_block():
+    with open(README) as fh:
+        return fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 def readme_ini_keys():
     """{section: keys} of the README's INI block, comments stripped."""
-    with open(README) as fh:
-        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
     keys = {}
-    for line in block.splitlines():
+    for line in readme_ini_block().splitlines():
         line = line.split(";", 1)[0].strip()
         if line.startswith("["):
             section = keys.setdefault(line.strip("[]"), set())
@@ -576,5 +596,28 @@ def test_readme_ini_block_lists_exactly_the_accepted_keys():
 
 @pytest.mark.parametrize("argv", [["run"], ["sweep", "--param", "threshold", "--values", "2x"]],
                          ids=["run", "sweep"])
-def test_every_flag_that_sets_a_key_is_declared(argv):
-    assert set(cli._FLAG_KEYS) <= set(vars(cli.build_parser().parse_args(argv)))
+def test_every_flag_names_an_accepted_ini_key(argv):
+    # load_ini checks only the file's keys, so a flag writing an unknown key
+    # would be ignored without a word.
+    dests = [d for d in vars(cli.build_parser().parse_args(argv)) if "." in d]
+    assert len(dests) == 12  # 13 flags; --seed and --seeds share experiment.seeds
+    for dest in dests:
+        section, option = dest.split(".")
+        assert option in (cli._FLOW_KEYS if section == "flow" else cli._SECTION_KEYS[section])
+
+
+def test_readme_ini_block_shows_the_defaults():
+    documented = cli._parser()
+    documented.read_string("\n".join(
+        line for line in readme_ini_block().splitlines() if not line.startswith("[flow:")))
+    (sim, analysis, seeds), (d_sim, d_analysis, d_seeds) = (
+        cli.build_sim_config(cp) for cp in (documented, cli._parser()))
+    assert (sim.duration_s, sim.one_way_delay_s, sim.buffer_pkts, seeds, analysis) == (
+        d_sim.duration_s, d_sim.one_way_delay_s, d_sim.buffer_pkts, d_seeds, d_analysis)
+    assert [asdict(f) for f in sim.flows] == [asdict(f) for f in d_sim.flows]
+
+
+def test_seed_and_seeds_given_together_take_the_later(out_root):
+    for flags, seed in [(["--seed", "7", "--seeds", "8"], 8), (["--seeds", "8", "--seed", "7"], 7)]:
+        assert main(RUN_FAST[:-2] + flags + ["--out", "both"]) == EXIT_OK
+        assert read_json(out_root / "both" / "summary.json")["seed"] == seed
