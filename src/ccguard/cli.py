@@ -302,8 +302,7 @@ def write_run_outputs(out_dir: str, log, analysis: dict) -> dict:
             "in_flight": log.n_in_flight,
         },
         "min_rtt_s": log.min_rtt_s,
-        "watermark_us": log.watermark_us,
-        "threshold_raised": log.threshold_raised,
+        "threshold_raised": metrics.threshold_raised(log),
     }
     with _atomic_open(os.path.join(out_dir, "summary.json")) as fh:
         fh.write(json.dumps(_no_nan(payload), indent=2, sort_keys=True) + "\n")

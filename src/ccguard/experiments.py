@@ -11,7 +11,7 @@ once. Defaults shared by the study:
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields
 
 from .guardian import GuardianConfig
 from .netsim import INFINITE_BUFFER, FlowSpec, SimConfig
@@ -26,27 +26,29 @@ def bdp_packets(rate_mbps: float, rtt_s: float = MIN_RTT_S) -> float:
     return rate_mbps * 1e6 * rtt_s / (8 * PACKET_BYTES)
 
 
-def guarded_flow(
-    flow_id: str = "flow0",
-    threshold_multiplier: float | None = 1.5,
-    threshold_fixed_s: float | None = None,
-    exploration: str = "stochastic",
-    slowdown: bool = True,
-    mitigation: bool = True,
-    **kwargs,
-) -> FlowSpec:
-    guardian = GuardianConfig(
-        threshold_multiplier=None if threshold_fixed_s is not None else threshold_multiplier,
-        threshold_fixed_s=threshold_fixed_s,
-        exploration=exploration,
-        slowdown=slowdown,
-        mitigation=mitigation,
-    )
+_GUARDIAN_OPTIONS = frozenset(f.name for f in fields(GuardianConfig))
+
+
+def guarded_flow(flow_id: str = "flow0", **kwargs) -> FlowSpec:
+    """A guarded flow. Options that name a ``GuardianConfig`` field go to its
+    guardian, the rest to ``FlowSpec``; every option not given keeps its
+    dataclass default."""
+    guardian = GuardianConfig(**{k: kwargs.pop(k) for k in _GUARDIAN_OPTIONS & kwargs.keys()})
     return FlowSpec(flow_id=flow_id, controller="guarded", guardian=guardian, **kwargs)
 
 
 def aimd_flow(flow_id: str = "flow0", **kwargs) -> FlowSpec:
     return FlowSpec(flow_id=flow_id, controller="aimd", **kwargs)
+
+
+def _guarded_or_aimd(controller: str, **kwargs) -> FlowSpec:
+    """The one flow of a scenario that sets the guarded controller, with a
+    fixed 40 ms threshold, against plain AIMD."""
+    if controller == "guarded":
+        return guarded_flow(threshold_fixed_s=0.040, **kwargs)
+    if controller == "aimd":
+        return aimd_flow(**kwargs)
+    raise ValueError(f"unknown controller {controller!r}")
 
 
 def steady_state(seed: int, duration_s: float = 120.0) -> SimConfig:
@@ -64,27 +66,16 @@ def steady_state(seed: int, duration_s: float = 120.0) -> SimConfig:
 
 def rampup(controller: str, seed: int, duration_s: float = 30.0) -> SimConfig:
     """Cold start from a one-packet window straight into congestion
-    avoidance, 300 Mbps, unbounded buffer. The watermark captures the first
-    instant cwnd reaches the BDP (500 packets)."""
-    common = dict(
-        cwnd_init=1.0,
-        cwnd_floor=1.0,
-        start_in_avoidance=True,
-    )
-    if controller == "guarded":
-        flow = guarded_flow(threshold_fixed_s=0.040, **common)
-    elif controller == "aimd":
-        flow = aimd_flow(**common)
-    else:
-        raise ValueError(f"unknown controller {controller!r}")
+    avoidance, 300 Mbps, unbounded buffer. Gate 2 reads the first instant
+    cwnd reaches the BDP (500 packets) with ``metrics.first_cwnd_reaching``."""
     return SimConfig(
         schedule=synth_constant(300.0, 1.0),
         duration_s=duration_s,
         one_way_delay_s=OWD_S,
         buffer_pkts=INFINITE_BUFFER,
         seed=seed,
-        flows=[flow],
-        cwnd_watermark=500.0,
+        flows=[_guarded_or_aimd(controller, cwnd_init=1.0, cwnd_floor=1.0,
+                                start_in_avoidance=True)],
     )
 
 
@@ -95,19 +86,13 @@ def step_down_heavy(controller: str, seed: int) -> SimConfig:
     """600 -> 300 Mbps halving at t=20 s, fixed 40 ms threshold, deep buffer.
     Contrasts the guarded controller with plain AIMD on a loss-free capacity
     drop (the buffer is deep enough that AIMD just fills it)."""
-    if controller == "guarded":
-        flow = guarded_flow(threshold_fixed_s=0.040)
-    elif controller == "aimd":
-        flow = aimd_flow()
-    else:
-        raise ValueError(f"unknown controller {controller!r}")
     return SimConfig(
         schedule=synth_step([(600.0, 20.0), (300.0, 20.0)]),
         duration_s=30.0,
         one_way_delay_s=OWD_S,
         buffer_pkts=DEEP_BUFFER,
         seed=seed,
-        flows=[flow],
+        flows=[_guarded_or_aimd(controller)],
     )
 
 
@@ -140,21 +125,16 @@ def step_down_drain(variant: str, seed: int) -> SimConfig:
     """720 -> 100 Mbps collapse at t=20 s (capacity /7.2), default 1.5x
     threshold, deep buffer. Ablations peel off the proactive trim and then
     the critical-zone cut."""
-    if variant == "full":
-        flow = guarded_flow()
-    elif variant == "no-slowdown":
-        flow = guarded_flow(slowdown=False)
-    elif variant == "no-slowdown-no-mitigation":
-        flow = guarded_flow(slowdown=False, mitigation=False)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    if variant not in STEP_DOWN_DRAIN_VARIANTS:
+        raise ValueError(f"variant must be one of {STEP_DOWN_DRAIN_VARIANTS}")
     return SimConfig(
         schedule=synth_step([(720.0, 20.0), (100.0, 15.0)]),
         duration_s=35.0,
         one_way_delay_s=OWD_S,
         buffer_pkts=DEEP_BUFFER,
         seed=seed,
-        flows=[flow],
+        flows=[guarded_flow(slowdown=variant == "full",
+                            mitigation=variant != "no-slowdown-no-mitigation")],
     )
 
 
@@ -184,13 +164,7 @@ def fairness(
     """Staggered guarded flows sharing one queue on a constant link."""
     if n_flows < 1:
         raise ValueError("need at least one flow")
-    flows = [
-        replace(
-            guarded_flow(flow_id=f"flow{i}"),
-            start_s=i * gap_s,
-        )
-        for i in range(n_flows)
-    ]
+    flows = [guarded_flow(f"flow{i}", start_s=i * gap_s) for i in range(n_flows)]
     return SimConfig(
         schedule=synth_constant(rate_mbps, 1.0),
         duration_s=duration_s,

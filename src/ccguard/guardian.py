@@ -116,8 +116,8 @@ class GuardianConfig:
     The delay threshold is either a multiple of the measured minimum RTT
     (``threshold_multiplier``, the default) or a fixed value
     (``threshold_fixed_s``, which takes precedence when set). A fixed value
-    below 1.1x the minimum RTT is raised to that and flagged, so the
-    headroom denominator stays usefully positive.
+    below 1.1x the minimum RTT is lifted to that, so the headroom
+    denominator stays usefully positive.
     """
 
     threshold_multiplier: float | None = 1.5
@@ -138,15 +138,12 @@ class GuardianConfig:
             raise ValueError(f"exploration must be one of {EXPLORATION_MODES}")
 
 
-def resolve_threshold(config: GuardianConfig, min_rtt_s: float) -> tuple[float, bool]:
-    """Delay threshold for the current tick, and whether a fixed value had
-    to be raised to keep it above the minimum RTT."""
+def resolve_threshold(config: GuardianConfig, min_rtt_s: float) -> float:
+    """Delay threshold for the current tick: the fixed value, lifted to at
+    least 1.1x the minimum RTT, or else the multiple of it."""
     if config.threshold_fixed_s is not None:
-        floor = 1.1 * min_rtt_s
-        if config.threshold_fixed_s < floor:
-            return floor, True
-        return config.threshold_fixed_s, False
-    return config.threshold_multiplier * min_rtt_s, False
+        return max(config.threshold_fixed_s, 1.1 * min_rtt_s)
+    return config.threshold_multiplier * min_rtt_s
 
 
 @dataclass
@@ -159,7 +156,6 @@ class GuardianAction:
     delay_s: float | None  # delay the tick acted on (None before first sample)
     derivative: float
     threshold_s: float
-    threshold_raised: bool
 
 
 class Guardian:
@@ -187,7 +183,7 @@ class Guardian:
         dimensionless, seconds per second.
         """
         cfg = self.config
-        threshold_s, raised = resolve_threshold(cfg, min_rtt_s)
+        threshold_s = resolve_threshold(cfg, min_rtt_s)
 
         delay_s = mean_delay_s if mean_delay_s is not None else self._prev_delay_s
 
@@ -233,5 +229,4 @@ class Guardian:
             delay_s=delay_s,
             derivative=derivative,
             threshold_s=threshold_s,
-            threshold_raised=raised,
         )

@@ -1,4 +1,5 @@
-"""Run-log analysis: throughput, delay percentiles, fairness, timeseries.
+"""Run-log analysis: throughput, delay percentiles, fairness, timeseries,
+and controller figures derived from the ledgers and trails.
 
 An analysis window (t0, t1] selects packets by delivery time; utilization
 divides the packets delivered in it by the trace's delivery opportunities
@@ -11,10 +12,12 @@ smallest sample such that at least p% of samples are <= it).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .aimd import AimdWindow
 from .guardian import Zone
 from .netsim import SimLog
 from .traces import PACKET_BYTES, US_PER_S, capacity_delivered
@@ -283,3 +286,52 @@ def time_to_utilization(
             return t - from_s
         t += step_s
     return None
+
+
+def first_cwnd_reaching(log: SimLog, flow: int, target: float) -> int:
+    """The first microsecond flow ``flow``'s window reached ``target``, or -1
+    if it never did. Replays ``AimdWindow.on_acks`` over the flow's in-order
+    acks, each at delivery + delay up to the horizon, setting the window to
+    ``tick_cwnd`` at each of its ticks (before an ack at the same instant);
+    ``cwnd_init`` counts at the flow's start. The replay is exact up to the
+    flow's first drop: a target not reached before it raises ValueError."""
+    cfg, spec = log.config, log.config.flows[flow]
+    horizon_us = round(cfg.duration_s * US_PER_S)
+    start_us = round(spec.start_s * US_PER_S)
+    if start_us > horizon_us or spec.cwnd_init >= target:
+        return -1 if start_us > horizon_us else start_us
+    # Per flow the ledgers are in sequence order, so the acks before the
+    # first drop are in order. Every drop is at or before the horizon.
+    mine = log.p_flow == flow
+    drops, dlv = log.p_dropped_us[mine], log.p_delivered_us[mine]
+    stop_us = int(drops[drops >= 0].min(initial=horizon_us + 1))
+    acks = dlv[dlv >= 0] + round(cfg.one_way_delay_s * US_PER_S)
+    acks = acks[acks < stop_us].tolist()
+    ticks = [(t, c) for t, fi, c in zip(log.tick_t_us, log.tick_flow, log.tick_cwnd)
+             if fi == flow and t < stop_us]
+    window = AimdWindow(spec.cwnd_init, spec.ssthresh_init, spec.cwnd_floor,
+                        spec.start_in_avoidance)
+    taken = 0
+    for t, cwnd in [*ticks, (stop_us, None)]:
+        upto = bisect_left(acks, t, taken)
+        if upto > taken:
+            cwnds = window.on_acks(upto - taken)
+            if cwnds[-1] >= target:
+                return acks[taken + bisect_left(cwnds, target)]
+            taken = upto
+        if cwnd is not None:
+            window.cwnd = cwnd
+            if cwnd >= target:
+                return t
+    if stop_us <= horizon_us:
+        raise ValueError(f"flow {flow}'s window did not reach {target} before its "
+                         f"first drop at {stop_us} us")
+    return -1
+
+
+def threshold_raised(log: SimLog) -> bool:
+    """Whether some guarded flow's fixed delay threshold was lifted at a
+    tick, to 1.1x its minimum RTT (see ``guardian.resolve_threshold``)."""
+    fixed = [f.guardian.threshold_fixed_s for f in log.config.flows]
+    return any(fixed[fi] is not None and th != fixed[fi]
+               for fi, th in zip(log.tick_flow, log.tick_threshold_s))

@@ -150,6 +150,8 @@ class FlowSpec:
             raise ValueError("cwnd_floor must be >= 1")
         if self.cwnd_init < 1.0:
             raise ValueError("cwnd_init must be >= 1")
+        if self.ssthresh_init < 1.0:
+            raise ValueError("ssthresh_init must be >= 1")
         if self.start_s < 0.0:
             raise ValueError("start_s must be >= 0")
         if self.controller == "guarded":
@@ -164,7 +166,6 @@ class SimConfig:
     buffer_pkts: int = INFINITE_BUFFER
     seed: int = 1
     flows: list[FlowSpec] = field(default_factory=lambda: [FlowSpec()])
-    cwnd_watermark: float | None = None  # record first time cwnd >= this
 
     def validate(self) -> None:
         if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
@@ -190,11 +191,8 @@ class _FlowState(AimdWindow):
     """One sender: its AIMD window, which it extends, plus sequencing,
     RTT samples and guardian state."""
 
-    __slots__ = (
-        "spec", "guardian", "inflight", "next_expected", "dup_count",
-        "min_rtt_s", "si_sum", "si_n", "guardian_active",
-        "next_cwnd_sample_us", "watermark_us",
-    )
+    __slots__ = ("spec", "guardian", "inflight", "next_expected", "dup_count", "min_rtt_s",
+                 "si_sum", "si_n", "guardian_active", "next_cwnd_sample_us")
 
     def __init__(self, spec: FlowSpec, rng: random.Random):
         super().__init__(
@@ -216,7 +214,6 @@ class _FlowState(AimdWindow):
         # window in congestion avoidance.
         self.guardian_active = False
         self.next_cwnd_sample_us = 0
-        self.watermark_us = -1
 
 
 @dataclass
@@ -253,8 +250,6 @@ class SimLog:
     n_in_queue: int
     n_in_flight: int
     min_rtt_s: list[float]
-    watermark_us: list[int]        # first time cwnd >= watermark, -1 if never
-    threshold_raised: bool
 
     def check_conservation(self) -> None:
         """The counters against the ledgers: one entry per sent packet in each
@@ -346,14 +341,12 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
 
 
 def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
-              lo: int, hi: int, watermark: float | None,
-              sends: list[int], trail: list[tuple[int, float]]) -> None:
+              lo: int, hi: int, sends: list[int], trail: list[tuple[int, float]]) -> None:
     """Flow ``f`` takes its acks ``lo`` to ``hi - 1``, at least one, in one
     call: the acks at times ``ts`` carrying sequence numbers ``seqs`` and RTT
     samples ``rtts`` (seconds), all its own, in order, with none of its other
     events among them. Appends how many packets each ack sends to ``sends``, and a
-    ``(time, cwnd)`` pair to ``trail`` for each cwnd sample; sets the flow's
-    watermark instant when cwnd first reaches ``watermark``."""
+    ``(time, cwnd)`` pair to ``trail`` for each cwnd sample."""
     r = rtts[lo:hi]
     m = min(r)
     if m < f.min_rtt_s:
@@ -367,8 +360,6 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
     expected = f.next_expected
     inflight = f.inflight
     next_sample = f.next_cwnd_sample_us
-    if f.watermark_us >= 0:
-        watermark = None
     i = lo
     while i < hi:
         s = seqs[i]
@@ -401,9 +392,6 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
                     trail.append((ts[p], cwnds[p - i]))
                     next_sample = ts[p] + _CWND_SAMPLE_US
                     p = bisect_left(ts, next_sample, p + 1, e)
-            if watermark is not None and cwnds[-1] >= watermark:
-                f.watermark_us = ts[i + bisect_left(cwnds, watermark)]
-                watermark = None
             i = e
             continue
         # A duplicate ack: s is past the next expected number. (Below it is
@@ -424,9 +412,6 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
         if t >= next_sample:
             trail.append((t, cwnd))
             next_sample = t + _CWND_SAMPLE_US
-        if watermark is not None and cwnd >= watermark:
-            f.watermark_us = t
-            watermark = None
         k = int(cwnd) - inflight
         if k > 0:
             inflight += k
@@ -446,7 +431,6 @@ def run_sim(config: SimConfig) -> SimLog:
     duration_us = round(config.duration_s * US_PER_S)
     owd_us = round(config.one_way_delay_s * US_PER_S)
     buffer_pkts = config.buffer_pkts
-    watermark = config.cwnd_watermark
     loop_us = schedule.loop_length_us
     # The loop's distinct instants (see the module docstring), sharing the
     # schedule's memory when none repeats.
@@ -474,7 +458,6 @@ def run_sim(config: SimConfig) -> SimLog:
     heap_trail: list[tuple[int, int, int, float]] = []
     trails: list[list[tuple[int, float]]] = [[] for _ in flows]
 
-    threshold_raised = False
     n_sent = 0
     n_kept = 0
     last_dlv = 0
@@ -535,7 +518,7 @@ def run_sim(config: SimConfig) -> SimLog:
             f = flows[fi]
             c = cursor[fi]
             while c < ends[fi]:
-                take_acks(f, ts, seqs, rtts, c, c + 1, watermark, sends[fi], trails[fi])
+                take_acks(f, ts, seqs, rtts, c, c + 1, sends[fi], trails[fi])
                 c += 1
                 if f.phase == AVOIDANCE:
                     awaiting.remove(fi)
@@ -573,7 +556,7 @@ def run_sim(config: SimConfig) -> SimLog:
             c = cursor[fi]
             if c < ends[fi] and ts[c] < t:
                 cursor[fi] = bisect_left(ts, t, c, ends[fi])
-                take_acks(f, ts, seqs, rtts, c, cursor[fi], watermark, sends[fi], trails[fi])
+                take_acks(f, ts, seqs, rtts, c, cursor[fi], sends[fi], trails[fi])
             if kind == _TICK:
                 mean_delay = f.si_sum / f.si_n if f.si_n else None
                 f.si_sum = 0.0
@@ -582,8 +565,6 @@ def run_sim(config: SimConfig) -> SimLog:
                 if action.multiplier != 1.0:
                     f.cwnd *= action.multiplier
                     f.clamp()
-                if action.threshold_raised:
-                    threshold_raised = True
                 ticks.append((t, fi, action.zone.value, action.multiplier, action.mean,
                               action.delay_s if action.delay_s is not None else math.nan,
                               action.threshold_s, f.cwnd))
@@ -592,14 +573,11 @@ def run_sim(config: SimConfig) -> SimLog:
                     heappush(heap, (t_next, eseq, _TICK, fi))
                     eseq += 1
                     h_t = heap[0][0]
-            # The flow's cwnd trail, its watermark, then sends up to the
-            # window.
+            # The flow's cwnd trail, then sends up to the window.
             cwnd = f.cwnd
             if t >= f.next_cwnd_sample_us:
                 heap_trail.append((t, 0, fi, cwnd))
                 f.next_cwnd_sample_us = t + _CWND_SAMPLE_US
-            if watermark is not None and f.watermark_us < 0 and cwnd >= watermark:
-                f.watermark_us = t
             k = int(cwnd) - f.inflight
             if k > 0:
                 f.inflight += k
@@ -610,8 +588,7 @@ def run_sim(config: SimConfig) -> SimLog:
         # Close the window: every flow takes the rest of its acks.
         for fi in range(n_flows):
             if cursor[fi] < ends[fi]:
-                take_acks(flows[fi], ts, seqs, rtts, cursor[fi], ends[fi], watermark,
-                          sends[fi], trails[fi])
+                take_acks(flows[fi], ts, seqs, rtts, cursor[fi], ends[fi], sends[fi], trails[fi])
 
         # The fates of its sends, in send order. Each event's packets leave
         # at its time and belong to its flow; the rows of `ev` are those of
@@ -718,8 +695,6 @@ def run_sim(config: SimConfig) -> SimLog:
         n_in_queue=n_taken - n_delivered - n_dropped,
         n_in_flight=n_sent - n_taken,
         min_rtt_s=[f.min_rtt_s for f in flows],
-        watermark_us=[f.watermark_us for f in flows],
-        threshold_raised=threshold_raised,
     )
     log.check_conservation()
     return log

@@ -125,13 +125,13 @@ def test_gate_02_rampup_tick_count(capsys):
     tick_counts = []
     for seed in range(1, 101):
         log = run_checked(experiments.rampup("guarded", seed, duration_s=3.0))
-        wm = log.watermark_us[0]
+        wm = metrics.first_cwnd_reaching(log, 0, 500.0)
         assert wm > 0, f"seed {seed} never reached the 500-packet watermark"
         tick_counts.append(sum(1 for t in log.tick_t_us if t <= wm))
     med = statistics.median(tick_counts)
 
     aimd_log = run_checked(experiments.rampup("aimd", 1, duration_s=12.0))
-    awm = aimd_log.watermark_us[0]
+    awm = metrics.first_cwnd_reaching(aimd_log, 0, 500.0)
     assert awm > 0, "additive-only baseline never reached the watermark"
     aimd_rtts = awm * 1e-6 / 0.020
 

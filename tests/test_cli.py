@@ -186,6 +186,8 @@ BAD_INPUT_BASE = ["run", "--trace", "constant:12@1", "--duration", "2",
     ([], "[link]\npacket_bytes = 1000\n"),
     (["--bin-s", "1e-6"], None),
     (["sweep", "--param", "intrinsic_rtt_ms", "--values", "10,0"], None),
+    ([], "[flow]\nssthresh_init = -5\n"),
+    ([], "[flow]\nssthresh_init = 0\n"),
 ])
 def test_bad_input_exits_2_with_one_line_and_no_output(out_root, tmp_path, capsys,
                                                        extra, ini):

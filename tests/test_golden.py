@@ -2,7 +2,10 @@
 
 Each scenario is a short run (0.01-4 simulated seconds) whose complete
 ``SimLog`` is hashed: the five packet ledgers plus flow and sequence ids,
-the whole guardian tick trail, the cwnd trail and the end-of-run fields.
+the whole guardian tick trail, the cwnd trail and the end-of-run fields,
+with two figures derived from the log: the first instant each flow's window
+reached a scenario's target (-1 if it has none) and the raised-threshold
+flag.
 The expected digests were recorded once and are compared across commits,
 so a change that alters any number the simulator produces fails here even
 if it replays consistently within one process.
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from ccguard.guardian import GuardianConfig
+from ccguard.metrics import first_cwnd_reaching, threshold_raised
 from ccguard.netsim import FlowSpec, SimConfig, run_sim
 from ccguard.traces import TraceSchedule, synth_constant, synth_step
 
@@ -33,15 +37,22 @@ END_FIELDS = (
 )
 
 
-def log_digest(log) -> str:
-    """SHA-256 over every SimLog field except the config it echoes."""
+def log_digest(log, watermark=None) -> str:
+    """SHA-256 over every SimLog field except the config it echoes, plus the
+    derived ``watermark_us`` (when each flow's window first reached
+    ``watermark``) and ``threshold_raised``."""
+    derived = {
+        "watermark_us": [-1 if watermark is None else first_cwnd_reaching(log, fi, watermark)
+                         for fi in range(len(log.flow_ids))],
+        "threshold_raised": threshold_raised(log),
+    }
     h = hashlib.sha256()
     for name in LEDGERS:
         h.update(name.encode())
         h.update(np.asarray(getattr(log, name), dtype="<i8").tobytes())
     for name in TRAILS + END_FIELDS:
         h.update(name.encode())
-        h.update(repr(getattr(log, name)).encode())
+        h.update(repr(derived[name] if name in derived else getattr(log, name)).encode())
     return h.hexdigest()
 
 
@@ -102,7 +113,6 @@ def _scenarios():
         "aimd-rampup-watermark": SimConfig(
             schedule=synth_constant(60.0, 1.0), duration_s=3.0, seed=9,
             flows=[aimd(cwnd_init=1.0, cwnd_floor=1.0, start_in_avoidance=True)],
-            cwnd_watermark=40.0,
         ),
         "zero-flows": SimConfig(
             schedule=synth_constant(12.0, 1.0), duration_s=1.0, flows=[],
@@ -186,11 +196,16 @@ def _scenarios():
         # next.
         "guarded-watermark-between-ticks": SimConfig(
             schedule=synth_constant(24.0, 1.0), duration_s=0.5, one_way_delay_s=0.002,
-            seed=1, cwnd_watermark=30.6,
+            seed=1,
             flows=[guarded("a", cwnd_init=4.0, cwnd_floor=1.0, ssthresh_init=8.0,
                            start_in_avoidance=True)],
         ),
     }
+
+
+# The window targets of the two watermark scenarios; every other scenario's
+# digest records -1 per flow.
+WATERMARKS = {"aimd-rampup-watermark": 40.0, "guarded-watermark-between-ticks": 30.6}
 
 
 GOLDEN = {
@@ -216,7 +231,8 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_replay_matches_frozen_digest(name):
     log = run_sim(_scenarios()[name])
-    assert log_digest(log) == GOLDEN[name], f"{name}: simulated behaviour changed"
+    assert log_digest(log, WATERMARKS.get(name)) == GOLDEN[name], \
+        f"{name}: simulated behaviour changed"
 
 
 def test_every_scenario_has_a_frozen_digest():

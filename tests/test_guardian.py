@@ -140,19 +140,17 @@ def test_exploration_variance_scaling_and_floor():
 
 def test_resolve_threshold_multiplier_policy():
     cfg = GuardianConfig(threshold_multiplier=1.5)
-    assert resolve_threshold(cfg, 0.020) == (pytest.approx(0.030), False)
+    assert resolve_threshold(cfg, 0.020) == pytest.approx(0.030)
 
 
 def test_resolve_threshold_fixed_policy():
     cfg = GuardianConfig(threshold_fixed_s=0.040)
-    assert resolve_threshold(cfg, 0.020) == (0.040, False)
+    assert resolve_threshold(cfg, 0.020) == 0.040
 
 
-def test_resolve_threshold_raises_low_fixed_value_and_flags():
+def test_resolve_threshold_raises_low_fixed_value():
     cfg = GuardianConfig(threshold_fixed_s=0.010)
-    thr, raised = resolve_threshold(cfg, 0.020)
-    assert thr == pytest.approx(0.022)
-    assert raised is True
+    assert resolve_threshold(cfg, 0.020) == pytest.approx(0.022)
 
 
 def test_config_validate_rejects_unit_multiplier():

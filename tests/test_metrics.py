@@ -1,5 +1,6 @@
 """Tests for metrics: percentiles, fairness index, windowed summaries,
-timeseries export, and time-to-utilization."""
+timeseries export, time-to-utilization, and the window watermark and
+raised-threshold flag derived from a run's log."""
 
 import math
 
@@ -7,15 +8,18 @@ import numpy as np
 import pytest
 
 from ccguard import metrics
+from ccguard.guardian import GuardianConfig
 from ccguard.metrics import (
     TIMESERIES_COLUMNS,
+    first_cwnd_reaching,
     jain_index,
     percentile_nearest_rank,
     summarize,
+    threshold_raised,
     time_to_utilization,
     timeseries,
 )
-from ccguard.netsim import FlowSpec, SimConfig, run_sim
+from ccguard.netsim import FlowSpec, SimConfig, SimLog, run_sim
 from ccguard.traces import synth_constant
 
 
@@ -317,3 +321,84 @@ def test_time_to_utilization_rejects_bad_target(steady_log):
 
 def test_default_warmup_constant():
     assert metrics.DEFAULT_WARMUP_S == 5.0
+
+
+# ---------------------------------------------------------------------------
+# derived figures: the window watermark and the raised-threshold flag
+
+
+def hand_log(flows, packets=(), ticks=()):
+    """A log built by hand for a 1 s run with a 1 ms one-way delay, so each
+    ack comes 1 ms after its delivery. ``packets`` are (flow, delivered,
+    dropped) rows in send order, -1 where that did not happen; ``ticks`` are
+    (time, flow, threshold_s, cwnd) rows. Fields neither figure reads hold
+    placeholders."""
+    cfg = SimConfig(schedule=synth_constant(12.0, 1.0), duration_s=1.0,
+                    one_way_delay_s=0.001, flows=flows)
+    p_flow, p_dlv, p_drop = (np.array([p[k] for p in packets], dtype=np.int64) for k in range(3))
+    t, fi, th, cwnd = (list(c) for c in zip(*ticks)) if ticks else ([], [], [], [])
+    n, n_dlv, n_drop = len(packets), int((p_dlv >= 0).sum()), int((p_drop >= 0).sum())
+    return SimLog(
+        config=cfg, flow_ids=[f.flow_id for f in flows],
+        p_flow=p_flow.astype(np.int16), p_seq=np.zeros(n, dtype=np.int64),
+        p_sent_us=np.zeros(n, dtype=np.int64), p_delivered_us=p_dlv, p_dropped_us=p_drop,
+        tick_t_us=t, tick_flow=fi, tick_zone=["neutral"] * len(t),
+        tick_multiplier=[1.0] * len(t), tick_mean=[1.0] * len(t),
+        tick_delay_s=[math.nan] * len(t), tick_threshold_s=th, tick_cwnd=cwnd,
+        cwnd_t_us=[], cwnd_flow=[], cwnd_val=[],
+        n_sent=n, n_delivered=n_dlv, n_dropped=n_drop, n_in_queue=0,
+        n_in_flight=n - n_dlv - n_drop, min_rtt_s=[0.002] * len(flows),
+    )
+
+
+def test_first_cwnd_reaching_at_the_flow_start():
+    log = hand_log([FlowSpec(start_s=0.25, cwnd_init=10.0)])
+    assert first_cwnd_reaching(log, 0, 10.0) == 250_000
+    assert first_cwnd_reaching(log, 0, 10.5) == -1
+
+
+# A guarded flow in congestion avoidance from 4 packets. Acks at 2, 3 and
+# 4 ms; ticks set the window to 8 at 3 ms, 3 at 4.5 ms and 9 at 5 ms. The
+# tick goes before the ack at its instant, so the window reads 4.25 after
+# the first ack, 8 + 1/8 after the second and 8.125 + 1/8.125 after the
+# third.
+RAMP = dict(
+    flows=[FlowSpec(cwnd_init=4.0, cwnd_floor=1.0, start_in_avoidance=True)],
+    packets=[(0, 1000, -1), (0, 2000, -1), (0, 3000, -1)],
+    ticks=[(3000, 0, 0.003, 8.0), (4500, 0, 0.003, 3.0), (5000, 0, 0.003, 9.0)],
+)
+
+
+@pytest.mark.parametrize("target, instant", [
+    (4.25, 2000),   # at an ack before any tick
+    (8.1, 3000),    # at the ack that follows a tick at the same instant
+    (8.2, 4000),    # at an ack between two ticks
+    (8.3, 5000),    # at a tick
+    (9.5, -1),      # never
+])
+def test_first_cwnd_reaching_replays_acks_and_ticks(target, instant):
+    assert first_cwnd_reaching(hand_log(**RAMP), 0, target) == instant
+
+
+def test_first_cwnd_reaching_raises_when_a_drop_comes_first():
+    # Slow start from 2: the ack at 2 ms takes the window to 3; the second
+    # packet is dropped at 2.5 ms, so the acks after it are not replayed.
+    log = hand_log([FlowSpec(controller="aimd", cwnd_init=2.0)],
+                   packets=[(0, 1000, -1), (0, -1, 2500), (0, 4000, -1)])
+    assert first_cwnd_reaching(log, 0, 3.0) == 2000
+    with pytest.raises(ValueError, match="first drop at 2500 us"):
+        first_cwnd_reaching(log, 0, 3.5)
+
+
+def test_threshold_raised_only_for_a_fixed_threshold_lifted_at_a_tick():
+    fixed = GuardianConfig(threshold_multiplier=None, threshold_fixed_s=0.001)
+    flows = [FlowSpec("fixed", guardian=fixed), FlowSpec("multiple")]
+    # The fixed threshold held at its value; the multiple of the min RTT
+    # moves with it and never counts.
+    held = [(1000, 0, 0.001, 4.0), (2000, 1, 0.003, 4.0), (3000, 1, 0.0045, 4.0)]
+    assert threshold_raised(hand_log(flows, ticks=held)) is False
+    assert threshold_raised(hand_log(flows, ticks=held + [(4000, 0, 0.0022, 4.0)])) is True
+    # An AIMD flow has no guardian ticks, whatever its threshold says.
+    aimd = SimConfig(schedule=synth_constant(12.0, 1.0), duration_s=1.0,
+                     flows=[FlowSpec(controller="aimd", guardian=fixed)])
+    assert threshold_raised(run_sim(aimd)) is False

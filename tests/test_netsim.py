@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ccguard.guardian import GuardianConfig
+from ccguard.metrics import first_cwnd_reaching, threshold_raised
 from ccguard.netsim import (
     INFINITE_BUFFER,
     MAX_FLOWS,
@@ -183,15 +184,15 @@ def test_two_flows_share_the_bottleneck():
 
 
 def test_watermark_records_first_crossing_only():
-    cfg = small_sim(
-        duration_s=3.0,
-        flows=[aimd_flow(cwnd_init=2.0, ssthresh_init=64.0)],
-        cwnd_watermark=30.0,
-    )
-    log = run_sim(cfg)
-    assert log.watermark_us[0] > 0
+    log = run_sim(small_sim(duration_s=3.0, flows=[aimd_flow(cwnd_init=2.0, ssthresh_init=64.0)]))
+    t = first_cwnd_reaching(log, 0, 30.0)
+    assert t > 0
     # Slow start from 2 packets crosses 30 within a handful of RTTs.
-    assert log.watermark_us[0] < 500_000
+    assert t < 500_000
+    # The window first reached 30 at an ack: the delivery of the 28th
+    # packet, whose ack takes cwnd from 29 to 30.
+    owd_us = 10_000
+    assert t == log.p_delivered_us[27] + owd_us
 
 
 def test_guardian_tick_cadence_follows_min_rtt():
@@ -219,7 +220,7 @@ def test_threshold_raise_flag_propagates():
         guardian=GuardianConfig(threshold_multiplier=None, threshold_fixed_s=0.001)
     )
     log = run_sim(small_sim(duration_s=2.0, flows=[flow]))
-    assert log.threshold_raised is True
+    assert threshold_raised(log) is True
 
 
 def test_fixed_threshold_not_raised_when_generous():
@@ -227,7 +228,7 @@ def test_fixed_threshold_not_raised_when_generous():
         guardian=GuardianConfig(threshold_multiplier=None, threshold_fixed_s=0.040)
     )
     log = run_sim(small_sim(duration_s=2.0, flows=[flow]))
-    assert log.threshold_raised is False
+    assert threshold_raised(log) is False
 
 
 def test_validate_rejects_bad_configs():

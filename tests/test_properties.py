@@ -104,7 +104,7 @@ def test_resolved_threshold_stays_above_min_rtt(rtt_us, mult, fixed_s):
     min_rtt_s = rtt_us * 1e-6
     for config in (GuardianConfig(threshold_multiplier=mult),
                    GuardianConfig(threshold_multiplier=None, threshold_fixed_s=fixed_s)):
-        threshold_s = resolve_threshold(config, min_rtt_s)[0]
+        threshold_s = resolve_threshold(config, min_rtt_s)
         assert threshold_s > min_rtt_s
         assert math.isfinite(headroom(threshold_s, min_rtt_s, threshold_s))
 

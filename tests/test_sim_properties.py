@@ -7,7 +7,9 @@ staggered times; the one-way delay runs from 1 us to 10 ms. Every invariant
 is checked from the returned ledgers, not from the simulator's own counters
 alone. The window fate step, ``window_fates``, is checked against the
 one-packet-at-a-time rule it replaces, and the per-flow ack step,
-``take_acks``, against the one-ack-at-a-time body it replaces.
+``take_acks``, against the one-ack-at-a-time body it replaces. The window
+watermark derived from a run's log, ``metrics.first_cwnd_reaching``, is
+checked against the tick and cwnd trails.
 """
 
 import random
@@ -15,10 +17,12 @@ from bisect import bisect_left
 from itertools import accumulate, groupby
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccguard.guardian import GuardianConfig
+from ccguard.metrics import first_cwnd_reaching
 from ccguard.netsim import (
     INFINITE_BUFFER, FlowSpec, SimConfig, US_PER_S, _FlowState, run_sim, take_acks,
     window_fates,
@@ -174,6 +178,29 @@ def test_simulator_invariants_hold(cfg):
     check_invariants(cfg, run_sim(cfg))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sim_configs(), st.sampled_from([0.0, 0.5, 2.25, 7.5, 30.0]))
+def test_first_cwnd_reaching_agrees_with_the_trails(cfg, margin):
+    # For a target ``margin`` above each flow's initial window: no tick and
+    # no cwnd sample of the flow before the instant returned (before the
+    # horizon, for -1) reaches it, and only a flow that dropped a packet may
+    # be left without an answer.
+    log = run_sim(cfg)
+    for fi in range(len(cfg.flows)):
+        target = cfg.flows[fi].cwnd_init + margin
+        try:
+            t = first_cwnd_reaching(log, fi, target)
+        except ValueError:
+            assert (log.p_dropped_us[log.p_flow == fi] >= 0).any()
+            continue
+        if t < 0:
+            t = round(cfg.duration_s * US_PER_S) + 1
+        trails = ((log.tick_t_us, log.tick_flow, log.tick_cwnd),
+                  (log.cwnd_t_us, log.cwnd_flow, log.cwnd_val))
+        for times, flows, cwnds in trails:
+            assert all(c < target for ts, f, c in zip(times, flows, cwnds) if f == fi and ts < t)
+
+
 def reference_fates(arrive, queued, last, offsets, loop_us, buffer_pkts):
     """The per-packet rule, one packet at a time: a packet is dropped when
     the earlier kept packets not yet delivered at its arrival fill the
@@ -241,7 +268,7 @@ def test_window_fates_with_several_drop_runs():
     assert got == expected == [-1] * 3 + [30] + [-1] * 5 + [40] + [-1] * 5 + [100, 110, -1]
 
 
-def reference_acks(f, acks, watermark, sends, trail):
+def reference_acks(f, acks, sends, trail):
     """The per-ack body that ``take_acks`` replaces, one ack at a time."""
     for t, s, rtt in acks:
         if rtt < f.min_rtt_s:
@@ -261,15 +288,13 @@ def reference_acks(f, acks, watermark, sends, trail):
         if t >= f.next_cwnd_sample_us:
             trail.append((t, f.cwnd))
             f.next_cwnd_sample_us = t + 100_000
-        if watermark is not None and f.watermark_us < 0 and f.cwnd >= watermark:
-            f.watermark_us = t
         k = int(f.cwnd) - f.inflight
         f.inflight += max(k, 0)
         sends.append(max(k, 0))
 
 
 FLOW_FIELDS = ("cwnd", "ssthresh", "phase", "inflight", "next_expected", "dup_count",
-               "min_rtt_s", "si_sum", "si_n", "next_cwnd_sample_us", "watermark_us")
+               "min_rtt_s", "si_sum", "si_n", "next_cwnd_sample_us")
 
 
 @st.composite
@@ -294,8 +319,7 @@ def ack_batches(draw):
         min_rtt_s=draw(st.sampled_from([float("inf"), 0.0199])),
     )
     cuts = sorted(draw(st.lists(st.integers(1, len(acks)), max_size=6)))
-    watermark = draw(st.sampled_from([None, 3.0, 8.25, 40.0, 100.0]))
-    return acks, state, cuts, watermark
+    return acks, state, cuts
 
 
 def flow_state(state):
@@ -308,14 +332,14 @@ def flow_state(state):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(ack_batches())
 def test_take_acks_matches_the_per_ack_body(case):
-    acks, state, cuts, watermark = case
+    acks, state, cuts = case
     ref, got = flow_state(state), flow_state(state)
     ref_sends, ref_trail = [], []
-    reference_acks(ref, acks, watermark, ref_sends, ref_trail)
+    reference_acks(ref, acks, ref_sends, ref_trail)
     ts, seqs, rtts = map(list, zip(*acks))
     sends, trail = [], []
     for lo, hi in zip([0] + cuts, cuts + [len(acks)]):
         if hi > lo:
-            take_acks(got, ts, seqs, rtts, lo, hi, watermark, sends, trail)
+            take_acks(got, ts, seqs, rtts, lo, hi, sends, trail)
     assert (sends, trail) == (ref_sends, ref_trail)
     assert [getattr(got, k) for k in FLOW_FIELDS] == [getattr(ref, k) for k in FLOW_FIELDS]
