@@ -151,7 +151,7 @@ def _finite(text: str) -> float:
 # Every accepted INI option. [flow] holds the options every flow starts
 # from; each [flow:NAME] section adds one flow and overrides them.
 _SECTION_KEYS = {
-    "experiment": {"duration_s", "warmup_s", "bin_s", "seeds", "seed"},
+    "experiment": {"duration_s", "warmup_s", "bin_s", "seeds"},
     "link": {"trace", "one_way_delay_ms", "buffer_pkts"},
 }
 
@@ -234,10 +234,7 @@ def build_sim_config(cp: configparser.ConfigParser) -> tuple[SimConfig, dict, li
     seeds to run."""
     exp = cp["experiment"] if cp.has_section("experiment") else {}
     link = cp["link"] if cp.has_section("link") else {}
-    if "seeds" in exp:
-        seeds = _typed("experiment", exp, "seeds", _parse_seeds, None)
-    else:
-        seeds = [_typed("experiment", exp, "seed", int, 1)]
+    seeds = _typed("experiment", exp, "seeds", _parse_seeds, [1])
     trace_spec = link.get("trace", "constant:300@1")
     schedule = traces.from_spec(trace_spec)
     duration_s = _typed("experiment", exp, "duration_s", _finite, 30.0)
@@ -269,10 +266,7 @@ def build_sim_config(cp: configparser.ConfigParser) -> tuple[SimConfig, dict, li
         seed=seeds[0],
         flows=flows,
     )
-    try:
-        sim.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    sim.validate()
     return sim, {"warmup_s": warmup_s, "bin_s": bin_s, "trace": trace_spec}, seeds
 
 
@@ -314,23 +308,19 @@ def write_run_outputs(out_dir: str, log, analysis: dict) -> dict:
 
 def _csv_rows(rows):
     """The text of a structured array's rows, formatted a column at a time
-    (floats as ``_fmt`` writes them) in chunks of ``_CSV_CHUNK_ROWS``."""
+    in chunks of ``_CSV_CHUNK_ROWS``."""
     for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
         chunk = rows[lo:lo + _CSV_CHUNK_ROWS]
         yield from zip(*(_column_text(chunk[name]) for name in chunk.dtype.names))
 
 
 def _column_text(col) -> list:
+    """One column's cells: floats to 10 significant digits, other values as
+    they are, for the csv writer to str()."""
     values = col.tolist()
     if col.dtype.kind == "f":
         return [format(v, ".10g") for v in values]
     return values
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".10g")
-    return str(v)
 
 
 # --------------------------------------------------------------- commands
@@ -395,11 +385,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             run_dir = os.path.join(out_dir, f"{args.param}-{value}", f"seed-{seed}")
             payload = write_run_outputs(run_dir, log, analysis)
             m = payload["metrics"]
-            agg_rows.append(
-                [value, seed, _fmt(m["throughput_mbps"]), _fmt(m["utilization"]),
-                 _fmt(m["mean_rtt_s"] * 1e3), _fmt(m["p95_rtt_s"] * 1e3),
-                 _fmt(m["mean_queuing_delay_s"] * 1e3), _fmt(m["jain_index"])]
-            )
+            cells = (m["throughput_mbps"], m["utilization"], m["mean_rtt_s"] * 1e3,
+                     m["p95_rtt_s"] * 1e3, m["mean_queuing_delay_s"] * 1e3, m["jain_index"])
+            agg_rows.append([value, seed, *(format(v, ".10g") for v in cells)])
             print(f"{args.param}={value} seed={seed}: util {m['utilization']:.3f}")
     _write_csv(
         os.path.join(out_dir, "aggregate.csv"),
@@ -531,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

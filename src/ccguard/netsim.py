@@ -41,11 +41,13 @@ window closes. Along a run of in-order acks the window only grows, so once
 one ack sends, each later one sends one packet for the packet it frees plus
 the growth of floor(cwnd); only the acks that drain a window left above cwnd
 by a cut send nothing. A guarded flow whose guardian has not started is the
-exception: its first tick is pushed at the ack that finds its window in
+exception: its guardian starts at the ack that finds its window in
 congestion avoidance, and the order of pushes sets the insertion sequence
 that breaks ties between ticks. Such a flow takes its acks one at a time when
-the window opens and stops at that ack; the tick is pushed when the heap loop
-reaches the ack's time, after every heap event at or before it.
+the window opens and stops at that ack. It pushes a first-tick entry at the
+ack's time whose sequence key, ``_NEVER``, is above every insertion
+sequence, so it pops after every heap event at or before that time; popping
+it pushes the first tick, one min RTT later, with the next sequence number.
 
 When the window closes, ``window_fates`` fixes the fates of all its sends in
 one numpy pass:
@@ -73,6 +75,11 @@ interval is the min RTT, and an RTT is at least twice the delay. The ack due
 at T was created by its delivery at T - delay, which is later. A tick can
 come due inside the window that created it when the window is longer than
 2 x delay; the loop takes heap events as they come due, so it runs in order.
+When the window closes, its events are listed heap events first, in the
+order they ran, then the acks, and one stable sort by time puts their sends
+in order: a heap event goes before an ack at its time because it is listed
+first. No two acks share a time, since every kept packet leaves at a
+distinct instant.
 
 Each window costs a fixed few dozen numpy calls. With a standing queue a
 window holds about a round trip of packets; with the queue near empty and a
@@ -112,13 +119,18 @@ INFINITE_BUFFER = 2**31
 
 # Most flows a run may hold: every flow index fits the int16 flow ledger.
 MAX_FLOWS = 2**15 - 1
+# Largest initial window or floor a flow may have: 20 x the deepest buffer
+# the gates use (51 200 packets).
+MAX_CWND = 2**20
 
-# Heap event kinds: ticks, starts and the stop entry. Acks come from each
-# window's list.
+# Heap event kinds: ticks, starts, first-tick entries and the stop entry.
+# Acks come from each window's list.
 _TICK = 1
 _START = 2
 _STOP = 3
-# Key of an empty event source: later than any event time.
+# Starts a guardian's ticks: it pushes the first one.
+_FIRST_TICK = 4
+# Sequence key of a first-tick entry: after every heap event at its time.
 _NEVER = 1 << 62
 # A flow's cwnd trail takes at most one sample per this many microseconds.
 _CWND_SAMPLE_US = 100_000
@@ -146,10 +158,10 @@ class FlowSpec:
     def validate(self) -> None:
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}")
-        if self.cwnd_floor < 1.0:
-            raise ValueError("cwnd_floor must be >= 1")
-        if self.cwnd_init < 1.0:
-            raise ValueError("cwnd_init must be >= 1")
+        if not 1.0 <= self.cwnd_floor <= MAX_CWND:
+            raise ValueError(f"cwnd_floor must be in [1, {MAX_CWND}]")
+        if not 1.0 <= self.cwnd_init <= MAX_CWND:
+            raise ValueError(f"cwnd_init must be in [1, {MAX_CWND}]")
         if self.ssthresh_init < 1.0:
             raise ValueError("ssthresh_init must be >= 1")
         if self.start_s < 0.0:
@@ -497,23 +509,20 @@ def run_sim(config: SimConfig) -> SimLog:
         ends = [n_acks] * n_flows
         ts = seqs = rtts = []
         if n_acks:
-            ack_t = due[0] + owd_us
             grouped = due
             if n_flows > 1:
-                order = np.argsort(due[2], kind="stable")
-                grouped = due[:, order]
+                grouped = due[:, np.argsort(due[2], kind="stable")]
                 ends = np.cumsum(np.bincount(due[2], minlength=n_flows)).tolist()
-            g_t = ack_t if grouped is due else grouped[0] + owd_us
-            ts = g_t.tolist()
+            ack_t = grouped[0] + owd_us
+            ts = ack_t.tolist()
             seqs = grouped[3].tolist()
-            rtts = ((g_t - grouped[1]) * 1e-6).tolist()
+            rtts = ((ack_t - grouped[1]) * 1e-6).tolist()
         cursor = [0, *ends[:-1]]
         sends: list[list[int]] = [[] for _ in flows]
 
         # A flow awaiting its guardian takes its acks one at a time, up to
-        # the one that starts it; its first tick is pushed when the heap
-        # loop reaches that ack.
-        first_ticks: list[tuple[int, int, int]] = []
+        # the one that starts it. A heap entry at that ack's time, keyed
+        # after every heap event at the time, pushes its first tick.
         for fi in list(awaiting):
             f = flows[fi]
             c = cursor[fi]
@@ -525,34 +534,28 @@ def run_sim(config: SimConfig) -> SimLog:
                     f.guardian_active = True
                     f.si_sum = 0.0
                     f.si_n = 0
-                    t_next = ts[c - 1] + round(f.min_rtt_s * US_PER_S)
-                    if t_next <= duration_us:
-                        first_ticks.append((ts[c - 1], t_next, fi))
+                    heappush(heap, (ts[c - 1], _NEVER, _FIRST_TICK, fi))
+                    h_t = heap[0][0]
                     break
             cursor[fi] = c
-        first_ticks.sort(reverse=True)
-        ft_t = first_ticks[-1][0] if first_ticks else _NEVER
 
         # The heap events, in order. Between two of them an ack changes only
         # its own flow, so a flow takes its acks before each of its own heap
         # events, and every flow takes the rest when the window closes.
         heap_events: list[tuple[int, int, int]] = []  # (sends, time, flow)
-        while True:
-            # A heap event wins a tie with an ack; see the module docstring.
-            if ft_t < h_t:
-                _, t_next, fi = first_ticks.pop()
-                heappush(heap, (t_next, eseq, _TICK, fi))
-                eseq += 1
-                h_t = heap[0][0]
-                ft_t = first_ticks[-1][0] if first_ticks else _NEVER
-                continue
-            if h_t >= w_end:
-                break
+        while h_t < w_end:
             t, _, kind, fi = heappop(heap)
             if kind == _STOP:
                 break
             h_t = heap[0][0]
             f = flows[fi]
+            if kind == _FIRST_TICK:
+                t_next = t + round(f.min_rtt_s * US_PER_S)
+                if t_next <= duration_us:
+                    heappush(heap, (t_next, eseq, _TICK, fi))
+                    eseq += 1
+                    h_t = heap[0][0]
+                continue
             c = cursor[fi]
             if c < ends[fi] and ts[c] < t:
                 cursor[fi] = bisect_left(ts, t, c, ends[fi])
@@ -592,28 +595,20 @@ def run_sim(config: SimConfig) -> SimLog:
 
         # The fates of its sends, in send order. Each event's packets leave
         # at its time and belong to its flow; the rows of `ev` are those of
-        # `pending`, the time and flow filled in from the acks and the heap
-        # events, which go before the acks at or after their time. Row 0
-        # holds each event's send count until the fates replace it.
-        ev = np.empty((4, n_acks + len(heap_events)), dtype=np.int64)
-        if n_acks:
-            counts = np.array(sends[0] if n_flows == 1 else list(chain.from_iterable(sends)),
-                              dtype=np.int64)
-            if grouped is not due:
-                counts[order] = counts.copy()
-            ack_rows = (counts, ack_t, due[2])
+        # `pending`, the time and flow filled in from the heap events, as
+        # they ran, then from the acks, grouped by flow as `sends` counts
+        # them. The stable sort by time puts a heap event before an ack at
+        # its time; no two acks share one. Row 0 holds each event's send
+        # count until the fates replace it.
+        n_heap = len(heap_events)
+        ev = np.empty((4, n_heap + n_acks), dtype=np.int64)
         if heap_events:
-            hev = np.array(heap_events, dtype=np.int64).T
-            if n_acks:
-                at = np.searchsorted(ack_t, hev[1]) + np.arange(len(heap_events))
-                acks = np.ones(ev.shape[1], dtype=bool)
-                acks[at] = False
-                ev[:3, at] = hev
-                ev[:3, acks] = ack_rows
-            else:
-                ev[:3] = hev
-        elif n_acks:
-            ev[:3] = ack_rows
+            ev[:3, :n_heap] = np.array(heap_events, dtype=np.int64).T
+        if n_acks:
+            ev[0, n_heap:] = np.fromiter(chain.from_iterable(sends), np.int64, n_acks)
+            ev[1, n_heap:] = ack_t
+            ev[2, n_heap:] = grouped[2]
+        ev = ev.take(np.argsort(ev[1], kind="stable"), axis=1)
         batch = np.repeat(ev, ev[0], axis=1)
         if batch.shape[1]:
             dlv, sent, flow, seq = batch

@@ -200,11 +200,10 @@ def _check_size(n: float, what: str) -> None:
 
 
 def _segment_count(rate_mbps: float, duration_s: float) -> int:
-    """Opportunity count n of a constant-rate segment, after synth_constant's
-    checks; the size cap is checked before n is rounded or anything built."""
+    """Opportunity count n of a constant-rate segment, with the checks
+    synth_constant names; synth_step has checked that it lasts at least
+    1 ms. The size cap is checked before n is rounded or anything built."""
     duration_ms = round(duration_s * 1000)
-    if duration_ms < 1:
-        raise ValueError("trace duration must be at least 1 ms")
     exact = rate_mbps * 1e6 * duration_s / (PACKET_BYTES * 8)
     _check_size(exact, f"rate {rate_mbps} Mbps over {duration_s} s")
     n = round(exact)
@@ -240,9 +239,7 @@ def synth_constant(rate_mbps: float, duration_s: float) -> TraceSchedule:
     very short/slow traces), or the trace would hold more than
     ``MAX_SYNTH_OPPORTUNITIES``.
     """
-    n = _segment_count(rate_mbps, duration_s)
-    timestamps = _constant_timestamps(n, duration_s)
-    return TraceSchedule(timestamps, int(timestamps[-1]))
+    return synth_step([(rate_mbps, duration_s)])
 
 
 def synth_step(segments: list[tuple[float, float]]) -> TraceSchedule:
@@ -267,7 +264,7 @@ def synth_step(segments: list[tuple[float, float]]) -> TraceSchedule:
             parts.append(seg)
         base_ms += round(duration_s * 1000)
     if not parts:
-        raise ValueError("step trace has no delivery opportunities")
+        raise ValueError("trace has no delivery opportunities")
     # Pad the loop to the full span: the loop length must equal the last
     # timestamp, so close the trace with one opportunity at the final
     # millisecond if the last segment was silence.

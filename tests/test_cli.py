@@ -118,7 +118,7 @@ def test_run_flag_overrides_reach_the_flow(out_root):
 def test_run_ini_config_with_extra_flows(out_root, tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text(
-        "[experiment]\nduration_s = 3\nwarmup_s = 1\nseed = 9\n"
+        "[experiment]\nduration_s = 3\nwarmup_s = 1\nseeds = 9\n"
         "[link]\ntrace = constant:24@1\nbuffer_pkts = 400\n"
         "[flow]\nthreshold = 1.5x\n"
         "[flow:a]\n\n[flow:b]\nstart_s = 1\n"
@@ -188,6 +188,10 @@ BAD_INPUT_BASE = ["run", "--trace", "constant:12@1", "--duration", "2",
     (["sweep", "--param", "intrinsic_rtt_ms", "--values", "10,0"], None),
     ([], "[flow]\nssthresh_init = -5\n"),
     ([], "[flow]\nssthresh_init = 0\n"),
+    ([], "[flow]\ncwnd_init = 1e300\n"),
+    ([], "[flow]\ncwnd_init = 2e6\n"),
+    ([], "[flow]\ncwnd_floor = 2e6\n"),
+    ([], "[experiment]\nseed = 5\n"),
 ])
 def test_bad_input_exits_2_with_one_line_and_no_output(out_root, tmp_path, capsys,
                                                        extra, ini):
@@ -479,7 +483,6 @@ def flow0(d):
     # bin_s is not in summary.json; it sets the timeseries rows.
     ("experiment", "bin_s", "0.5", lambda d, r: timeseries_rows(r), 12),
     ("experiment", "seeds", "4", lambda d, r: d["seed"], 4),
-    ("experiment", "seed", "5", lambda d, r: d["seed"], 5),
     ("link", "trace", "constant:24@1", lambda d, r: d["config"]["trace"], "constant:24@1"),
     ("link", "one_way_delay_ms", "4", lambda d, r: d["config"]["one_way_delay_s"], 0.004),
     ("link", "buffer_pkts", "77", lambda d, r: d["config"]["buffer_pkts"], 77),
