@@ -130,10 +130,10 @@ class GuardianConfig:
         if self.threshold_fixed_s is None:
             if self.threshold_multiplier is None:
                 raise ValueError("one of threshold_multiplier/threshold_fixed_s is required")
-            if self.threshold_multiplier <= 1.0:
-                raise ValueError("threshold_multiplier must be > 1")
-        elif self.threshold_fixed_s <= 0.0:
-            raise ValueError("threshold_fixed_s must be positive")
+            if not 1.0 < self.threshold_multiplier < math.inf:
+                raise ValueError("threshold_multiplier must be finite and > 1")
+        elif not 0.0 < self.threshold_fixed_s < math.inf:
+            raise ValueError("threshold_fixed_s must be finite and positive")
         if self.exploration not in EXPLORATION_MODES:
             raise ValueError(f"exploration must be one of {EXPLORATION_MODES}")
 

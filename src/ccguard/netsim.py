@@ -37,17 +37,21 @@ its own flow: its window, sequencing, RTT samples and sends. No other flow
 reads them, and the packets it sends get their fates only when the window
 closes. So a flow takes all its pending acks in one call, ``take_acks``, just
 before each of its own heap events, and every flow takes the rest when the
-window closes. Along a run of in-order acks the window only grows, so once
-one ack sends, each later one sends one packet for the packet it frees plus
-the growth of floor(cwnd); only the acks that drain a window left above cwnd
-by a cut send nothing. A guarded flow whose guardian has not started is the
-exception: its guardian starts at the ack that finds its window in
-congestion avoidance, and the order of pushes sets the insertion sequence
-that breaks ties between ticks. Such a flow takes its acks one at a time when
-the window opens and stops at that ack. It pushes a first-tick entry at the
-ack's time whose sequence key, ``_NEVER``, is above every insertion
-sequence, so it pops after every heap event at or before that time; popping
-it pushes the first tick, one min RTT later, with the next sequence number.
+window closes. Along a run of in-order acks the window only grows, so a
+run's send counts follow from the cwnd values that ``on_acks``, the window
+rule's only definition, returns. Only the acks that drain a window left
+above cwnd by a cut send nothing, and bisection finds the first ack that
+sends. After it, each ack sends one packet for the packet it frees, plus one
+for each integer that cwnd first reaches at it; bisection over the cwnd
+values finds those acks, so a run costs a step per integer crossed, not per
+ack. A guarded flow whose guardian has not started is the exception: its
+guardian starts at the ack that finds its window in congestion avoidance,
+and the order of pushes sets the insertion sequence that breaks ties between
+ticks. Such a flow takes its acks one at a time when the window opens and
+stops at that ack. It pushes a first-tick entry at the ack's time whose
+sequence key, ``_NEVER``, is above every insertion sequence, so it pops
+after every heap event at or before that time; popping it pushes the first
+tick, one min RTT later, with the next sequence number.
 
 When the window closes, ``window_fates`` fixes the fates of all its sends in
 one numpy pass:
@@ -81,8 +85,13 @@ in order: a heap event goes before an ack at its time because it is listed
 first. No two acks share a time, since every kept packet leaves at a
 distinct instant.
 
-Each window costs a fixed few dozen numpy calls. With a standing queue a
-window holds about a round trip of packets; with the queue near empty and a
+Each window costs a fixed few dozen numpy calls. They are ndarray methods
+(``a.searchsorted``, ``a.argsort``, ``a.take``, ``a.compress``) where numpy
+has one: the ``np.*`` function of the same name first passes through a
+Python-level wrapper, about 1 us a call. A gather is one ``take`` or
+``compress`` call, not a fancy or boolean index, which costs two to three
+times as much over a few hundred columns. With a standing queue a window
+holds about a round trip of packets; with the queue near empty and a
 sub-millisecond delay it may hold a single event, and the run is slower than
 an event-at-a-time loop would be.
 
@@ -162,10 +171,12 @@ class FlowSpec:
             raise ValueError(f"cwnd_floor must be in [1, {MAX_CWND}]")
         if not 1.0 <= self.cwnd_init <= MAX_CWND:
             raise ValueError(f"cwnd_init must be in [1, {MAX_CWND}]")
-        if self.ssthresh_init < 1.0:
+        # An infinite threshold is legal: the flow stays in slow start until
+        # its first loss.
+        if not 1.0 <= self.ssthresh_init <= math.inf:
             raise ValueError("ssthresh_init must be >= 1")
-        if self.start_s < 0.0:
-            raise ValueError("start_s must be >= 0")
+        if not 0.0 <= self.start_s < math.inf:
+            raise ValueError("start_s must be finite and >= 0")
         if self.controller == "guarded":
             self.guardian.validate()
 
@@ -306,11 +317,11 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
     # first opportunity at or after each arrival; cursor: the first after
     # the last delivery.
     loops, rem = np.divmod(arrive - 1, loop_us)
-    g = np.searchsorted(instants, rem + 1)
+    g = instants.searchsorted(rem + 1)
     g += loops * n
     loops, rem = divmod(last_dlv, loop_us)
-    cursor = loops * n + int(np.searchsorted(instants, rem + 1))
-    queued = queued[np.searchsorted(queued, arrive[0]):]
+    cursor = loops * n + int(instants.searchsorted(rem + 1))
+    queued = queued[queued.searchsorted(arrive[0]):]
     fates = []
     while True:
         # Lindley's recursion over the rest, all kept, in index space:
@@ -329,7 +340,7 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
         # The queue each packet finds: the earlier kept packets not yet
         # delivered when it arrives (one leaving at that instant counts).
         kept = np.concatenate((queued, d))
-        full = len(queued) + step - np.searchsorted(kept, arrive) >= buffer_pkts
+        full = len(queued) + step - kept.searchsorted(arrive) >= buffer_pkts
         f = int(full.argmax())
         if not full[f]:
             fates.append(d)
@@ -338,8 +349,8 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
         # so every packet arriving by then is dropped too; pass again from
         # the first packet after that run of drops.
         kept = kept[:len(queued) + f]
-        departure = kept[np.searchsorted(kept, arrive[f])]
-        burst = int(np.searchsorted(arrive[f:], departure, side="right"))
+        departure = kept[kept.searchsorted(arrive[f])]
+        burst = int(arrive[f:].searchsorted(departure, side="right"))
         fates += d[:f], np.full(burst, -1, dtype=np.int64)
         if f:
             cursor = int(loops[f - 1] * n + j[f - 1]) + 1
@@ -348,7 +359,7 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
             break
         arrive = arrive[f:]
         g = g[f:]
-        queued = kept[np.searchsorted(kept, arrive[0]):]
+        queued = kept[kept.searchsorted(arrive[0]):]
     return np.concatenate(fates)
 
 
@@ -381,23 +392,32 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
             e = hi
             if seqs[hi - 1] - s != hi - 1 - i:
                 e = bisect_left(range(hi), s - i + 1, i, hi, key=lambda k: seqs[k] - k)
-            cwnds = f.on_acks(e - i)
+            n = e - i
+            cwnds = f.on_acks(n)
             expected = seqs[e - 1] + 1
-            floors = list(map(math.trunc, cwnds))
-            # Acks that only drain a window left above cwnd by a cut send
-            # nothing. The window only grows along the run, so from the
-            # first ack that sends on, each ack sends one packet for the one
-            # it frees plus the window's growth.
-            for k, w in enumerate(floors):
-                inflight -= 1
-                if w > inflight:
-                    record(w - inflight)
-                    inflight = w
-                    for w in floors[k + 1:]:
-                        record(1 + w - inflight)
-                        inflight = w
-                    break
-                record(0)
+            # The window only grows along the run. The k-th ack (from 0)
+            # leaves k + 1 fewer packets in flight, so it sends once
+            # floor(cwnd) + k reaches the count before the run. That sum
+            # rises with k, so bisection finds the first ack that sends; the
+            # acks before it only drain a window left above cwnd by a cut.
+            # From it on, the packets in flight are floor(cwnd), so each
+            # later ack sends one packet for the one it frees, plus one for
+            # each integer that cwnd first reaches at it, found by bisection
+            # over the run's cwnd values.
+            k = 0
+            if math.trunc(cwnds[0]) < inflight:
+                k = bisect_left(range(n), inflight, key=lambda j: math.trunc(cwnds[j]) + j)
+            run = [0] * k + [1] * (n - k)
+            if k < n:
+                w = math.trunc(cwnds[k])
+                run[k] = w - inflight + k + 1
+                inflight = math.trunc(cwnds[-1])
+                for v in range(w + 1, inflight + 1):
+                    k = bisect_left(cwnds, v, k)
+                    run[k] += 1
+            else:
+                inflight -= n
+            sends += run
             if ts[e - 1] >= next_sample:
                 p = bisect_left(ts, next_sample, i, e)
                 while p < e:
@@ -501,7 +521,10 @@ def run_sim(config: SimConfig) -> SimLog:
         if pending.shape[1] and pending[0, 0] + owd_us < w0:
             w0 = int(pending[0, 0]) + owd_us
         w_end = max(w0 + 2 * owd_us, last_dlv + 1 + owd_us)
-        n_acks = int(np.searchsorted(pending[0], min(w_end, duration_us + 1) - owd_us))
+        n_acks = int(pending[0].searchsorted(min(w_end, duration_us + 1) - owd_us))
+        # Packets acked in this window may still be queued when its sends
+        # arrive.
+        queued = pending[0]
         due = pending[:, :n_acks]
         pending = pending[:, n_acks:]
         # The acks grouped by flow, each flow's in window order: flow fi's
@@ -511,8 +534,8 @@ def run_sim(config: SimConfig) -> SimLog:
         if n_acks:
             grouped = due
             if n_flows > 1:
-                grouped = due[:, np.argsort(due[2], kind="stable")]
-                ends = np.cumsum(np.bincount(due[2], minlength=n_flows)).tolist()
+                grouped = due.take(due[2].argsort(kind="stable"), axis=1)
+                ends = np.bincount(due[2], minlength=n_flows).cumsum().tolist()
             ack_t = grouped[0] + owd_us
             ts = ack_t.tolist()
             seqs = grouped[3].tolist()
@@ -608,8 +631,8 @@ def run_sim(config: SimConfig) -> SimLog:
             ev[0, n_heap:] = np.fromiter(chain.from_iterable(sends), np.int64, n_acks)
             ev[1, n_heap:] = ack_t
             ev[2, n_heap:] = grouped[2]
-        ev = ev.take(np.argsort(ev[1], kind="stable"), axis=1)
-        batch = np.repeat(ev, ev[0], axis=1)
+        ev = ev.take(ev[1].argsort(kind="stable"), axis=1)
+        batch = ev.repeat(ev[0], axis=1)
         if batch.shape[1]:
             dlv, sent, flow, seq = batch
             # Each flow's sequence numbers go on from its last send: a
@@ -620,20 +643,17 @@ def run_sim(config: SimConfig) -> SimLog:
                 next_seq[0] += len(seq)
             else:
                 per_flow = np.bincount(flow, minlength=n_flows)
-                seq[np.argsort(flow, kind="stable")] = np.arange(len(flow))
-                seq += (next_seq + per_flow - np.cumsum(per_flow))[flow]
+                seq[flow.argsort(kind="stable")] = np.arange(len(flow))
+                seq += (next_seq + per_flow - per_flow.cumsum())[flow]
                 next_seq += per_flow
-            # Packets acked in this window may still be queued when its
-            # sends arrive.
-            dlv[:] = window_fates(sent + owd_us, np.concatenate((due[0], pending[0])),
-                                  last_dlv, instants, loop_us, buffer_pkts)
+            dlv[:] = window_fates(sent + owd_us, queued, last_dlv, instants, loop_us, buffer_pkts)
             p_flow.frombytes(flow.astype(np.int16).tobytes())
             p_seq.frombytes(seq.tobytes())
             p_sent.frombytes(sent.tobytes())
             p_delivered.frombytes(dlv.tobytes())
             n_sent += len(sent)
             if dlv.min() < 0:
-                batch = batch[:, dlv >= 0]
+                batch = batch.compress(dlv >= 0, axis=1)
             if batch.shape[1]:
                 n_kept += batch.shape[1]
                 last_dlv = int(batch[0, -1])
@@ -659,7 +679,7 @@ def run_sim(config: SimConfig) -> SimLog:
     dlv[late] = -1
     n_delivered = n_kept - int(np.count_nonzero(late))
     last = int(dlv.max()) if n_sent else -1
-    n_taken = int(np.searchsorted(sent, last - owd_us, side="right"))
+    n_taken = int(sent.searchsorted(last - owd_us, side="right"))
     dropped = np.full(n_sent, -1, dtype=np.int64)
     turned_away = turned_away[:n_taken]
     dropped[:n_taken][turned_away] = sent[:n_taken][turned_away] + owd_us

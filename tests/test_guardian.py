@@ -163,6 +163,17 @@ def test_config_validate_rejects_unit_multiplier():
     GuardianConfig().validate()  # defaults are valid
 
 
+@pytest.mark.parametrize("field, value", [
+    ("threshold_multiplier", math.nan),
+    ("threshold_multiplier", math.inf),
+    ("threshold_fixed_s", math.nan),
+    ("threshold_fixed_s", math.inf),
+])
+def test_config_validate_rejects_non_finite_thresholds(field, value):
+    with pytest.raises(ValueError, match=field):
+        GuardianConfig(**{field: value}).validate()
+
+
 def _tick(g, delay_s, now_s, mrtt=MRTT):
     return g.tick(delay_s, now_s, mrtt)
 

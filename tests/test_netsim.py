@@ -3,10 +3,12 @@ accounting, loss handling, determinism, and logging."""
 
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
 
+from ccguard.aimd import AVOIDANCE
 from ccguard.guardian import GuardianConfig
 from ccguard.metrics import first_cwnd_reaching, threshold_raised
 from ccguard.netsim import (
@@ -15,7 +17,9 @@ from ccguard.netsim import (
     FlowSpec,
     SimConfig,
     SimulationError,
+    _FlowState,
     run_sim,
+    take_acks,
 )
 from ccguard.traces import TraceSchedule, synth_constant
 
@@ -251,6 +255,74 @@ def test_validate_rejects_bad_configs():
 def test_validate_rejects_non_finite_or_sub_microsecond_values(field, value):
     with pytest.raises(ValueError, match=field):
         small_sim(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("start_s", math.nan),
+    ("start_s", math.inf),
+    ("ssthresh_init", math.nan),
+])
+def test_flow_validate_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        small_sim(flows=[FlowSpec(**{field: value})]).validate()
+
+
+def test_flow_validate_accepts_an_infinite_ssthresh():
+    small_sim(flows=[FlowSpec(ssthresh_init=math.inf)]).validate()
+
+
+def in_order_sends(n, cwnd, inflight, ssthresh=64.0, start_in_avoidance=True):
+    """One aimd flow with ``cwnd`` and ``inflight`` takes ``n`` in-order acks
+    in one ``take_acks`` call. Returns the sends of each ack, and the flow."""
+    spec = aimd_flow(cwnd_init=cwnd, ssthresh_init=ssthresh,
+                     start_in_avoidance=start_in_avoidance)
+    f = _FlowState(spec, random.Random(0))
+    f.inflight = inflight
+    sends = []
+    take_acks(f, [1000 * (k + 1) for k in range(n)], list(range(n)), [0.02] * n, 0, n,
+              sends, [])
+    return sends, f
+
+
+def test_take_acks_drain_covers_the_whole_call():
+    # A cut left 10 packets in flight under a window of 5: three acks grow
+    # it to 5.58 and free three slots, and none sends.
+    sends, f = in_order_sends(3, 5.0, 10)
+    assert sends == [0, 0, 0]
+    assert f.inflight == 7
+
+
+def test_take_acks_drain_ends_in_the_middle_of_a_run():
+    # 7 in flight under a window of 5: the third ack (cwnd 5.58) leaves 4 in
+    # flight and sends 1, each later one sends 1, and the sixth, which takes
+    # cwnd past 6, sends 2.
+    sends, f = in_order_sends(6, 5.0, 7)
+    assert sends == [0, 0, 1, 1, 1, 2]
+    assert f.inflight == 6
+
+
+def test_take_acks_switches_from_slow_start_in_the_middle_of_a_run():
+    # Slow start from 2 to the threshold 4 in two acks, each sending 2, then
+    # avoidance, which first reaches 5 at the seventh ack.
+    sends, f = in_order_sends(7, 2.0, 2, ssthresh=4.0, start_in_avoidance=False)
+    assert sends == [2, 2, 1, 1, 1, 1, 2]
+    assert (f.inflight, f.phase) == (5, AVOIDANCE)
+
+
+def test_take_acks_avoidance_run_crosses_two_integers():
+    # From 4.0, cwnd first reaches 5 at the fifth ack and 6 at the tenth.
+    sends, f = in_order_sends(10, 4.0, 4)
+    assert sends == [1, 1, 1, 1, 2, 1, 1, 1, 1, 2]
+    assert f.inflight == 6
+
+
+def test_take_acks_one_ack_may_cross_two_integers():
+    # The largest double below 4, plus one, rounds to 5.0: the first ack
+    # takes floor(cwnd) from 3 to 5, so it sends 3 into the slot it frees.
+    sends, f = in_order_sends(2, math.nextafter(4.0, 0.0), 3, ssthresh=1e9,
+                              start_in_avoidance=False)
+    assert sends == [3, 2]
+    assert (f.cwnd, f.inflight) == (6.0, 6)
 
 
 def test_simulation_error_is_an_assertion_error():

@@ -301,7 +301,8 @@ FLOW_FIELDS = ("cwnd", "ssthresh", "phase", "inflight", "next_expected", "dup_co
 def ack_batches(draw):
     """One flow's acks: sequence numbers with gaps (so duplicate-ack episodes
     that may fire a loss), times spanning several cwnd samples, and a window
-    that may start below the packets in flight, as after a cut; plus the
+    that may start below the packets in flight, as after a cut, just below
+    an integer, or large enough that avoidance rarely crosses one; plus the
     points where the acks are split into calls."""
     n = draw(st.integers(1, 150))
     gaps = draw(st.lists(st.sampled_from([1] * 12 + [2, 3, 7]), min_size=n, max_size=n))
@@ -309,7 +310,7 @@ def ack_batches(draw):
     rtts = draw(st.lists(st.sampled_from([0.02, 0.021, 0.0195, 0.03, 0.0201]),
                          min_size=n, max_size=n))
     acks = list(zip(accumulate(steps), [s - 1 for s in accumulate(gaps)], rtts))
-    cwnd = draw(st.sampled_from([1.0, 2.0, 5.5, 30.0, 61.7]))
+    cwnd = draw(st.sampled_from([1.0, 2.0, 5.5, 30.0, 61.7, 9.999999999, 1e4]))
     state = dict(
         cwnd=cwnd, floor=draw(st.sampled_from([1.0, 2.0])),
         ssthresh=cwnd + draw(st.sampled_from([-1.0, 0.0, 3.0, 12.5, 200.0])),
