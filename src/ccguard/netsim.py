@@ -59,7 +59,9 @@ one numpy pass:
 * Lindley's recursion in index space. Opportunity i is instant i % n of loop
   i // n. With g_k the index of the first opportunity at or after packet k's
   arrival, the kept packets take j_k = max(g_k, j_{k-1} + 1), so j_k - k is
-  the running maximum of g_k - k. This is exact integer arithmetic.
+  the running maximum of g_k - k. This is exact integer arithmetic. A batch
+  that stays inside one loop turns times into indices and back with one
+  subtraction; only a batch that wraps divides.
 * Distinct instants. A trace with more than 1000 opportunities in one
   millisecond repeats a microsecond offset. A repeat can never carry a
   second packet, since the next one leaves at least 1 us later, so the index
@@ -315,10 +317,16 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
     n = len(instants)
     # Opportunity i is instant i % n of loop i // n. g: the index of the
     # first opportunity at or after each arrival; cursor: the first after
-    # the last delivery.
-    loops, rem = np.divmod(arrive - 1, loop_us)
-    g = instants.searchsorted(rem + 1)
-    g += loops * n
+    # the last delivery. A batch inside one loop, as nearly every batch on
+    # a trace longer than a window is, needs no division per packet.
+    base = (int(arrive[0]) - 1) // loop_us
+    if int(arrive[-1]) - 1 < (base + 1) * loop_us:
+        g = instants.searchsorted(arrive - base * loop_us)
+        g += base * n
+    else:
+        loops, rem = np.divmod(arrive - 1, loop_us)
+        g = instants.searchsorted(rem + 1)
+        g += loops * n
     loops, rem = divmod(last_dlv, loop_us)
     cursor = loops * n + int(instants.searchsorted(rem + 1))
     queued = queued[queued.searchsorted(arrive[0]):]
@@ -332,8 +340,14 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
             j[0] = cursor
         np.maximum.accumulate(j, out=j)
         j += step
-        loops, j = np.divmod(j, n)
-        d = loops * loop_us + instants[j]
+        # Back to time, again with no division when j stays in one loop.
+        base = int(j[0]) // n
+        if int(j[-1]) < (base + 1) * n:
+            d = instants[j - base * n]
+            d += base * loop_us
+        else:
+            loops, rem = np.divmod(j, n)
+            d = loops * loop_us + instants[rem]
         if len(queued) + len(d) <= buffer_pkts:
             fates.append(d)
             break
@@ -353,7 +367,7 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
         burst = int(arrive[f:].searchsorted(departure, side="right"))
         fates += d[:f], np.full(burst, -1, dtype=np.int64)
         if f:
-            cursor = int(loops[f - 1] * n + j[f - 1]) + 1
+            cursor = int(j[f - 1]) + 1
         f += burst
         if f == len(arrive):
             break
@@ -417,7 +431,7 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
                     run[k] += 1
             else:
                 inflight -= n
-            sends += run
+            sends.extend(run)
             if ts[e - 1] >= next_sample:
                 p = bisect_left(ts, next_sample, i, e)
                 while p < e:
