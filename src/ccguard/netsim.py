@@ -28,9 +28,11 @@ delivery + 1 + delay. A packet sent inside the window arrives at or after
 w0 + delay and leaves after that last delivery, so its ack comes at or after
 w_end: nothing inside the window depends on the fate of a packet sent in it.
 When the window opens its acks are known, the kept packets delivered before
-w_end - delay, and numpy lists their time, sequence number and RTT, grouped
-by flow. Ticks and starts come from a heap over a stop entry just past the
-horizon. Each event only notes how many packets it sends.
+w_end - delay. numpy groups them by flow and hands out their times and
+sequence numbers as lists, their RTTs as an array, and an array of their
+send counts, all 1 to start with. Ticks and starts come from a heap over a
+stop entry just past the horizon. Each event only notes how many packets it
+sends.
 
 Acks are taken a flow at a time. Between two heap events an ack changes only
 its own flow: its window, sequencing, RTT samples and sends. No other flow
@@ -44,7 +46,10 @@ above cwnd by a cut send nothing, and bisection finds the first ack that
 sends. After it, each ack sends one packet for the packet it frees, plus one
 for each integer that cwnd first reaches at it; bisection over the cwnd
 values finds those acks, so a run costs a step per integer crossed, not per
-ack. A guarded flow whose guardian has not started is the exception: its
+ack, and writes only those counts that are not 1. The min RTT and the
+guardian's sum of RTT samples cost one numpy call each per ``take_acks``
+call: the sum is a ``cumsum`` from the carried sum, which adds in order, as
+one ack at a time would. A guarded flow whose guardian has not started is the exception: its
 guardian starts at the ack that finds its window in congestion avoidance,
 and the order of pushes sets the insertion sequence that breaks ties between
 ticks. Such a flow takes its acks one at a time when the window opens and
@@ -115,10 +120,8 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import reduce
 from heapq import heappop, heappush
-from itertools import chain
-from operator import add, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -377,23 +380,29 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
     return np.concatenate(fates)
 
 
-def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
-              lo: int, hi: int, sends: list[int], trail: list[tuple[int, float]]) -> None:
+def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: np.ndarray,
+              lo: int, hi: int, sends: np.ndarray, trail: list[tuple[int, float]]) -> None:
     """Flow ``f`` takes its acks ``lo`` to ``hi - 1``, at least one, in one
     call: the acks at times ``ts`` carrying sequence numbers ``seqs`` and RTT
-    samples ``rtts`` (seconds), all its own, in order, with none of its other
-    events among them. Appends how many packets each ack sends to ``sends``, and a
-    ``(time, cwnd)`` pair to ``trail`` for each cwnd sample."""
+    samples ``rtts`` (a float64 array, in seconds), all its own, in order,
+    with none of its other events among them. ``sends``, an int64 array
+    indexed as ``ts``, holds 1 for each ack on entry; the call writes the
+    count of each of its acks that sends another number of packets. Appends a
+    ``(time, cwnd)`` pair to ``trail`` for each cwnd sample. The guardian's
+    running sum is folded into ``rtts[lo]``, which the call overwrites."""
     r = rtts[lo:hi]
-    m = min(r)
+    m = float(r.min())
     if m < f.min_rtt_s:
         f.min_rtt_s = m
     if f.guardian_active:
-        # A left fold, as one ack at a time would add. Never sum(): from
-        # Python 3.12 it compensates, and the digests would depend on it.
-        f.si_sum = reduce(add, r, f.si_sum)
+        # A left fold, as one ack at a time would add. cumsum adds in order,
+        # so with the carried sum joined to the first term its last partial
+        # sum is reduce(add, r, si_sum) bit for bit. Never sum() or
+        # ndarray.sum(): they add pairwise (Python's sum() compensates from
+        # 3.12), and the digests would depend on it.
+        r[0] += f.si_sum
+        f.si_sum = float(r.cumsum()[-1])
         f.si_n += hi - lo
-    record = sends.append
     expected = f.next_expected
     inflight = f.inflight
     next_sample = f.next_cwnd_sample_us
@@ -413,25 +422,25 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
             # leaves k + 1 fewer packets in flight, so it sends once
             # floor(cwnd) + k reaches the count before the run. That sum
             # rises with k, so bisection finds the first ack that sends; the
-            # acks before it only drain a window left above cwnd by a cut.
-            # From it on, the packets in flight are floor(cwnd), so each
-            # later ack sends one packet for the one it frees, plus one for
-            # each integer that cwnd first reaches at it, found by bisection
-            # over the run's cwnd values.
+            # acks before it only drain a window left above cwnd by a cut,
+            # and send nothing. From it on, the packets in flight are
+            # floor(cwnd), so each later ack sends one packet for the one it
+            # frees, as ``sends`` already holds, plus one for each integer
+            # that cwnd first reaches at it, found by bisection over the
+            # run's cwnd values.
             k = 0
             if math.trunc(cwnds[0]) < inflight:
                 k = bisect_left(range(n), inflight, key=lambda j: math.trunc(cwnds[j]) + j)
-            run = [0] * k + [1] * (n - k)
+                sends[i:i + k] = 0
             if k < n:
                 w = math.trunc(cwnds[k])
-                run[k] = w - inflight + k + 1
+                sends[i + k] = w - inflight + k + 1
                 inflight = math.trunc(cwnds[-1])
                 for v in range(w + 1, inflight + 1):
                     k = bisect_left(cwnds, v, k)
-                    run[k] += 1
+                    sends[i + k] += 1
             else:
                 inflight -= n
-            sends.extend(run)
             if ts[e - 1] >= next_sample:
                 p = bisect_left(ts, next_sample, i, e)
                 while p < e:
@@ -458,12 +467,9 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: list[float],
         if t >= next_sample:
             trail.append((t, cwnd))
             next_sample = t + _CWND_SAMPLE_US
-        k = int(cwnd) - inflight
-        if k > 0:
-            inflight += k
-            record(k)
-        else:
-            record(0)
+        k = max(int(cwnd) - inflight, 0)
+        inflight += k
+        sends[i] = k
         i += 1
     f.next_expected = expected
     f.inflight = inflight
@@ -542,9 +548,12 @@ def run_sim(config: SimConfig) -> SimLog:
         due = pending[:, :n_acks]
         pending = pending[:, n_acks:]
         # The acks grouped by flow, each flow's in window order: flow fi's
-        # are [cursor[fi], ends[fi]) of the lists ts, seqs and rtts.
+        # are [cursor[fi], ends[fi]) of the lists ts and seqs and of the
+        # arrays rtts and sends. take_acks writes each ack's send count that
+        # is not 1 into sends.
         ends = [n_acks] * n_flows
-        ts = seqs = rtts = []
+        ts = seqs = []
+        rtts = sends = None
         if n_acks:
             grouped = due
             if n_flows > 1:
@@ -553,9 +562,9 @@ def run_sim(config: SimConfig) -> SimLog:
             ack_t = grouped[0] + owd_us
             ts = ack_t.tolist()
             seqs = grouped[3].tolist()
-            rtts = ((ack_t - grouped[1]) * 1e-6).tolist()
+            rtts = (ack_t - grouped[1]) * 1e-6
+            sends = np.ones(n_acks, np.int64)
         cursor = [0, *ends[:-1]]
-        sends: list[list[int]] = [[] for _ in flows]
 
         # A flow awaiting its guardian takes its acks one at a time, up to
         # the one that starts it. A heap entry at that ack's time, keyed
@@ -564,7 +573,7 @@ def run_sim(config: SimConfig) -> SimLog:
             f = flows[fi]
             c = cursor[fi]
             while c < ends[fi]:
-                take_acks(f, ts, seqs, rtts, c, c + 1, sends[fi], trails[fi])
+                take_acks(f, ts, seqs, rtts, c, c + 1, sends, trails[fi])
                 c += 1
                 if f.phase == AVOIDANCE:
                     awaiting.remove(fi)
@@ -596,7 +605,7 @@ def run_sim(config: SimConfig) -> SimLog:
             c = cursor[fi]
             if c < ends[fi] and ts[c] < t:
                 cursor[fi] = bisect_left(ts, t, c, ends[fi])
-                take_acks(f, ts, seqs, rtts, c, cursor[fi], sends[fi], trails[fi])
+                take_acks(f, ts, seqs, rtts, c, cursor[fi], sends, trails[fi])
             if kind == _TICK:
                 mean_delay = f.si_sum / f.si_n if f.si_n else None
                 f.si_sum = 0.0
@@ -628,7 +637,7 @@ def run_sim(config: SimConfig) -> SimLog:
         # Close the window: every flow takes the rest of its acks.
         for fi in range(n_flows):
             if cursor[fi] < ends[fi]:
-                take_acks(flows[fi], ts, seqs, rtts, cursor[fi], ends[fi], sends[fi], trails[fi])
+                take_acks(flows[fi], ts, seqs, rtts, cursor[fi], ends[fi], sends, trails[fi])
 
         # The fates of its sends, in send order. Each event's packets leave
         # at its time and belong to its flow; the rows of `ev` are those of
@@ -642,7 +651,7 @@ def run_sim(config: SimConfig) -> SimLog:
         if heap_events:
             ev[:3, :n_heap] = np.array(heap_events, dtype=np.int64).T
         if n_acks:
-            ev[0, n_heap:] = np.fromiter(chain.from_iterable(sends), np.int64, n_acks)
+            ev[0, n_heap:] = sends
             ev[1, n_heap:] = ack_t
             ev[2, n_heap:] = grouped[2]
         ev = ev.take(ev[1].argsort(kind="stable"), axis=1)

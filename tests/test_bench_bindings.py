@@ -55,7 +55,17 @@ def test_run_log_types_the_benchmark_reads():
         ledger = getattr(log, name)
         assert type(ledger) is np.ndarray and ledger.dtype == dtype, name
         assert ledger.flags.c_contiguous and ledger.flags.writeable, name
-    assert type(log.tick_multiplier) is list and type(log.cwnd_val) is list
+    # The goldens and the benchmark hash the repr of these lists, and numpy 2
+    # prints a scalar as np.float64(...): every element must be a Python
+    # int, float or str. (np.float64 subclasses float, so compare types.)
+    for name, kind in [("tick_t_us", int), ("tick_flow", int), ("tick_zone", str),
+                       ("tick_multiplier", float), ("tick_mean", float),
+                       ("tick_delay_s", float), ("tick_threshold_s", float),
+                       ("tick_cwnd", float), ("cwnd_t_us", int), ("cwnd_flow", int),
+                       ("cwnd_val", float), ("min_rtt_s", float)]:
+        trail = getattr(log, name)
+        assert type(trail) is list and trail, name
+        assert {type(v) for v in trail} == {kind}, name
 
 
 @pytest.fixture

@@ -278,10 +278,10 @@ def in_order_sends(n, cwnd, inflight, ssthresh=64.0, start_in_avoidance=True):
                      start_in_avoidance=start_in_avoidance)
     f = _FlowState(spec, random.Random(0))
     f.inflight = inflight
-    sends = []
-    take_acks(f, [1000 * (k + 1) for k in range(n)], list(range(n)), [0.02] * n, 0, n,
+    sends = np.ones(n, np.int64)
+    take_acks(f, [1000 * (k + 1) for k in range(n)], list(range(n)), np.full(n, 0.02), 0, n,
               sends, [])
-    return sends, f
+    return sends.tolist(), f
 
 
 def test_take_acks_drain_covers_the_whole_call():

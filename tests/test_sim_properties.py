@@ -14,7 +14,9 @@ checked against the tick and cwnd trails.
 
 import random
 from bisect import bisect_left
+from functools import reduce
 from itertools import accumulate, groupby
+from operator import add
 
 import numpy as np
 import pytest
@@ -300,15 +302,15 @@ FLOW_FIELDS = ("cwnd", "ssthresh", "phase", "inflight", "next_expected", "dup_co
 @st.composite
 def ack_batches(draw):
     """One flow's acks: sequence numbers with gaps (so duplicate-ack episodes
-    that may fire a loss), times spanning several cwnd samples, and a window
-    that may start below the packets in flight, as after a cut, just below
-    an integer, or large enough that avoidance rarely crosses one; plus the
-    points where the acks are split into calls."""
+    that may fire a loss), times spanning several cwnd samples, arbitrary
+    microsecond RTTs, and a window that may start below the packets in
+    flight, as after a cut, just below an integer, or large enough that
+    avoidance rarely crosses one; a guardian's RTT sum carried in from
+    earlier acks; plus the points where the acks are split into calls."""
     n = draw(st.integers(1, 150))
     gaps = draw(st.lists(st.sampled_from([1] * 12 + [2, 3, 7]), min_size=n, max_size=n))
     steps = draw(st.lists(st.sampled_from([1, 3, 250, 9_000, 31_000]), min_size=n, max_size=n))
-    rtts = draw(st.lists(st.sampled_from([0.02, 0.021, 0.0195, 0.03, 0.0201]),
-                         min_size=n, max_size=n))
+    rtts = [us * 1e-6 for us in draw(st.lists(st.integers(2, 2_000_000), min_size=n, max_size=n))]
     acks = list(zip(accumulate(steps), [s - 1 for s in accumulate(gaps)], rtts))
     cwnd = draw(st.sampled_from([1.0, 2.0, 5.5, 30.0, 61.7, 9.999999999, 1e4]))
     state = dict(
@@ -318,6 +320,7 @@ def ack_batches(draw):
         inflight=int(cwnd) + draw(st.sampled_from([0, 0, 1, 5, 40])),
         next_cwnd_sample_us=draw(st.sampled_from([0, 30_000, 10**9])),
         min_rtt_s=draw(st.sampled_from([float("inf"), 0.0199])),
+        si_sum=draw(st.floats(0.0, 1e3)),
     )
     cuts = sorted(draw(st.lists(st.integers(1, len(acks)), max_size=6)))
     return acks, state, cuts
@@ -338,9 +341,25 @@ def test_take_acks_matches_the_per_ack_body(case):
     ref_sends, ref_trail = [], []
     reference_acks(ref, acks, ref_sends, ref_trail)
     ts, seqs, rtts = map(list, zip(*acks))
-    sends, trail = [], []
+    rtts = np.array(rtts)
+    sends, trail = np.ones(len(acks), np.int64), []
     for lo, hi in zip([0] + cuts, cuts + [len(acks)]):
         if hi > lo:
             take_acks(got, ts, seqs, rtts, lo, hi, sends, trail)
-    assert (sends, trail) == (ref_sends, ref_trail)
+    assert (sends.tolist(), trail) == (ref_sends, ref_trail)
     assert [getattr(got, k) for k in FLOW_FIELDS] == [getattr(ref, k) for k in FLOW_FIELDS]
+    # Python scalars, as the per-ack body leaves them: the log's reprs are hashed.
+    assert [type(getattr(got, k)) for k in FLOW_FIELDS] == [type(getattr(ref, k))
+                                                             for k in FLOW_FIELDS]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=400), st.floats(0.0, 1e6))
+def test_carry_joined_cumsum_is_the_left_fold(terms, carry):
+    # take_acks folds a flow's RTT samples into the guardian's running sum
+    # with one cumsum, the carried sum joined to the first term. That is the
+    # left fold one ack at a time would make only while numpy's accumulate
+    # adds in order; sum() and ndarray.sum() add pairwise and fail this.
+    r = np.array(terms)
+    r[0] += carry
+    assert float(r.cumsum()[-1]) == reduce(add, terms, carry)
