@@ -397,9 +397,9 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: np.ndarray,
     if f.guardian_active:
         # A left fold, as one ack at a time would add. cumsum adds in order,
         # so with the carried sum joined to the first term its last partial
-        # sum is reduce(add, r, si_sum) bit for bit. Never sum() or
-        # ndarray.sum(): they add pairwise (Python's sum() compensates from
-        # 3.12), and the digests would depend on it.
+        # sum is reduce(add, r, si_sum) bit for bit. Never ndarray.sum(),
+        # which adds pairwise, or sum(), which compensates from Python 3.12:
+        # the digests would depend on it.
         r[0] += f.si_sum
         f.si_sum = float(r.cumsum()[-1])
         f.si_n += hi - lo

@@ -359,7 +359,7 @@ def test_carry_joined_cumsum_is_the_left_fold(terms, carry):
     # take_acks folds a flow's RTT samples into the guardian's running sum
     # with one cumsum, the carried sum joined to the first term. That is the
     # left fold one ack at a time would make only while numpy's accumulate
-    # adds in order; sum() and ndarray.sum() add pairwise and fail this.
+    # adds in order; ndarray.sum(), which adds pairwise, fails this.
     r = np.array(terms)
     r[0] += carry
     assert float(r.cumsum()[-1]) == reduce(add, terms, carry)
