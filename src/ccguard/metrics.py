@@ -45,11 +45,12 @@ def percentile_nearest_rank(values, p: float) -> float:
     """Nearest-rank percentile, p in (0, 100]. nan on empty input."""
     if not 0.0 < p <= 100.0:
         raise ValueError("percentile must be in (0, 100]")
-    arr = np.sort(np.asarray(values, dtype=np.float64))
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         return math.nan
-    rank = math.ceil(p / 100.0 * arr.size)
-    return float(arr[rank - 1])
+    # p * n is exact, so for integer p the rank is ceil(p * n / 100) exactly.
+    rank = math.ceil(p * arr.size / 100.0)
+    return float(np.partition(arr, rank - 1)[rank - 1])
 
 
 @dataclass
@@ -116,55 +117,75 @@ def summarize(
     owd_us = round(cfg.one_way_delay_s * US_PER_S)
 
     flow, sent, delivered = log.p_flow, log.p_sent_us, log.p_delivered_us
-    in_window = (delivered > t0_us) & (delivered <= t1_us)
-    drop_window = (log.p_dropped_us > t0_us) & (log.p_dropped_us <= t1_us)
+    in_window = delivered > t0_us
+    in_window &= delivered <= t1_us
+    drop_window = log.p_dropped_us > t0_us
+    drop_window &= log.p_dropped_us <= t1_us
 
-    rtt_s = (delivered[in_window] + owd_us - sent[in_window]) * 1e-6
-    qdelay_s = rtt_s - 2.0 * cfg.one_way_delay_s
+    rtt_us = delivered[in_window]
+    rtt_us += owd_us
+    rtt_us -= sent[in_window]
+    rtt_s = rtt_us * 1e-6
+    two_owd_s = 2.0 * cfg.one_way_delay_s
+    qdelay_s = rtt_s - two_owd_s
     flows_in_window = flow[in_window]
+    n_flows = len(log.flow_ids)
+    delivered_per_flow = np.bincount(flows_in_window, minlength=n_flows).tolist()
+    dropped_per_flow = np.bincount(flow[drop_window], minlength=n_flows).tolist()
 
+    def delay_stats(rtt: np.ndarray, qdelay: np.ndarray) -> tuple[float, ...]:
+        """Mean and p95 RTT, mean and p95 queuing delay; nan when empty.
+        Subtracting the path delay is monotone, so it moves the p95 RTT to
+        the p95 queuing delay bit for bit. A mean is taken of its own array:
+        numpy's pairwise sums do not commute with the shift."""
+        if not rtt.size:
+            return (math.nan,) * 4
+        p95 = percentile_nearest_rank(rtt, 95.0)
+        return float(rtt.mean()), p95, float(qdelay.mean()), p95 - two_owd_s
+
+    n_total = rtt_s.size
+    totals = delay_stats(rtt_s, qdelay_s)
     capacity = capacity_delivered(cfg.schedule, warmup_s, t1_s)
 
     per_flow: list[FlowMetrics] = []
     tputs = []
-    for fi, flow_id in enumerate(log.flow_ids):
-        m = flows_in_window == fi
-        n = int(m.sum())
-        nd = int((flow[drop_window] == fi).sum())
+    for fi, (flow_id, n, nd) in enumerate(zip(log.flow_ids, delivered_per_flow,
+                                              dropped_per_flow)):
         tput = n * _BITS_PER_PKT / window_s / 1e6
         tputs.append(tput)
-        f_rtt = rtt_s[m]
-        f_q = qdelay_s[m]
+        if n == n_total:  # this flow holds every delivery in the window, or none does
+            stats = totals
+        else:
+            m = flows_in_window == fi
+            stats = delay_stats(rtt_s[m], qdelay_s[m])
+        mean_rtt, p95_rtt, mean_q, p95_q = stats
         per_flow.append(
             FlowMetrics(
                 flow_id=flow_id,
                 delivered=n,
                 dropped=nd,
                 throughput_mbps=tput,
-                mean_rtt_s=float(f_rtt.mean()) if n else math.nan,
-                p95_rtt_s=percentile_nearest_rank(f_rtt, 95.0) if n else math.nan,
-                mean_queuing_delay_s=float(f_q.mean()) if n else math.nan,
-                p95_queuing_delay_s=percentile_nearest_rank(f_q, 95.0) if n else math.nan,
+                mean_rtt_s=mean_rtt,
+                p95_rtt_s=p95_rtt,
+                mean_queuing_delay_s=mean_q,
+                p95_queuing_delay_s=p95_q,
                 loss_rate=nd / (n + nd) if (n + nd) else math.nan,
             )
         )
 
-    n_total = int(in_window.sum())
-    n_drops = int(drop_window.sum())
-    empty = n_total == 0
-    mean_rtt = float(rtt_s.mean()) if not empty else math.nan
+    mean_rtt, p95_rtt, mean_q, p95_q = totals
     return MetricsSummary(
         window_t0_s=warmup_s,
         window_t1_s=t1_s,
-        empty=empty,
+        empty=n_total == 0,
         delivered=n_total,
-        dropped=n_drops,
+        dropped=sum(dropped_per_flow),
         throughput_mbps=n_total * _BITS_PER_PKT / window_s / 1e6,
         utilization=(n_total / capacity) if capacity > 0 else math.nan,
         mean_rtt_s=mean_rtt,
-        p95_rtt_s=percentile_nearest_rank(rtt_s, 95.0) if not empty else math.nan,
-        mean_queuing_delay_s=float(qdelay_s.mean()) if not empty else math.nan,
-        p95_queuing_delay_s=percentile_nearest_rank(qdelay_s, 95.0) if not empty else math.nan,
+        p95_rtt_s=p95_rtt,
+        mean_queuing_delay_s=mean_q,
+        p95_queuing_delay_s=p95_q,
         delay_vs_threshold=(mean_rtt / threshold_s) if threshold_s else math.nan,
         jain_index=jain_index(tputs) if any(t > 0.0 for t in tputs) else math.nan,
         flows=per_flow,
@@ -206,12 +227,25 @@ def timeseries(log: SimLog, bin_s: float = 1.0) -> np.ndarray:
     t1 = np.minimum(t0 + bin_us, round(cfg.duration_s * US_PER_S))
 
     flow, sent, delivered = log.p_flow, log.p_sent_us, log.p_delivered_us
-    mask = delivered >= 0
-    d_us = delivered[mask]
-    rtt_all = (d_us + owd_us - sent[mask]) * 1e-6
-    flow_all = flow[mask]
-    # delivered>=0 selects queue-exit order; bin membership below just divides.
-    bin_idx = np.minimum((d_us - 1) // bin_us, n_bins - 1)
+    n_flows = len(log.flow_ids)
+    # One (flow, slot) key per packet: the slot is ceil(delivery / bin)
+    # clipped to [0, n_bins], so slot b + 1 holds bin b's deliveries and slot
+    # 0, cut off below, the packets never delivered (delivery -1). A weighted
+    # bincount adds each key's RTTs in ledger order, as counting one flow's
+    # deliveries alone would, so the sums do not depend on the flow count.
+    rtt_us = delivered + owd_us
+    rtt_us -= sent
+    rtt_s = rtt_us * 1e-6
+    key = delivered - 1
+    key //= bin_us
+    key += 1
+    np.clip(key, 0, n_bins, out=key)
+    key += np.multiply(flow, n_bins + 1, out=rtt_us, dtype=np.int64)
+    size = n_flows * (n_bins + 1)
+    counts = np.bincount(key, minlength=size).astype(np.float64)
+    rtt_sums = np.bincount(key, weights=rtt_s, minlength=size)
+    counts = counts.reshape(n_flows, n_bins + 1)[:, 1:]
+    rtt_sums = rtt_sums.reshape(n_flows, n_bins + 1)[:, 1:]
 
     # Times, means and cwnd values end in a sentinel entry, picked by index
     # -1: no tick or no sample at or before a bin's end. The sentinel tick
@@ -227,31 +261,27 @@ def timeseries(log: SimLog, bin_s: float = 1.0) -> np.ndarray:
 
     widths = {"flow_id": max(map(len, log.flow_ids), default=1),
               "zone": max(len(z.value) for z in Zone)}
-    rows = np.zeros(len(log.flow_ids) * n_bins, dtype=[
+    rows = np.zeros(n_flows * n_bins, dtype=[
         (c, f"U{widths[c]}" if c in widths else np.float64) for c in TIMESERIES_COLUMNS])
-    for fi, flow_id in enumerate(log.flow_ids):
-        fm = flow_all == fi
-        counts = np.bincount(bin_idx[fm], minlength=n_bins).astype(np.float64)
-        rtt_sums = np.bincount(bin_idx[fm], weights=rtt_all[fm], minlength=n_bins)
+    grid = rows.reshape(n_flows, n_bins)  # a view: row fi holds flow fi's bins
+    grid["t_s"] = t0 / US_PER_S
+    grid["flow_id"] = np.array(log.flow_ids, dtype=rows.dtype["flow_id"])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # 0/0 is nan: a bin with no deliveries has no mean delay.
+        rtt_avg = rtt_sums / counts
+        grid["throughput_mbps"] = counts * _BITS_PER_PKT / ((t1 - t0) / US_PER_S) / 1e6
+    grid["rtt_ms_avg"] = rtt_avg * 1e3
+    grid["queuing_delay_ms_avg"] = (rtt_avg - 2.0 * cfg.one_way_delay_s) * 1e3
+    grid["guardian_multiplier"] = 1.0
+    for fi, r in enumerate(grid):
         # The last tick in (t0, t1] and the last cwnd sample <= t1.
         f_tick = np.append(np.nonzero(tick_flow == fi)[0], -1)
         k = f_tick[np.searchsorted(tick_t[f_tick[:-1]], t1, side="right") - 1]
         in_bin = tick_t[k] > t0
         f_cwnd = np.append(np.nonzero(cwnd_flow == fi)[0], -1)
         c = f_cwnd[np.searchsorted(cwnd_t[f_cwnd[:-1]], t1, side="right") - 1]
-
-        r = rows[fi * n_bins:(fi + 1) * n_bins]
-        r["t_s"] = t0 / US_PER_S
-        r["flow_id"] = flow_id
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # 0/0 is nan: a bin with no deliveries has no mean delay.
-            rtt_avg = rtt_sums / counts
-            r["throughput_mbps"] = counts * _BITS_PER_PKT / ((t1 - t0) / US_PER_S) / 1e6
-        r["rtt_ms_avg"] = rtt_avg * 1e3
-        r["queuing_delay_ms_avg"] = (rtt_avg - 2.0 * cfg.one_way_delay_s) * 1e3
         r["cwnd_pkts"] = cwnd_val[c]
         r["zone"][in_bin] = tick_zone[k[in_bin]]
-        r["guardian_multiplier"] = 1.0
         r["guardian_multiplier"][in_bin] = tick_mult[k[in_bin]]
         # mu persists between bins once the guardian has ticked
         r["mu"] = tick_mean[k]

@@ -22,6 +22,12 @@ below queue_threshold * (1 + ln2 * E[sigmoid] at mean*).
 The ramp-up recurrence: from one packet, alternating additive increase and a
 ~1.5x exploration tick gives cwnd_{n+1} = 1.5 * (cwnd_n + 1), which reaches a
 bandwidth-delay product W in at most 4 * ln(3 * W) ticks.
+
+``run_self_checks`` draws one standard-normal stream and reuses it across
+every Monte-Carlo check (common random numbers), shifting and scaling it to
+each (mean, variance) cell. Each cell is still the mean of ``mc_samples``
+independent draws, so its error bound is what it was with a stream per
+cell; only the cells' errors are now correlated with each other.
 """
 
 from __future__ import annotations
@@ -42,13 +48,33 @@ def expected_sigmoid(mean: float, variance: float) -> float:
     return sigmoid(mean / math.sqrt(1.0 + math.pi * variance / 8.0))
 
 
+def _sigmoid_of_draws(
+    z: np.ndarray, mean: float, variance: float, out: np.ndarray
+) -> np.ndarray:
+    """sigmoid(x) for x = mean + sqrt(variance) * z, written into ``out``.
+
+    This is bit for bit sigmoid of ``Generator.normal(mean, sd)`` on the
+    stream that gave ``z``: -x is formed as z * -sd - mean, which is exactly
+    -(mean + sd * z).
+    """
+    np.multiply(z, -math.sqrt(variance), out=out)
+    out -= mean
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+def _gain_of_draws(z: np.ndarray, mean: float, variance: float, out: np.ndarray) -> float:
+    """Mean of 2**sigmoid(x) for x = mean + sqrt(variance) * z."""
+    return float(np.mean(np.exp2(_sigmoid_of_draws(z, mean, variance, out), out=out)))
+
+
 def mc_expected_sigmoid(
     mean: float, variance: float, n_samples: int = 100_000, seed: int = 0
 ) -> float:
     """Monte-Carlo E[sigmoid(x)], the check for ``expected_sigmoid``."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(mean, math.sqrt(variance), n_samples)
-    return float(np.mean(1.0 / (1.0 + np.exp(-x))))
+    z = np.random.default_rng(seed).standard_normal(n_samples)
+    return float(np.mean(_sigmoid_of_draws(z, mean, variance, z)))
 
 
 def exploration_gain_linearized(mean: float, variance: float) -> float:
@@ -60,9 +86,8 @@ def exploration_gain_mc(
     mean: float, variance: float, n_samples: int = 1_000_000, seed: int = 0
 ) -> float:
     """Exact mean exploration multiplier E[2**sigmoid(x)] by Monte Carlo."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(mean, math.sqrt(variance), n_samples)
-    return float(np.mean(np.exp2(1.0 / (1.0 + np.exp(-x)))))
+    z = np.random.default_rng(seed).standard_normal(n_samples)
+    return _gain_of_draws(z, mean, variance, z)
 
 
 def equilibrium_exploration_mean(bdp_packets: float) -> float:
@@ -123,14 +148,20 @@ def run_self_checks(mc_samples: int = 200_000, seed: int = 20_260_816) -> list[C
     Covers: the probit expectation against Monte Carlo on a (mean, variance)
     grid; the linearized gain at the canonical operating point; and the ramp
     recurrence against its logarithmic bound over six decades of BDP.
+
+    Every Monte-Carlo check reads one standard-normal stream drawn from
+    ``seed`` (common random numbers): a grid cell equals
+    ``mc_expected_sigmoid(mean, variance, mc_samples, seed)`` and the gain
+    equals ``exploration_gain_mc(1, 1/4, max(mc_samples, 500_000), seed)``,
+    bit for bit.
     """
     results: list[CheckResult] = []
-    k = 0
+    z = np.random.default_rng(seed).standard_normal(max(mc_samples, 500_000))
+    cell = np.empty(mc_samples)
     for mean in (-2.0, -1.0, 0.0, 1.0, 2.0):
         for variance in (0.05, 0.25, 1.0):
             closed = expected_sigmoid(mean, variance)
-            mc = mc_expected_sigmoid(mean, variance, mc_samples, seed + k)
-            k += 1
+            mc = float(np.mean(_sigmoid_of_draws(z[:mc_samples], mean, variance, cell)))
             gap = abs(closed - mc)
             results.append(
                 CheckResult(
@@ -149,7 +180,7 @@ def run_self_checks(mc_samples: int = 200_000, seed: int = 20_260_816) -> list[C
             abs(lin - 1.5) <= 0.01,
         )
     )
-    exact = exploration_gain_mc(1.0, 0.25, max(mc_samples, 500_000), seed)
+    exact = _gain_of_draws(z, 1.0, 0.25, z)
     results.append(
         CheckResult(
             "exploration_gain_mc(1, 1/4)",

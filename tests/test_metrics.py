@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ccguard import metrics
 from ccguard.guardian import GuardianConfig
@@ -48,6 +50,26 @@ def test_percentile_rejects_bad_p_and_handles_empty():
 
 def test_percentile_is_order_insensitive():
     assert percentile_nearest_rank([3.0, 1.0, 2.0], 66) == 2.0
+
+
+def test_percentile_rank_is_exact():
+    # 34 / 100.0 * 150 rounds up to 51.00000000000001, whose ceiling is 52.
+    assert percentile_nearest_rank(list(range(1, 151)), 34) == 51.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 100, 150, 997, 20_000])
+def test_percentile_rank_is_ceil_p_n_over_100(n):
+    values = np.random.default_rng(n).permutation(np.arange(1.0, n + 1))
+    for p in range(1, 101):
+        assert percentile_nearest_rank(values, p) == -(-p * n // 100), p
+
+
+@given(st.lists(st.one_of(st.sampled_from([-math.inf, -1.0, 0.0, 2.5, math.inf]),
+                          st.floats(allow_nan=False)), min_size=1, max_size=80),
+       st.integers(1, 100))
+def test_percentile_is_the_sorted_rank(values, p):
+    # Ties (the sampled values recur) and both infinities.
+    assert percentile_nearest_rank(values, p) == sorted(values)[-(-p * len(values) // 100) - 1]
 
 
 def test_jain_examples():

@@ -9,9 +9,12 @@ alone. The window fate step, ``window_fates``, is checked against the
 one-packet-at-a-time rule it replaces, and the per-flow ack step,
 ``take_acks``, against the one-ack-at-a-time body it replaces. The window
 watermark derived from a run's log, ``metrics.first_cwnd_reaching``, is
-checked against the tick and cwnd trails.
+checked against the tick and cwnd trails, and ``metrics.summarize`` and
+``metrics.timeseries`` against the sort-based, mask-per-flow code they
+replace.
 """
 
+import dataclasses
 import random
 from bisect import bisect_left
 from functools import reduce
@@ -23,8 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccguard.guardian import GuardianConfig
-from ccguard.metrics import first_cwnd_reaching
+from ccguard.guardian import GuardianConfig, Zone
+from ccguard.metrics import (
+    TIMESERIES_COLUMNS, FlowMetrics, MetricsSummary, bin_count, first_cwnd_reaching, jain_index,
+    summarize, timeseries,
+)
 from ccguard.netsim import (
     INFINITE_BUFFER, FlowSpec, SimConfig, US_PER_S, _FlowState, run_sim, take_acks,
     window_fates,
@@ -363,3 +369,167 @@ def test_carry_joined_cumsum_is_the_left_fold(terms, carry):
     r = np.array(terms)
     r[0] += carry
     assert float(r.cumsum()[-1]) == reduce(add, terms, carry)
+
+
+def sorted_rank(values, p):
+    """The nearest-rank percentile by a full sort: the ceil(p n / 100)-th
+    smallest value, for integer p."""
+    arr = np.sort(np.asarray(values, dtype=np.float64))
+    return float(arr[-(-p * arr.size // 100) - 1])
+
+
+def mask_per_flow_summary(log, warmup_s, end_s):
+    """``metrics.summarize`` as written before selection and counting: a full
+    sort per percentile, and a mask per flow for its counts and delays."""
+    cfg = log.config
+    last_per_flow = dict(zip(log.tick_flow, log.tick_threshold_s))
+    threshold_s = last_per_flow.popitem()[1] if len(set(last_per_flow.values())) == 1 else None
+    t1_s = cfg.duration_s if end_s is None else end_s
+    t0_us, t1_us = round(warmup_s * US_PER_S), round(t1_s * US_PER_S)
+    window_s = t1_s - warmup_s
+    owd_us = round(cfg.one_way_delay_s * US_PER_S)
+    flow, sent, delivered = log.p_flow, log.p_sent_us, log.p_delivered_us
+    in_window = (delivered > t0_us) & (delivered <= t1_us)
+    drop_window = (log.p_dropped_us > t0_us) & (log.p_dropped_us <= t1_us)
+    rtt_s = (delivered[in_window] + owd_us - sent[in_window]) * 1e-6
+    qdelay_s = rtt_s - 2.0 * cfg.one_way_delay_s
+    flows_in_window = flow[in_window]
+    capacity = capacity_delivered(cfg.schedule, warmup_s, t1_s)
+    nan = float("nan")
+    per_flow, tputs = [], []
+    for fi, flow_id in enumerate(log.flow_ids):
+        m = flows_in_window == fi
+        n, nd = int(m.sum()), int((flow[drop_window] == fi).sum())
+        tputs.append(n * 12_000.0 / window_s / 1e6)
+        f_rtt, f_q = rtt_s[m], qdelay_s[m]
+        per_flow.append(FlowMetrics(
+            flow_id, n, nd, tputs[-1],
+            float(f_rtt.mean()) if n else nan, sorted_rank(f_rtt, 95) if n else nan,
+            float(f_q.mean()) if n else nan, sorted_rank(f_q, 95) if n else nan,
+            nd / (n + nd) if (n + nd) else nan))
+    n_total = int(in_window.sum())
+    mean_rtt = float(rtt_s.mean()) if n_total else nan
+    return MetricsSummary(
+        warmup_s, t1_s, n_total == 0, n_total, int(drop_window.sum()),
+        n_total * 12_000.0 / window_s / 1e6,
+        (n_total / capacity) if capacity > 0 else nan,
+        mean_rtt, sorted_rank(rtt_s, 95) if n_total else nan,
+        float(qdelay_s.mean()) if n_total else nan,
+        sorted_rank(qdelay_s, 95) if n_total else nan,
+        (mean_rtt / threshold_s) if threshold_s else nan,
+        jain_index(tputs) if any(t > 0.0 for t in tputs) else nan,
+        per_flow)
+
+
+def mask_per_flow_timeseries(log, bin_s):
+    """``metrics.timeseries`` as written before one count over (flow, bin)
+    keys: the delivered packets compressed out, then a mask and two
+    bincounts per flow."""
+    bin_us, cfg = round(bin_s * US_PER_S), log.config
+    n_bins = bin_count(cfg.duration_s, bin_s)
+    owd_us = round(cfg.one_way_delay_s * US_PER_S)
+    t0 = np.arange(n_bins, dtype=np.int64) * bin_us
+    t1 = np.minimum(t0 + bin_us, round(cfg.duration_s * US_PER_S))
+    flow, sent, delivered = log.p_flow, log.p_sent_us, log.p_delivered_us
+    mask = delivered >= 0
+    d_us = delivered[mask]
+    rtt_all = (d_us + owd_us - sent[mask]) * 1e-6
+    flow_all = flow[mask]
+    bin_idx = np.minimum((d_us - 1) // bin_us, n_bins - 1)
+    tick_t = np.array([*log.tick_t_us, -1], dtype=np.int64)
+    tick_flow = np.asarray(log.tick_flow, dtype=np.int16)
+    tick_zone = np.array(log.tick_zone, dtype=str)
+    tick_mult = np.asarray(log.tick_multiplier, dtype=np.float64)
+    tick_mean = np.array([*log.tick_mean, float("nan")])
+    cwnd_t = np.asarray(log.cwnd_t_us, dtype=np.int64)
+    cwnd_flow = np.asarray(log.cwnd_flow, dtype=np.int16)
+    cwnd_val = np.array([*log.cwnd_val, float("nan")])
+    widths = {"flow_id": max(map(len, log.flow_ids), default=1),
+              "zone": max(len(z.value) for z in Zone)}
+    rows = np.zeros(len(log.flow_ids) * n_bins, dtype=[
+        (c, f"U{widths[c]}" if c in widths else np.float64) for c in TIMESERIES_COLUMNS])
+    for fi, flow_id in enumerate(log.flow_ids):
+        fm = flow_all == fi
+        counts = np.bincount(bin_idx[fm], minlength=n_bins).astype(np.float64)
+        rtt_sums = np.bincount(bin_idx[fm], weights=rtt_all[fm], minlength=n_bins)
+        f_tick = np.append(np.nonzero(tick_flow == fi)[0], -1)
+        k = f_tick[np.searchsorted(tick_t[f_tick[:-1]], t1, side="right") - 1]
+        in_bin = tick_t[k] > t0
+        f_cwnd = np.append(np.nonzero(cwnd_flow == fi)[0], -1)
+        c = f_cwnd[np.searchsorted(cwnd_t[f_cwnd[:-1]], t1, side="right") - 1]
+        r = rows[fi * n_bins:(fi + 1) * n_bins]
+        r["t_s"] = t0 / US_PER_S
+        r["flow_id"] = flow_id
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rtt_avg = rtt_sums / counts
+            r["throughput_mbps"] = counts * 12_000.0 / ((t1 - t0) / US_PER_S) / 1e6
+        r["rtt_ms_avg"] = rtt_avg * 1e3
+        r["queuing_delay_ms_avg"] = (rtt_avg - 2.0 * cfg.one_way_delay_s) * 1e3
+        r["cwnd_pkts"] = cwnd_val[c]
+        r["zone"][in_bin] = tick_zone[k[in_bin]]
+        r["guardian_multiplier"] = 1.0
+        r["guardian_multiplier"][in_bin] = tick_mult[k[in_bin]]
+        r["mu"] = tick_mean[k]
+    return rows
+
+
+def hexed(value):
+    """A summary dict with every float as its hex string, so == compares
+    bits and nan equals nan."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: hexed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [hexed(v) for v in value]
+    return value
+
+
+def check_analysis(cfg, warmup_frac, window_s, bin_s):
+    """summarize and timeseries of one run against the references, bit for
+    bit; returns the reference summary."""
+    log = run_sim(cfg)
+    warmup_s = warmup_frac * cfg.duration_s
+    end_s = None if window_s is None else warmup_s + window_s
+    want = mask_per_flow_summary(log, warmup_s, end_s)
+    assert hexed(summarize(log, warmup_s, end_s).to_dict()) == hexed(want.to_dict())
+    rows, ref = timeseries(log, bin_s), mask_per_flow_timeseries(log, bin_s)
+    assert rows.dtype == ref.dtype
+    assert rows.tobytes() == ref.tobytes()
+    return want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sim_configs(), st.integers(0, 7), st.sampled_from([0.0, 0.3, 0.9]),
+       st.sampled_from([None, 0.02]),
+       st.sampled_from([0.0001, 0.001, 0.0137, 0.05, 1.0]))
+def test_summary_and_timeseries_match_the_mask_per_flow_code(
+        cfg, flows_kept, warmup_frac, window_s, bin_s):
+    # About one draw in eight keeps no flows.
+    if not flows_kept:
+        cfg = dataclasses.replace(cfg, flows=[])
+    check_analysis(cfg, warmup_frac, window_s, bin_s)
+
+
+def analysis_case(flows, buffer_pkts=INFINITE_BUFFER, duration_s=0.2):
+    return SimConfig(schedule=TraceSchedule([1, 1, 2, 4, 4, 4, 7], 7), duration_s=duration_s,
+                     one_way_delay_s=0.002, buffer_pkts=buffer_pkts, seed=3, flows=flows)
+
+
+# The shapes the random draws above must include, each pinned once.
+@pytest.mark.parametrize("case", ["several flows with drops", "empty window", "no flows"])
+def test_summary_and_timeseries_match_on_the_edge_cases(case):
+    if case == "several flows with drops":
+        cfg = analysis_case([FlowSpec(flow_id=f"f{i}", cwnd_init=20.0, start_s=0.01 * i)
+                             for i in range(3)], buffer_pkts=4, duration_s=0.05)
+        # 1 us bins: a never-delivered packet's slot, ceil(-1 / 1), is below 0.
+        want = check_analysis(cfg, 0.1, None, 0.000_001)
+        assert want.dropped > 0 and sum(f.delivered > 0 for f in want.flows) >= 2
+        assert len({f.delivered for f in want.flows}) > 1
+    elif case == "empty window":
+        cfg = analysis_case([FlowSpec(start_s=0.15)])
+        want = check_analysis(cfg, 0.1, 0.04, 0.05)
+        assert want.empty and want.flows[0].delivered == 0
+    else:
+        want = check_analysis(analysis_case([]), 0.0, None, 0.001)
+        assert want.empty and want.flows == []

@@ -200,3 +200,16 @@ def test_self_checks_all_pass():
     assert failures == []
     # Representations carry the verdict for the CLI.
     assert all(repr(r).startswith("[ok]") for r in results)
+
+
+@pytest.mark.parametrize("mc_samples, seed", [(1_000, 3), (30_000, 77)])
+def test_self_checks_share_one_stream(mc_samples, seed):
+    # Every cell reads the first mc_samples draws of one stream, and the gain
+    # all of it: each equals its estimator on its own draws, bit for bit.
+    results = run_self_checks(mc_samples, seed)
+    cells = [(m, v) for m in (-2.0, -1.0, 0.0, 1.0, 2.0) for v in (0.05, 0.25, 1.0)]
+    for r, (m, v) in zip(results, cells):
+        assert r.value == abs(expected_sigmoid(m, v) - mc_expected_sigmoid(m, v, mc_samples, seed))
+    gain = results[len(cells) + 1]
+    assert gain.name == "exploration_gain_mc(1, 1/4)"
+    assert gain.value == exploration_gain_mc(1.0, 0.25, max(mc_samples, 500_000), seed)
