@@ -146,6 +146,13 @@ def summarize(
     n_total = rtt_s.size
     totals = delay_stats(rtt_s, qdelay_s)
     capacity = capacity_delivered(cfg.schedule, warmup_s, t1_s)
+    # When no flow holds every delivery in the window, one stable sort by
+    # flow makes each flow's samples a slice, in the ledger order a mask
+    # would keep; a flow holding all of them, or none, needs no slice.
+    if n_total not in delivered_per_flow:
+        order = np.argsort(flows_in_window, kind="stable")
+        rtt_s, qdelay_s = rtt_s[order], qdelay_s[order]
+    ends = np.cumsum(delivered_per_flow).tolist()
 
     per_flow: list[FlowMetrics] = []
     tputs = []
@@ -156,8 +163,7 @@ def summarize(
         if n == n_total:  # this flow holds every delivery in the window, or none does
             stats = totals
         else:
-            m = flows_in_window == fi
-            stats = delay_stats(rtt_s[m], qdelay_s[m])
+            stats = delay_stats(rtt_s[ends[fi] - n:ends[fi]], qdelay_s[ends[fi] - n:ends[fi]])
         mean_rtt, p95_rtt, mean_q, p95_q = stats
         per_flow.append(
             FlowMetrics(
@@ -273,18 +279,32 @@ def timeseries(log: SimLog, bin_s: float = 1.0) -> np.ndarray:
     grid["rtt_ms_avg"] = rtt_avg * 1e3
     grid["queuing_delay_ms_avg"] = (rtt_avg - 2.0 * cfg.one_way_delay_s) * 1e3
     grid["guardian_multiplier"] = 1.0
-    for fi, r in enumerate(grid):
-        # The last tick in (t0, t1] and the last cwnd sample <= t1.
-        f_tick = np.append(np.nonzero(tick_flow == fi)[0], -1)
-        k = f_tick[np.searchsorted(tick_t[f_tick[:-1]], t1, side="right") - 1]
-        in_bin = tick_t[k] > t0
-        f_cwnd = np.append(np.nonzero(cwnd_flow == fi)[0], -1)
-        c = f_cwnd[np.searchsorted(cwnd_t[f_cwnd[:-1]], t1, side="right") - 1]
-        r["cwnd_pkts"] = cwnd_val[c]
-        r["zone"][in_bin] = tick_zone[k[in_bin]]
-        r["guardian_multiplier"][in_bin] = tick_mult[k[in_bin]]
-        # mu persists between bins once the guardian has ticked
-        r["mu"] = tick_mean[k]
+
+    # Each row's key: flow * (n_bins + 1) + bin.
+    flow_key = np.arange(n_flows, dtype=np.int64)[:, None] * (n_bins + 1)
+    row_key = flow_key + np.arange(n_bins)
+
+    def last_by_bin(t: np.ndarray, flows: np.ndarray) -> np.ndarray:
+        """Per flow and bin, the index of the flow's last entry at or before
+        the bin's end, or -1. A stable sort by flow keeps each flow's entries
+        in time order, so their keys, flow and the first bin ending at or
+        after the entry, ascend and one search answers every row."""
+        order = np.argsort(flows, kind="stable")
+        key = flows[order].astype(np.int64)
+        key *= n_bins + 1
+        key += np.searchsorted(t1, t[order])
+        last = np.searchsorted(key, row_key, side="right")
+        last -= 1
+        return np.where(last >= np.searchsorted(key, flow_key), np.append(order, -1)[last], -1)
+
+    # The last tick in (t0, t1] and the last cwnd sample <= t1.
+    k = last_by_bin(tick_t[:-1], tick_flow)
+    in_bin = tick_t[k] > t0
+    grid["cwnd_pkts"] = cwnd_val[last_by_bin(cwnd_t, cwnd_flow)]
+    grid["zone"][in_bin] = tick_zone[k[in_bin]]
+    grid["guardian_multiplier"][in_bin] = tick_mult[k[in_bin]]
+    # mu persists between bins once the guardian has ticked
+    grid["mu"] = tick_mean[k]
     return rows
 
 

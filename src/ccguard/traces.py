@@ -11,8 +11,17 @@ A schedule stores one thing: an int64 ndarray of the loop's opportunity
 times on a microsecond grid. The k opportunities of millisecond m are spread
 uniformly across (m-1, m] ms, the last landing exactly on m ms (so a lone
 opportunity fires at its nominal timestamp); rounding each offset up to the
-millisecond gives the timestamps back. Synthesis and parsing build the
-timestamps and offsets with numpy.
+millisecond gives the timestamps back.
+
+Every path builds that array from millisecond runs: the distinct
+milliseconds that hold opportunities, with the count in each. Synthesis
+computes each constant-rate segment's runs in closed form, so it never
+lists a millisecond once per opportunity; parsing reduces the validated
+timestamps to runs. One builder fills the offsets a block of runs at a time
+(``_RUN_BLOCK``), so besides the offsets and the runs, never more of them
+than opportunities, a build holds one block's temporaries: memory follows
+the opportunities, never the loop's milliseconds. ``write_trace`` formats
+the timestamps a block at a time too.
 """
 
 from __future__ import annotations
@@ -42,25 +51,46 @@ def _mean_rate_mbps(opportunities: int, loop_length_ms: int) -> float:
     return bits / (loop_length_ms / 1000.0) / 1e6
 
 
-def _spread_us(ts: np.ndarray) -> np.ndarray:
-    """Offsets of validated timestamps: opportunity j (1-based) of the k in
-    millisecond m lands at (m-1) * 1000 + ceil(j * 1000 / k) microseconds."""
-    n = len(ts)
+# Runs per block of the offsets build: a block's temporaries hold its runs'
+# opportunities, 2 MiB each on a 720 Mbps trace.
+_RUN_BLOCK = 4096
+
+# Opportunities per block that write_trace formats at once.
+_WRITE_BLOCK = 8192
+
+
+def _fill_offsets(out: np.ndarray, ms: np.ndarray, counts: np.ndarray) -> None:
+    """Write the offsets of runs, given as distinct increasing milliseconds
+    and the positive count of each, into ``out``: opportunity j (1-based) of
+    the k in millisecond m lands at (m-1) * 1000 + ceil(j * 1000 / k)
+    microseconds."""
+    end = 0
+    for a in range(0, len(ms), _RUN_BLOCK):
+        k = counts[a:a + _RUN_BLOCK]
+        per = np.repeat(k, k)
+        start, end = end, end + len(per)
+        seg = out[start:end]
+        # j: a running count that drops back to 1 where each run starts.
+        seg.fill(1)
+        seg[np.cumsum(k[:-1])] -= k[:-1]
+        np.cumsum(seg, out=seg)
+        seg *= US_PER_MS
+        seg += per
+        seg -= 1
+        seg //= per
+        seg += np.repeat((ms[a:a + _RUN_BLOCK] - 1) * US_PER_MS, k)
+
+
+def _runs(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of validated timestamps: each distinct millisecond and the
+    number of opportunities in it."""
     first = np.flatnonzero(np.concatenate(([True], ts[1:] != ts[:-1])))
-    k = np.diff(first, append=n)
-    # j: a running count that drops back to 1 where each millisecond starts.
-    out = np.ones(n, dtype=np.int64)
-    out[first[1:]] -= k[:-1]
-    np.cumsum(out, out=out)
-    per = np.repeat(k, k)
-    out *= US_PER_MS
-    out += per
-    out -= 1
-    out //= per
-    np.subtract(ts, 1, out=per)
-    per *= US_PER_MS
-    out += per
-    return out
+    return ts[first], np.diff(first, append=len(ts))
+
+
+def _ceil_ms(offsets: np.ndarray) -> np.ndarray:
+    """Each offset rounded up to its millisecond: its timestamp."""
+    return -(-offsets // US_PER_MS)
 
 
 class TraceSchedule:
@@ -90,13 +120,23 @@ class TraceSchedule:
         if last > MAX_TIMESTAMP_MS:
             raise ValueError(f"trace timestamps must be at most {MAX_TIMESTAMP_MS}")
         self.loop_length_ms = last
-        self._offsets = _spread_us(ts)
+        self._offsets = np.empty(len(ts), dtype=np.int64)
+        _fill_offsets(self._offsets, *_runs(ts))
+
+    @classmethod
+    def _from_offsets(cls, offsets: np.ndarray, loop_length_ms: int) -> TraceSchedule:
+        """A schedule around offsets that ``_fill_offsets`` built from valid
+        runs, the last at ``loop_length_ms``."""
+        self = cls.__new__(cls)
+        self.loop_length_ms = loop_length_ms
+        self._offsets = offsets
+        return self
 
     @property
     def timestamps_ms(self) -> list[int]:
         """The millisecond timestamps, one per opportunity: each offset
         rounded up to its millisecond."""
-        return (-(-self._offsets // US_PER_MS)).tolist()
+        return _ceil_ms(self._offsets).tolist()
 
     @property
     def opportunities_per_loop(self) -> int:
@@ -133,17 +173,17 @@ class TraceSchedule:
         return (loops + 1) * self.loop_length_us + int(offs[0])
 
 
-def _load_digits(path: str | os.PathLike, raw: bytes) -> np.ndarray | None:
+def _load_digits(raw: bytes) -> np.ndarray | None:
     """Timestamps of a valid trace file made only of ASCII digits and line
-    breaks, read by ``np.loadtxt``; None for any other file, which the caller
-    reads line by line instead."""
-    if raw.translate(None, b"0123456789\r\n") or not raw.strip():
+    breaks, parsed from its bytes by ``np.fromstring``; None for any other
+    file, which the caller reads line by line instead. A file of line breaks
+    alone parses as [0], and a value past int64 saturates, so neither passes
+    the checks here."""
+    if raw.translate(None, b"0123456789\r\n"):
         return None
-    try:
-        values = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    except ValueError:  # a number past int64
-        return None
-    if values[0] < 1 or (values[1:] < values[:-1]).any():
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if (not values.size or values[0] < 1 or values[-1] > MAX_TIMESTAMP_MS
+            or (values[1:] < values[:-1]).any()):
         return None
     return values
 
@@ -177,20 +217,25 @@ def _read_lines(path: str | os.PathLike) -> list[int]:
 def parse_trace(path: str | os.PathLike) -> TraceSchedule:
     """Read a mahimahi trace file. Errors carry 1-based line numbers.
 
-    A file of ASCII digits and line breaks is read with ``np.loadtxt``; any
-    other file, or one holding a bad value, is read again line by line, which
-    accepts blank lines and surrounding whitespace and names the first bad
-    line."""
+    A file of ASCII digits and line breaks is parsed from the bytes read
+    once; any other file, or one holding a bad value, is read again line by
+    line, which accepts blank lines and surrounding whitespace and names the
+    first bad line."""
     with open(path, "rb") as fh:
-        timestamps = _load_digits(path, fh.read())
+        timestamps = _load_digits(fh.read())
     if timestamps is None:
         timestamps = _read_lines(path)
     return TraceSchedule(timestamps, int(timestamps[-1]))
 
 
 def write_trace(schedule: TraceSchedule, path: str | os.PathLike) -> None:
+    """Write the schedule's timestamps, one line per opportunity, formatting
+    a block of offsets at a time."""
+    offsets = schedule.offsets_us()
     with open(path, "w") as fh:
-        fh.write("\n".join(map(str, schedule.timestamps_ms)) + "\n")
+        for a in range(0, len(offsets), _WRITE_BLOCK):
+            fh.write("\n".join(map(str, _ceil_ms(offsets[a:a + _WRITE_BLOCK]).tolist())))
+            fh.write("\n")
 
 
 def _check_size(n: float, what: str) -> None:
@@ -219,15 +264,26 @@ def _segment_count(rate_mbps: float, duration_s: float) -> int:
     return n
 
 
-def _constant_timestamps(n: int, duration_s: float) -> np.ndarray:
-    """Timestamps ceil(i * duration_ms / n), i = 1..n, of a constant-rate
-    segment of n opportunities."""
-    duration_ms = round(duration_s * 1000)
-    timestamps = np.arange(1, n + 1, dtype=np.int64)
-    timestamps *= duration_ms
-    timestamps += n - 1
-    timestamps //= n
-    return timestamps
+def _segment_runs(n: int, duration_ms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of a constant-rate segment whose n opportunities sit at
+    ceil(i * duration_ms / n), i = 1..n. A timestamp is at most m exactly
+    when i <= floor(m * n / duration_ms), so with n >= duration_ms every
+    millisecond holds a run; with fewer opportunities each timestamp is a run
+    of one. Every product stays below n * n or duration_ms."""
+    if n >= duration_ms:
+        ms = np.arange(1, duration_ms + 1, dtype=np.int64)
+        upto = ms * n
+        upto //= duration_ms
+        return ms, np.diff(upto, prepend=0)
+    # ceil(i * D / n) = i * q + ceil(i * r / n) for D = q * n + r.
+    q, r = divmod(duration_ms, n)
+    ms = np.arange(1, n + 1, dtype=np.int64)
+    ms *= r
+    ms += n - 1
+    ms //= n
+    ms += np.arange(q, q * n + 1, q, dtype=np.int64)
+    # A read-only view: the counts of one take no memory.
+    return ms, np.broadcast_to(np.int64(1), n)
 
 
 def synth_constant(rate_mbps: float, duration_s: float) -> TraceSchedule:
@@ -249,30 +305,33 @@ def synth_step(segments: list[tuple[float, float]]) -> TraceSchedule:
     ``MAX_SYNTH_OPPORTUNITIES``, checked before any is built."""
     if not segments:
         raise ValueError("synth_step needs at least one segment")
-    counts = []
+    durations_ms: list[int] = []
+    counts: list[int] = []
     for rate_mbps, duration_s in segments:
-        if round(duration_s * 1000) < 1:
+        durations_ms.append(round(duration_s * 1000))
+        if durations_ms[-1] < 1:
             raise ValueError("every segment needs a duration of at least 1 ms")
         counts.append(_segment_count(rate_mbps, duration_s) if rate_mbps > 0.0 else 0)
     _check_size(sum(counts), f"a step trace of {len(segments)} segments")
-    parts: list[np.ndarray] = []
-    base_ms = 0
-    for (_, duration_s), n in zip(segments, counts):
-        if n:
-            seg = _constant_timestamps(n, duration_s)
-            seg += base_ms
-            parts.append(seg)
-        base_ms += round(duration_s * 1000)
-    if not parts:
+    if not any(counts):
         raise ValueError("trace has no delivery opportunities")
-    # Pad the loop to the full span: the loop length must equal the last
-    # timestamp, so close the trace with one opportunity at the final
-    # millisecond if the last segment was silence.
-    if parts[-1][-1] != base_ms:
-        parts.append(np.array([base_ms], dtype=np.int64))
-    timestamps = np.concatenate(parts)
-    del parts  # free the segments before the offsets are built
-    return TraceSchedule(timestamps, base_ms)
+    if sum(durations_ms) > MAX_TIMESTAMP_MS:
+        raise ValueError(f"trace timestamps must be at most {MAX_TIMESTAMP_MS}")
+    # A segment with opportunities ends on its last millisecond, so only a
+    # silent last segment leaves the loop open: one opportunity at the final
+    # millisecond closes it, as the loop length must equal the last timestamp.
+    offsets = np.empty(sum(counts) + (counts[-1] == 0), dtype=np.int64)
+    start = base_ms = 0
+    for duration_ms, n in zip(durations_ms, counts):
+        if n:
+            ms, k = _segment_runs(n, duration_ms)
+            ms += base_ms
+            _fill_offsets(offsets[start:start + n], ms, k)
+            start += n
+        base_ms += duration_ms
+    if start < len(offsets):
+        offsets[-1] = base_ms * US_PER_MS
+    return TraceSchedule._from_offsets(offsets, base_ms)
 
 
 def capacity_delivered(

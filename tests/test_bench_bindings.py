@@ -78,7 +78,7 @@ def no_line_reader(monkeypatch):
 
 def test_cell_mix_trace_never_reaches_the_line_reader(monkeypatch, tmp_path, no_line_reader):
     # The line reader gives the same values, but on cell-mix's 800 k-line
-    # trace it took 0.97 s against 0.04 s for np.loadtxt (one run on a 2-core
+    # trace it took 0.97 s against 0.04 s for the numpy parse (one run on a 2-core
     # x86 box), so only this test tells a fallback from the numpy path.
     monkeypatch.syspath_prepend(PERFBENCH)
     workloads = importlib.import_module("workloads")

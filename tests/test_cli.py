@@ -177,6 +177,7 @@ BAD_INPUT_BASE = ["run", "--trace", "constant:12@1", "--duration", "2",
     (["--bin-s", "0"], None),
     (["--bin-s", "1e-7"], None),
     (["--trace", "constant:100000@100"], None),
+    (["--trace", "constant:1e-300@1e300"], None),
     (["--owd-ms", "0"], None),
     (["--owd-ms", "0.0004"], None),
     ([], "[link]\none_way_delay_ms = 0\n"),

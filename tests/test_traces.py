@@ -4,6 +4,7 @@ counting."""
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from ccguard.traces import (
     MAX_SYNTH_OPPORTUNITIES,
+    MAX_TIMESTAMP_MS,
     TraceSchedule,
     capacity_delivered,
     from_spec,
@@ -71,6 +73,21 @@ def test_parse_trace_reports_offending_line(tmp_path):
         p.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
             parse_trace(p)
+
+
+@pytest.mark.parametrize("text", [
+    "99999999999999999999\n",
+    "1\n99999999999999999999\n",
+    "99999999999999999999\n99999999999999999999\n",
+    "1\n9223372036854775807\n",
+])
+def test_parse_trace_rejects_values_past_the_largest_timestamp(tmp_path, text):
+    # A clean file's values past int64 saturate when parsed; every such
+    # file still fails on the largest timestamp.
+    p = tmp_path / "big.trace"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"trace timestamps must be at most {MAX_TIMESTAMP_MS}"):
+        parse_trace(p)
 
 
 @pytest.mark.parametrize("text, timestamps", [
@@ -220,6 +237,57 @@ def test_synthesized_traces_are_capped_before_building(monkeypatch):
         synth_step([(600.0, 100.0), (600.0, 100.0)])
 
 
+def traced_peak(build):
+    """The result of build() and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_trace_builds_in_under_twice_its_offsets():
+    # Filling the offsets a block of runs at a time keeps the temporaries
+    # small; a build through per-opportunity timestamps peaked at 4.1x.
+    sched, peak = traced_peak(lambda: synth_step([(100.0, 20.0), (720.0, 25.0)]))
+    assert sched.opportunities_per_loop == 1_666_667
+    assert peak < 2 * sched.offsets_us().nbytes
+
+
+def test_sparse_traces_build_in_memory_sized_by_opportunities(tmp_path):
+    # 8 333 opportunities over a 10^10 ms loop: a builder sized by the loop's
+    # milliseconds would need tens of GiB.
+    sched, peak = traced_peak(lambda: from_spec("constant:0.00001@1e7"))
+    assert (sched.opportunities_per_loop, sched.loop_length_ms) == (8333, 10**10)
+    assert peak < 2**20
+    p = tmp_path / "sparse.trace"
+    p.write_text("1\n10000000000\n")
+    sched, peak = traced_peak(lambda: parse_trace(p))
+    assert list(sched.offsets_us()) == [1000, 10**13]
+    assert peak < 2**20
+
+
+def test_write_trace_streams_in_blocks(tmp_path):
+    # 120 000 opportunities: formatted all at once, the lines took about ten
+    # times the offsets' bytes.
+    sched = synth_constant(720.0, 2.0)
+    p = tmp_path / "big.trace"
+    _, peak = traced_peak(lambda: write_trace(sched, p))
+    assert peak < 2 * 2**20
+    assert p.read_text() == "".join(f"{t}\n" for t in sched.timestamps_ms)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("constant:1e-9@1e13", f"trace timestamps must be at most {MAX_TIMESTAMP_MS}"),
+    ("constant:1e-300@1e300", f"trace timestamps must be at most {MAX_TIMESTAMP_MS}"),
+    ("step:0@1e300,1@1", f"trace timestamps must be at most {MAX_TIMESTAMP_MS}"),
+])
+def test_synthesized_trace_past_the_largest_timestamp_is_rejected(spec, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_spec(spec)
+
+
 def test_from_spec_constant_and_step():
     c = from_spec("constant:12@2")
     assert c.loop_length_ms == 2000
@@ -318,6 +386,9 @@ def test_schedule_matches_reference_grouping(timestamps):
 
 rates = st.one_of(st.just(0.0), st.floats(0.01, 400.0))
 durations = st.floats(0.0001, 1.5)
+# Fewer opportunities than milliseconds, seconds of silence between them.
+sparse_segments = st.tuples(st.floats(0.0001, 0.2), st.floats(1.0, 300.0))
+segment_draws = st.one_of(st.tuples(rates, durations), sparse_segments)
 
 
 def outcome(build, *args):
@@ -328,8 +399,9 @@ def outcome(build, *args):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(rates, durations)
-def test_synth_constant_matches_reference_formula(rate_mbps, duration_s):
+@given(segment_draws)
+def test_synth_constant_matches_reference_formula(segment):
+    rate_mbps, duration_s = segment
     expected = outcome(reference_constant, rate_mbps, duration_s)
     got = outcome(synth_constant, rate_mbps, duration_s)
     if expected is ValueError:
@@ -340,7 +412,7 @@ def test_synth_constant_matches_reference_formula(rate_mbps, duration_s):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(rates, durations), min_size=1, max_size=4))
+@given(st.lists(segment_draws, min_size=1, max_size=4))
 def test_synth_step_matches_reference_formula(segments):
     expected = outcome(reference_step, segments)
     got = outcome(synth_step, segments)
@@ -350,6 +422,16 @@ def test_synth_step_matches_reference_formula(segments):
         assert got.timestamps_ms == expected
         assert got.loop_length_ms == expected[-1]
         assert list(got.offsets_us()) == reference_offsets(expected)
+
+
+def test_synth_constant_is_exact_past_int64_products():
+    # 2000 opportunities over 9e15 ms: i * duration_ms passes int64 from
+    # i = 1025 on, yet every timestamp and offset fits.
+    rate_mbps, duration_s = 2000 / 7.5e14, 9e12
+    expected = reference_constant(rate_mbps, duration_s)
+    got = synth_constant(rate_mbps, duration_s)
+    assert got.timestamps_ms == expected
+    assert list(got.offsets_us()) == reference_offsets(expected)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
