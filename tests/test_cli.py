@@ -177,7 +177,6 @@ BAD_INPUT_BASE = ["run", "--trace", "constant:12@1", "--duration", "2",
     (["--bin-s", "0"], None),
     (["--bin-s", "1e-7"], None),
     (["--trace", "constant:100000@100"], None),
-    (["--trace", "constant:1e-300@1e300"], None),
     (["--owd-ms", "0"], None),
     (["--owd-ms", "0.0004"], None),
     ([], "[link]\none_way_delay_ms = 0\n"),
@@ -193,6 +192,7 @@ BAD_INPUT_BASE = ["run", "--trace", "constant:12@1", "--duration", "2",
     ([], "[flow]\ncwnd_init = 2e6\n"),
     ([], "[flow]\ncwnd_floor = 2e6\n"),
     ([], "[experiment]\nseed = 5\n"),
+    (["--trace", "constant:1e-300@1e300"], None),
 ])
 def test_bad_input_exits_2_with_one_line_and_no_output(out_root, tmp_path, capsys,
                                                        extra, ini):

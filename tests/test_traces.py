@@ -249,7 +249,7 @@ def traced_peak(build):
 
 def test_step_trace_builds_in_under_twice_its_offsets():
     # Filling the offsets a block of runs at a time keeps the temporaries
-    # small; a build through per-opportunity timestamps peaked at 4.1x.
+    # small; a timestamp per opportunity beside the offsets would pass 2x.
     sched, peak = traced_peak(lambda: synth_step([(100.0, 20.0), (720.0, 25.0)]))
     assert sched.opportunities_per_loop == 1_666_667
     assert peak < 2 * sched.offsets_us().nbytes
@@ -269,8 +269,8 @@ def test_sparse_traces_build_in_memory_sized_by_opportunities(tmp_path):
 
 
 def test_write_trace_streams_in_blocks(tmp_path):
-    # 120 000 opportunities: formatted all at once, the lines took about ten
-    # times the offsets' bytes.
+    # 120 000 opportunities, more than one block: formatting every line at
+    # once takes about ten times the offsets' bytes.
     sched = synth_constant(720.0, 2.0)
     p = tmp_path / "big.trace"
     _, peak = traced_peak(lambda: write_trace(sched, p))
@@ -278,13 +278,10 @@ def test_write_trace_streams_in_blocks(tmp_path):
     assert p.read_text() == "".join(f"{t}\n" for t in sched.timestamps_ms)
 
 
-@pytest.mark.parametrize("spec, message", [
-    ("constant:1e-9@1e13", f"trace timestamps must be at most {MAX_TIMESTAMP_MS}"),
-    ("constant:1e-300@1e300", f"trace timestamps must be at most {MAX_TIMESTAMP_MS}"),
-    ("step:0@1e300,1@1", f"trace timestamps must be at most {MAX_TIMESTAMP_MS}"),
-])
-def test_synthesized_trace_past_the_largest_timestamp_is_rejected(spec, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
+@pytest.mark.parametrize("spec", ["constant:1e-9@1e13", "constant:1e-300@1e300",
+                                  "step:0@1e300,1@1"])
+def test_synthesized_trace_past_the_largest_timestamp_is_rejected(spec):
+    with pytest.raises(ValueError, match=f"trace timestamps must be at most {MAX_TIMESTAMP_MS}"):
         from_spec(spec)
 
 
