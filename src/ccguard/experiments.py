@@ -1,8 +1,11 @@
 """Pre-registered experiment scenarios.
 
-Each builder returns a ready SimConfig; the CLI and the acceptance tests
-construct runs through these, so scenario parameters are defined exactly
-once. Defaults shared by the study:
+Each builder returns a ready SimConfig. The acceptance gates build their
+runs through these, and the benchmark in ``perfbench/`` builds ``steady``
+and ``step-up`` through them. The CLI calls none of them and takes only
+``DEEP_BUFFER`` from here: ``ccguard run`` and ``ccguard fairness`` build
+their scenarios through the INI path, with defaults of their own. Defaults
+shared by the study:
 
 * minimum RTT 20 ms (10 ms propagation each way)
 * 1500-byte packets, so 300 Mbps <=> a 500-packet bandwidth-delay product
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-from .guardian import GuardianConfig
+from .guardian import EXPLORATION_MODES, GuardianConfig
 from .netsim import INFINITE_BUFFER, FlowSpec, SimConfig
 from .traces import PACKET_BYTES, synth_constant, synth_step
 
@@ -22,8 +25,9 @@ OWD_S = MIN_RTT_S / 2.0
 DEEP_BUFFER = 3200
 
 
-def bdp_packets(rate_mbps: float, rtt_s: float = MIN_RTT_S) -> float:
-    return rate_mbps * 1e6 * rtt_s / (8 * PACKET_BYTES)
+def bdp_packets(rate_mbps: float) -> float:
+    """Bandwidth-delay product in packets at the study's minimum RTT."""
+    return rate_mbps * 1e6 * MIN_RTT_S / (8 * PACKET_BYTES)
 
 
 _GUARDIAN_OPTIONS = frozenset(f.name for f in fields(GuardianConfig))
@@ -64,7 +68,7 @@ def steady_state(seed: int, duration_s: float = 120.0) -> SimConfig:
     )
 
 
-def rampup(controller: str, seed: int, duration_s: float = 30.0) -> SimConfig:
+def rampup(controller: str, seed: int, duration_s: float) -> SimConfig:
     """Cold start from a one-packet window straight into congestion
     avoidance, 300 Mbps, unbounded buffer. Gate 2 reads the first instant
     cwnd reaches the BDP (500 packets) with ``metrics.first_cwnd_reaching``."""
@@ -98,14 +102,13 @@ def step_down_heavy(controller: str, seed: int) -> SimConfig:
 
 STEP_UP_AT_S = 20.0
 
-STEP_UP_VARIANTS = ("stochastic", "deterministic", "off")
-
 
 def step_up(exploration: str, seed: int) -> SimConfig:
     """100 -> 720 Mbps step at t=20 s (capacity x7.2), default 1.5x
-    threshold, deep buffer. Variants toggle the exploration mode."""
-    if exploration not in STEP_UP_VARIANTS:
-        raise ValueError(f"exploration must be one of {STEP_UP_VARIANTS}")
+    threshold, deep buffer. Variants toggle the exploration mode, one of
+    ``EXPLORATION_MODES``."""
+    if exploration not in EXPLORATION_MODES:
+        raise ValueError(f"exploration must be one of {EXPLORATION_MODES}")
     return SimConfig(
         schedule=synth_step([(100.0, 20.0), (720.0, 25.0)]),
         duration_s=45.0,
@@ -141,12 +144,12 @@ def step_down_drain(variant: str, seed: int) -> SimConfig:
 BUFFER_SWEEP_PKTS = (800, 3200, 12800, 51200)
 
 
-def buffer_sweep(buffer_pkts: int, seed: int, duration_s: float = 40.0) -> SimConfig:
-    """Constant 300 Mbps with a fixed 30 ms threshold across four buffer
-    depths spanning 64x; the guarded controller should not care."""
+def buffer_sweep(buffer_pkts: int, seed: int) -> SimConfig:
+    """Constant 300 Mbps for 40 s with a fixed 30 ms threshold across four
+    buffer depths spanning 64x; the guarded controller should not care."""
     return SimConfig(
         schedule=synth_constant(300.0, 1.0),
-        duration_s=duration_s,
+        duration_s=40.0,
         one_way_delay_s=OWD_S,
         buffer_pkts=buffer_pkts,
         seed=seed,
@@ -154,22 +157,14 @@ def buffer_sweep(buffer_pkts: int, seed: int, duration_s: float = 40.0) -> SimCo
     )
 
 
-def fairness(
-    n_flows: int = 3,
-    gap_s: float = 30.0,
-    seed: int = 1,
-    rate_mbps: float = 120.0,
-    duration_s: float = 120.0,
-) -> SimConfig:
-    """Staggered guarded flows sharing one queue on a constant link."""
-    if n_flows < 1:
-        raise ValueError("need at least one flow")
-    flows = [guarded_flow(f"flow{i}", start_s=i * gap_s) for i in range(n_flows)]
+def fairness(seed: int) -> SimConfig:
+    """Three guarded flows started 30 s apart, sharing one deep queue on a
+    constant 120 Mbps link for 120 s."""
     return SimConfig(
-        schedule=synth_constant(rate_mbps, 1.0),
-        duration_s=duration_s,
+        schedule=synth_constant(120.0, 1.0),
+        duration_s=120.0,
         one_way_delay_s=OWD_S,
         buffer_pkts=DEEP_BUFFER,
         seed=seed,
-        flows=flows,
+        flows=[guarded_flow(f"flow{i}", start_s=i * 30.0) for i in range(3)],
     )

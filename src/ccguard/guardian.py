@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 # Open-interval guards. Float sigmoid saturates to exactly 1.0 around x ~ 37,
 # which would make the exploration multiplier exactly 2.0; the contracts here
@@ -103,10 +104,14 @@ def mitigation_multiplier(headroom_score: float) -> float:
     return min(m, _MITIGATE_HI)
 
 
-def exploration_variance(mean: float, variance_floor: float = 1e-6) -> float:
+# Least variance of the exploration draw.
+EXPLORATION_VARIANCE_FLOOR = 1e-6
+
+
+def exploration_variance(mean: float) -> float:
     """Variance of the exploration draw: scales with |mean|, floored so the
     distribution never degenerates when the mean passes through zero."""
-    return max(abs(mean) / 4.0, variance_floor)
+    return max(abs(mean) / 4.0, EXPLORATION_VARIANCE_FLOOR)
 
 
 @dataclass
@@ -146,15 +151,14 @@ def resolve_threshold(config: GuardianConfig, min_rtt_s: float) -> float:
     return config.threshold_multiplier * min_rtt_s
 
 
-@dataclass
-class GuardianAction:
-    """Outcome of one tick, for the caller to apply and log."""
+class GuardianAction(NamedTuple):
+    """Outcome of one tick, for the caller to apply and log: the tick
+    trail's columns from zone to threshold."""
 
+    zone: str           # a Zone's value
     multiplier: float
-    zone: Zone
-    mean: float            # exploration mean after this tick's update
-    delay_s: float | None  # delay the tick acted on (None before first sample)
-    derivative: float
+    mean: float         # exploration mean after this tick's update
+    delay_s: float      # delay the tick acted on (nan before the first sample)
     threshold_s: float
 
 
@@ -163,31 +167,30 @@ class Guardian:
 
     __slots__ = ("config", "_rng", "mean", "_prev_delay_s", "_prev_tick_s")
 
-    def __init__(self, config: GuardianConfig, rng: random.Random | None = None):
+    def __init__(self, config: GuardianConfig, rng: random.Random):
         config.validate()
         self.config = config
-        self._rng = rng if rng is not None else random.Random(0)
+        self._rng = rng
         self.mean = 1.0          # exploration mean, decayed by measured derivatives
-        self._prev_delay_s: float | None = None
-        self._prev_tick_s: float | None = None
+        self._prev_delay_s = math.nan
+        self._prev_tick_s = math.nan
 
-    def tick(
-        self, mean_delay_s: float | None, now_s: float, min_rtt_s: float
-    ) -> GuardianAction:
+    def tick(self, mean_delay_s: float, now_s: float, min_rtt_s: float) -> GuardianAction:
         """Process one tick.
 
         ``mean_delay_s`` is the average RTT observed since the previous tick,
-        or None when nothing was delivered in the interval (the previous
-        delay is then reused, so the derivative reads zero and the tick is
-        neutral). The derivative is (delay change)/(time between ticks) —
-        dimensionless, seconds per second.
+        or nan when nothing was delivered in the interval (the previous
+        delay is then reused, so the derivative reads zero). The derivative
+        is (delay change)/(time between ticks) — dimensionless, seconds per
+        second. A nan delay, before the first sample, fails every zone test,
+        so its tick is neutral.
         """
         cfg = self.config
         threshold_s = resolve_threshold(cfg, min_rtt_s)
 
-        delay_s = mean_delay_s if mean_delay_s is not None else self._prev_delay_s
+        delay_s = self._prev_delay_s if math.isnan(mean_delay_s) else mean_delay_s
 
-        if self._prev_delay_s is None or self._prev_tick_s is None or delay_s is None:
+        if math.isnan(self._prev_delay_s):
             derivative = 0.0
         else:
             derivative = (delay_s - self._prev_delay_s) / (now_s - self._prev_tick_s)
@@ -198,35 +201,24 @@ class Guardian:
         self.mean -= derivative
 
         multiplier = 1.0
-        zone = Zone.NEUTRAL
-        if delay_s is not None:
-            zone = classify_zone(delay_s, derivative, threshold_s)
-            if zone is Zone.CRITICAL:
-                if cfg.mitigation:
-                    multiplier = mitigation_multiplier(
-                        headroom(delay_s, min_rtt_s, threshold_s)
-                    )
-            elif zone is Zone.RISING:
-                if cfg.slowdown:
-                    # Predict one tick interval ahead at the current trend.
-                    predicted = delay_s + derivative * min_rtt_s
-                    multiplier = slowdown_multiplier(predicted, min_rtt_s, threshold_s)
-            elif zone is Zone.FALLING:
-                if cfg.exploration != "off":
-                    if cfg.exploration == "deterministic":
-                        x = self.mean
-                    else:
-                        sigma = math.sqrt(exploration_variance(self.mean))
-                        x = self._rng.gauss(self.mean, sigma)
-                    multiplier = exploration_multiplier(x)
+        zone = classify_zone(delay_s, derivative, threshold_s)
+        if zone is Zone.CRITICAL:
+            if cfg.mitigation:
+                multiplier = mitigation_multiplier(headroom(delay_s, min_rtt_s, threshold_s))
+        elif zone is Zone.RISING:
+            if cfg.slowdown:
+                # Predict one tick interval ahead at the current trend.
+                predicted = delay_s + derivative * min_rtt_s
+                multiplier = slowdown_multiplier(predicted, min_rtt_s, threshold_s)
+        elif zone is Zone.FALLING:
+            if cfg.exploration != "off":
+                if cfg.exploration == "deterministic":
+                    x = self.mean
+                else:
+                    sigma = math.sqrt(exploration_variance(self.mean))
+                    x = self._rng.gauss(self.mean, sigma)
+                multiplier = exploration_multiplier(x)
 
         self._prev_delay_s = delay_s
         self._prev_tick_s = now_s
-        return GuardianAction(
-            multiplier=multiplier,
-            zone=zone,
-            mean=self.mean,
-            delay_s=delay_s,
-            derivative=derivative,
-            threshold_s=threshold_s,
-        )
+        return GuardianAction(zone.value, multiplier, self.mean, delay_s, threshold_s)

@@ -91,23 +91,18 @@ def summarize(
     log: SimLog,
     warmup_s: float = DEFAULT_WARMUP_S,
     end_s: float | None = None,
-    threshold_s: float | None = None,
 ) -> MetricsSummary:
     """Aggregate and per-flow metrics over the window (warmup, end].
 
-    ``threshold_s`` scales the mean RTT into the delay-vs-threshold ratio;
-    when omitted it is recovered from the run's tick trail if every flow
-    resolved the same delay threshold (the single-flow case), else the ratio
-    is nan.
+    The delay-vs-threshold ratio divides the mean RTT by the delay threshold
+    recovered from the run's tick trail: each flow's last resolved
+    threshold, when every flow's is the same (the single-flow case); else
+    the ratio is nan.
     """
     cfg = log.config
-    if threshold_s is None:
-        last_per_flow = {}
-        for fi, th in zip(log.tick_flow, log.tick_threshold_s):
-            last_per_flow[fi] = th
-        thresholds = set(last_per_flow.values())
-        if len(thresholds) == 1:
-            threshold_s = thresholds.pop()
+    last_per_flow = dict(zip(log.tick_flow, log.tick_threshold_s))
+    thresholds = set(last_per_flow.values())
+    threshold_s = thresholds.pop() if len(thresholds) == 1 else None
     t1_s = cfg.duration_s if end_s is None else end_s
     if not 0.0 <= warmup_s < t1_s:
         raise ValueError("need 0 <= warmup < end of analysis window")
@@ -308,16 +303,20 @@ def timeseries(log: SimLog, bin_s: float = 1.0) -> np.ndarray:
     return rows
 
 
+# Seconds between the window ends time_to_utilization tries.
+UTILIZATION_STEP_S = 0.01
+
+
 def time_to_utilization(
     log: SimLog,
     target: float,
     from_s: float,
     window_s: float = 1.0,
-    step_s: float = 0.01,
 ) -> float | None:
     """Seconds after ``from_s`` until a trailing window first reaches the
-    target utilization: smallest t >= from_s + window with
-    delivered(t-window, t] >= target * capacity(t-window, t]. None if never.
+    target utilization: smallest t >= from_s + window, on a grid of
+    ``UTILIZATION_STEP_S``, with delivered(t-window, t] >= target *
+    capacity(t-window, t]. None if never.
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target utilization must be in (0, 1]")
@@ -334,7 +333,7 @@ def time_to_utilization(
         need = target * capacity_delivered(cfg.schedule, t - window_s, t)
         if got >= need:
             return t - from_s
-        t += step_s
+        t += UTILIZATION_STEP_S
     return None
 
 

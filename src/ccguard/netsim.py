@@ -258,13 +258,14 @@ class SimLog:
     p_sent_us: np.ndarray
     p_delivered_us: np.ndarray
     p_dropped_us: np.ndarray
-    # Guardian tick trail (parallel lists, one row per tick of any flow).
+    # Guardian tick trail (parallel lists, one row per tick of any flow): the
+    # time and flow, the fields of the tick's GuardianAction, then the cwnd.
     tick_t_us: list[int]
     tick_flow: list[int]
     tick_zone: list[str]
     tick_multiplier: list[float]
     tick_mean: list[float]
-    tick_delay_s: list[float]      # nan when the tick saw no samples
+    tick_delay_s: list[float]      # nan before the flow's first sample
     tick_threshold_s: list[float]
     tick_cwnd: list[float]
     # Coarse cwnd trail for flows (covers aimd-only flows between ticks).
@@ -607,16 +608,14 @@ def run_sim(config: SimConfig) -> SimLog:
                 cursor[fi] = bisect_left(ts, t, c, ends[fi])
                 take_acks(f, ts, seqs, rtts, c, cursor[fi], sends, trails[fi])
             if kind == _TICK:
-                mean_delay = f.si_sum / f.si_n if f.si_n else None
+                mean_delay = f.si_sum / f.si_n if f.si_n else math.nan
                 f.si_sum = 0.0
                 f.si_n = 0
                 action = f.guardian.tick(mean_delay, t * 1e-6, f.min_rtt_s)
                 if action.multiplier != 1.0:
                     f.cwnd *= action.multiplier
                     f.clamp()
-                ticks.append((t, fi, action.zone.value, action.multiplier, action.mean,
-                              action.delay_s if action.delay_s is not None else math.nan,
-                              action.threshold_s, f.cwnd))
+                ticks.append((t, fi, *action, f.cwnd))
                 t_next = t + round(f.min_rtt_s * US_PER_S)
                 if t_next <= duration_us:
                     heappush(heap, (t_next, eseq, _TICK, fi))

@@ -116,12 +116,10 @@ def rampup_tick_bound(bdp_packets: float) -> float:
     return 4.0 * math.log(3.0 * bdp_packets)
 
 
-def rampup_ticks_exact(bdp_packets: float, cwnd0: float = 1.0) -> int:
-    """Ticks of the idealized ramp recurrence cwnd <- 1.5 * (cwnd + 1)
-    until cwnd >= bdp_packets."""
-    if bdp_packets < cwnd0:
-        return 0
-    cwnd = cwnd0
+def rampup_ticks_exact(bdp_packets: float) -> int:
+    """Ticks of the idealized ramp recurrence cwnd <- 1.5 * (cwnd + 1), from
+    one packet, until cwnd >= bdp_packets."""
+    cwnd = 1.0
     ticks = 0
     while cwnd < bdp_packets:
         cwnd = 1.5 * (cwnd + 1.0)

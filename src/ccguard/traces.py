@@ -13,15 +13,16 @@ uniformly across (m-1, m] ms, the last landing exactly on m ms (so a lone
 opportunity fires at its nominal timestamp); rounding each offset up to the
 millisecond gives the timestamps back.
 
-Every path builds that array from millisecond runs: the distinct
+Parsing reduces the validated timestamps to millisecond runs: the distinct
 milliseconds that hold opportunities, with the count in each. Synthesis
-computes each constant-rate segment's runs in closed form, so it never
-lists a millisecond once per opportunity; parsing reduces the validated
-timestamps to runs. One builder fills the offsets a block of runs at a time
-(``_RUN_BLOCK``), so besides the offsets and the runs, never more of them
-than opportunities, a build holds one block's temporaries: memory follows
-the opportunities, never the loop's milliseconds. ``write_trace`` formats
-the timestamps a block at a time too.
+computes a dense constant-rate segment's runs (at least one opportunity
+per millisecond) in closed form. One builder fills the offsets a block of
+runs at a time (``_RUN_BLOCK``). A sparse segment's opportunities each sit
+alone in their millisecond, so their offsets are written straight from the
+closed form, a block at a time. Besides the offsets and the runs, never
+more of them than opportunities, a build holds one block's temporaries:
+memory follows the opportunities, never the loop's milliseconds.
+``write_trace`` formats the timestamps a block at a time too.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class TraceSchedule:
 
     __slots__ = ("_offsets", "loop_length_ms")
 
-    def __init__(self, timestamps_ms, loop_length_ms: int):
+    def __init__(self, timestamps_ms):
         try:
             ts = np.asarray(timestamps_ms, dtype=np.int64)
         except OverflowError:
@@ -115,8 +116,6 @@ class TraceSchedule:
                 raise ValueError(f"trace timestamp {ts_bad} is not a positive integer")
             raise ValueError("trace timestamps must be nondecreasing")
         last = int(ts[-1])
-        if loop_length_ms != last:
-            raise ValueError("loop length must equal the last trace timestamp")
         if last > MAX_TIMESTAMP_MS:
             raise ValueError(f"trace timestamps must be at most {MAX_TIMESTAMP_MS}")
         self.loop_length_ms = last
@@ -225,7 +224,7 @@ def parse_trace(path: str | os.PathLike) -> TraceSchedule:
         timestamps = _load_digits(fh.read())
     if timestamps is None:
         timestamps = _read_lines(path)
-    return TraceSchedule(timestamps, int(timestamps[-1]))
+    return TraceSchedule(timestamps)
 
 
 def write_trace(schedule: TraceSchedule, path: str | os.PathLike) -> None:
@@ -265,25 +264,33 @@ def _segment_count(rate_mbps: float, duration_s: float) -> int:
 
 
 def _segment_runs(n: int, duration_ms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of a constant-rate segment whose n opportunities sit at
-    ceil(i * duration_ms / n), i = 1..n. A timestamp is at most m exactly
-    when i <= floor(m * n / duration_ms), so with n >= duration_ms every
-    millisecond holds a run; with fewer opportunities each timestamp is a run
-    of one. Every product stays below n * n or duration_ms."""
-    if n >= duration_ms:
-        ms = np.arange(1, duration_ms + 1, dtype=np.int64)
-        upto = ms * n
-        upto //= duration_ms
-        return ms, np.diff(upto, prepend=0)
-    # ceil(i * D / n) = i * q + ceil(i * r / n) for D = q * n + r.
+    """Runs of a constant-rate segment with at least as many opportunities n
+    as milliseconds, the opportunities at ceil(i * duration_ms / n),
+    i = 1..n. A timestamp is at most m exactly when i <= floor(m * n /
+    duration_ms), so every millisecond holds a run. Every product is at
+    most n * duration_ms <= n * n."""
+    ms = np.arange(1, duration_ms + 1, dtype=np.int64)
+    upto = ms * n
+    upto //= duration_ms
+    return ms, np.diff(upto, prepend=0)
+
+
+def _fill_sparse(out: np.ndarray, n: int, duration_ms: int, base_ms: int) -> None:
+    """Write into ``out`` the offsets of a constant-rate segment starting at
+    ``base_ms`` with fewer opportunities n than milliseconds D: opportunity
+    i sits alone at ceil(i * D / n) ms, which is i * q + ceil(i * r / n) for
+    D = q * n + r, so every product stays below n * n or D."""
     q, r = divmod(duration_ms, n)
-    ms = np.arange(1, n + 1, dtype=np.int64)
-    ms *= r
-    ms += n - 1
-    ms //= n
-    ms += np.arange(q, q * n + 1, q, dtype=np.int64)
-    # A read-only view: the counts of one take no memory.
-    return ms, np.broadcast_to(np.int64(1), n)
+    for a in range(0, n, _RUN_BLOCK):
+        i = np.arange(a + 1, min(a + _RUN_BLOCK, n) + 1, dtype=np.int64)
+        seg = out[a:a + len(i)]
+        np.multiply(i, r, out=seg)
+        seg += n - 1
+        seg //= n
+        i *= q
+        seg += i
+        seg += base_ms
+        seg *= US_PER_MS
 
 
 def synth_constant(rate_mbps: float, duration_s: float) -> TraceSchedule:
@@ -323,11 +330,13 @@ def synth_step(segments: list[tuple[float, float]]) -> TraceSchedule:
     offsets = np.empty(sum(counts) + (counts[-1] == 0), dtype=np.int64)
     start = base_ms = 0
     for duration_ms, n in zip(durations_ms, counts):
-        if n:
+        if n >= duration_ms:
             ms, k = _segment_runs(n, duration_ms)
             ms += base_ms
             _fill_offsets(offsets[start:start + n], ms, k)
-            start += n
+        elif n:
+            _fill_sparse(offsets[start:start + n], n, duration_ms, base_ms)
+        start += n
         base_ms += duration_ms
     if start < len(offsets):
         offsets[-1] = base_ms * US_PER_MS

@@ -3,13 +3,14 @@ attribute; renaming one breaks the benchmark only when it runs. These
 checks fail fast instead."""
 
 import importlib
+import inspect
 import os
 import random
 
 import numpy as np
 import pytest
 
-from ccguard import cli, metrics, traces
+from ccguard import cli, experiments, metrics, theory, traces
 from ccguard.aimd import AimdWindow
 from ccguard.netsim import FlowSpec, SimConfig, run_sim
 from ccguard.traces import TraceSchedule, synth_constant
@@ -34,6 +35,29 @@ def test_names_the_workloads_call_resolve():
     assert callable(TraceSchedule.opportunities_until)
     assert isinstance(TraceSchedule.opportunities_per_loop, property)
     assert isinstance(TraceSchedule.loop_length_us, property)
+
+
+# Each call the workloads make, with stand-ins for the arguments they pass.
+BENCH_CALLS = [
+    (experiments.steady_state, (5,), {"duration_s": 30.0}),
+    (experiments.step_up, ("stochastic", 1), {}),
+    (experiments.bdp_packets, (300.0,), {}),
+    (theory.steady_state_delay_bound, (500.0, 0.02), {}),
+    (metrics.summarize, ("log",), {"warmup_s": 20.0}),
+    (metrics.timeseries, ("log",), {}),
+    (metrics.time_to_utilization, ("log", 0.9), {"from_s": 20.0, "window_s": 0.1}),
+    (theory.run_self_checks, (), {}),
+    (traces.capacity_delivered, ("schedule", 0.0, 30.0), {}),
+    (traces.from_spec, ("cell.trace",), {}),
+    (AimdWindow, (), {}),
+]
+
+
+@pytest.mark.parametrize("fn, args, kwargs", BENCH_CALLS,
+                         ids=[fn.__qualname__ for fn, _, _ in BENCH_CALLS])
+def test_the_calls_the_workloads_make_bind(fn, args, kwargs):
+    # Binding fails on a parameter the benchmark passes that is gone.
+    inspect.signature(fn).bind(*args, **kwargs)
 
 
 def test_timeseries_length_counts_rows():

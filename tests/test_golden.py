@@ -76,7 +76,7 @@ def explore_under(seconds):
 def _scenarios():
     # Opportunities in bursts, a silence and a 40 ms loop, so deliveries
     # cross many loop boundaries and skip empty stretches.
-    bursty = TraceSchedule([3, 3, 3, 3, 4, 9, 9, 25, 25, 25, 26, 40], 40)
+    bursty = TraceSchedule([3, 3, 3, 3, 4, 9, 9, 25, 25, 25, 26, 40])
     return {
         "steady": SimConfig(
             schedule=synth_constant(300.0, 1.0), duration_s=2.0, seed=1,
@@ -134,7 +134,7 @@ def _scenarios():
         # guardian ticks and acks land on the same instants and the tie
         # rule (the tick first) decides which samples each tick sees.
         "owd-1us": SimConfig(
-            schedule=TraceSchedule([1] + [2] * 1001 + [3, 4, 5], 5), duration_s=0.01,
+            schedule=TraceSchedule([1] + [2] * 1001 + [3, 4, 5]), duration_s=0.01,
             one_way_delay_s=1e-6, buffer_pkts=3, seed=25,
             flows=[
                 guarded("a", cwnd_init=2.0),
@@ -146,7 +146,7 @@ def _scenarios():
         # millisecond holds 1200 opportunities, so some microsecond offsets
         # repeat; the queue builds between bursts and the buffer drops.
         "dense-short-loop": SimConfig(
-            schedule=TraceSchedule([1] * 1200 + [2, 3, 3, 4], 4), duration_s=0.2,
+            schedule=TraceSchedule([1] * 1200 + [2, 3, 3, 4]), duration_s=0.2,
             one_way_delay_s=0.005, buffer_pkts=150, seed=6,
             flows=[guarded("a"), aimd("b", start_s=0.0123, cwnd_init=40.0)],
         ),
@@ -162,7 +162,7 @@ def _scenarios():
             ],
         ),
         "three-flows-buffer-1": SimConfig(
-            schedule=TraceSchedule([2, 2, 2, 5, 6, 6, 11, 12], 12), duration_s=2.0,
+            schedule=TraceSchedule([2, 2, 2, 5, 6, 6, 11, 12]), duration_s=2.0,
             one_way_delay_s=0.0045, buffer_pkts=1, seed=11,
             flows=[
                 guarded("a", cwnd_init=6.0, guardian=fixed_threshold(0.012)),

@@ -185,9 +185,10 @@ def test_tick_worked_example_mean_update():
     _tick(g, 0.024, 1.000)
     g.mean = 0.9
     action = _tick(g, 0.022, 1.020)
-    assert action.derivative == pytest.approx(-0.1, abs=1e-9)
+    # The mean takes the negated derivative.
+    assert 0.9 - action.mean == pytest.approx(-0.1, abs=1e-9)
     assert action.mean == pytest.approx(1.0, abs=1e-9)
-    assert action.zone is Zone.FALLING
+    assert action.zone == Zone.FALLING.value
     assert 1.0 < action.multiplier < 2.0
 
 
@@ -199,7 +200,7 @@ def test_tick_critical_worked_example():
     )
     _tick(g, 0.020, 1.000)
     action = _tick(g, 0.036, 1.020)
-    assert action.zone is Zone.CRITICAL
+    assert action.zone == Zone.CRITICAL.value
     assert action.multiplier == pytest.approx(0.32987697769322355, abs=1e-12)
 
 
@@ -207,22 +208,27 @@ def test_tick_zero_derivative_is_neutral():
     g = Guardian(GuardianConfig(), rng=random.Random(2))
     _tick(g, 0.025, 1.000)
     action = _tick(g, 0.025, 1.020)
-    assert action.zone is Zone.NEUTRAL
+    assert action.zone == Zone.NEUTRAL.value
     assert action.multiplier == 1.0
 
 
 def test_tick_empty_interval_reuses_previous_delay():
     g = Guardian(GuardianConfig(), rng=random.Random(3))
+    # Before the first sample there is no delay: the tick is neutral.
+    first = _tick(g, math.nan, 0.980)
+    assert first.zone == Zone.NEUTRAL.value
+    assert first.multiplier == 1.0 and math.isnan(first.delay_s)
+    assert g.mean == 1.0
     _tick(g, 0.026, 1.000)
     mean_before = g.mean
-    action = _tick(g, None, 1.020)
-    assert action.zone is Zone.NEUTRAL
+    action = _tick(g, math.nan, 1.020)
+    assert action.zone == Zone.NEUTRAL.value
     assert action.multiplier == 1.0
-    assert action.derivative == 0.0
-    assert g.mean == mean_before
+    assert action.delay_s == 0.026
+    assert g.mean == mean_before  # a zero derivative
     # The reused delay keeps feeding later derivatives.
     nxt = _tick(g, 0.024, 1.040)
-    assert nxt.derivative == pytest.approx((0.024 - 0.026) / 0.020, abs=1e-9)
+    assert mean_before - nxt.mean == pytest.approx((0.024 - 0.026) / 0.020, abs=1e-9)
 
 
 def test_tick_mean_telescopes():
@@ -241,10 +247,11 @@ def test_tick_mean_telescopes():
 
 
 def test_tick_critical_still_updates_mean():
-    g = Guardian(GuardianConfig(threshold_multiplier=None, threshold_fixed_s=0.030))
+    g = Guardian(GuardianConfig(threshold_multiplier=None, threshold_fixed_s=0.030),
+                 rng=random.Random(7))
     _tick(g, 0.020, 1.000)
     action = _tick(g, 0.040, 1.020)
-    assert action.zone is Zone.CRITICAL
+    assert action.zone == Zone.CRITICAL.value
     assert action.mean == pytest.approx(1.0 - (0.040 - 0.020) / 0.020, abs=1e-9)
 
 
@@ -264,7 +271,7 @@ def test_tick_disabled_modules_leave_window_alone():
         (0.041, Zone.CRITICAL),
     ):
         action = _tick(g, delay, g._prev_tick_s + 0.020)
-        assert action.zone is expected_zone
+        assert action.zone == expected_zone.value
         assert action.multiplier == 1.0
 
 
@@ -277,7 +284,7 @@ def test_tick_deterministic_exploration_uses_mean_directly():
         _tick(g, 0.022, 1.020)
     a1 = _tick(g1, 0.020, 1.040)
     a2 = _tick(g2, 0.020, 1.040)
-    assert a1.zone is Zone.FALLING
+    assert a1.zone == Zone.FALLING.value
     assert a1.multiplier == a2.multiplier  # no randomness consumed
     assert a1.multiplier == pytest.approx(
         exploration_multiplier(a1.mean), abs=1e-12
@@ -299,7 +306,7 @@ def test_tick_stochastic_replay_is_bit_identical():
 
 
 def test_tick_threshold_tracks_shrinking_min_rtt():
-    g = Guardian(GuardianConfig(threshold_multiplier=1.5))
+    g = Guardian(GuardianConfig(threshold_multiplier=1.5), rng=random.Random(8))
     a1 = g.tick(0.030, 1.000, 0.020)
     assert a1.threshold_s == pytest.approx(0.030)
     a2 = g.tick(0.029, 1.020, 0.018)  # min RTT estimate shrank

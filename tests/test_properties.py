@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ccguard.aimd import AimdWindow
 from ccguard.guardian import (
+    EXPLORATION_VARIANCE_FLOOR,
     Guardian,
     GuardianConfig,
     Zone,
@@ -64,11 +65,11 @@ def test_mitigation_strictly_between_zero_and_half(h):
     assert 0.0 < m < 0.5
 
 
-@given(moderate, st.floats(min_value=1e-12, max_value=10.0))
-def test_exploration_variance_floor(mean, floor):
-    v = exploration_variance(mean, variance_floor=floor)
-    assert v >= floor
-    assert v == max(abs(mean) / 4.0, floor)
+@given(moderate)
+def test_exploration_variance_floor(mean):
+    v = exploration_variance(mean)
+    assert v >= EXPLORATION_VARIANCE_FLOOR
+    assert v == max(abs(mean) / 4.0, EXPLORATION_VARIANCE_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def test_mean_telescopes_over_any_delay_path(path, interval_s):
 
 
 @given(
-    st.lists(st.one_of(delays, st.none()), min_size=2, max_size=30),
+    st.lists(st.one_of(delays, st.just(math.nan)), min_size=2, max_size=30),
     st.integers(min_value=0, max_value=2**31),
 )
 @settings(deadline=None)

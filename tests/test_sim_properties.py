@@ -52,7 +52,7 @@ def schedules(draw):
         timestamps += [ms] * burst
     if not timestamps or timestamps[-1] != ms:
         timestamps.append(ms)
-    return TraceSchedule(timestamps, ms)
+    return TraceSchedule(timestamps)
 
 
 @st.composite
@@ -512,7 +512,7 @@ def test_summary_and_timeseries_match_the_mask_per_flow_code(
 
 
 def analysis_case(flows, buffer_pkts=INFINITE_BUFFER, duration_s=0.2):
-    return SimConfig(schedule=TraceSchedule([1, 1, 2, 4, 4, 4, 7], 7), duration_s=duration_s,
+    return SimConfig(schedule=TraceSchedule([1, 1, 2, 4, 4, 4, 7]), duration_s=duration_s,
                      one_way_delay_s=0.002, buffer_pkts=buffer_pkts, seed=3, flows=flows)
 
 

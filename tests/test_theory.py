@@ -167,7 +167,6 @@ def test_rampup_exact_recursion():
     assert rampup_ticks_exact(10.0) == 3
     assert rampup_ticks_exact(500.0) == 12
     assert rampup_ticks_exact(1.0) == 0  # already at the target
-    assert rampup_ticks_exact(500.0, cwnd0=600.0) == 0
 
 
 def test_rampup_exact_never_exceeds_bound():

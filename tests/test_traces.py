@@ -25,21 +25,20 @@ from ccguard.traces import (
 
 
 SCHEDULE_FAULTS = [
-    ([], 0, "trace has no delivery opportunities"),
-    ([0, 1], 1, "trace timestamp 0 is not a positive integer"),
-    ([2, 1], 2, "trace timestamps must be nondecreasing"),
-    ([2, 1, 0], 0, "trace timestamps must be nondecreasing"),  # first fault wins
-    ([2, 0, 1], 1, "trace timestamp 0 is not a positive integer"),
-    ([1, 2], 3, "loop length must equal the last trace timestamp"),
-    ([1, 2**62], 2**62, "trace timestamps must be at most"),  # offset overflows int64
-    ([1, 2**70], 2**70, "trace timestamps must be at most"),
+    ([], "trace has no delivery opportunities"),
+    ([0, 1], "trace timestamp 0 is not a positive integer"),
+    ([2, 1], "trace timestamps must be nondecreasing"),
+    ([2, 1, 0], "trace timestamps must be nondecreasing"),  # first fault wins
+    ([2, 0, 1], "trace timestamp 0 is not a positive integer"),
+    ([1, 2**62], "trace timestamps must be at most"),  # offset overflows int64
+    ([1, 2**70], "trace timestamps must be at most"),
 ]
 
 
 def test_schedule_validates_timestamps():
-    for timestamps, loop, message in SCHEDULE_FAULTS:
+    for timestamps, message in SCHEDULE_FAULTS:
         with pytest.raises(ValueError, match=re.escape(message)):
-            TraceSchedule(timestamps, loop)
+            TraceSchedule(timestamps)
 
 
 def test_parse_trace_burst_lines(tmp_path):
@@ -108,7 +107,7 @@ def test_parse_trace_accepts(tmp_path, text, timestamps):
 
 
 def test_write_then_parse_roundtrip(tmp_path):
-    sched = TraceSchedule([1, 1, 3, 7, 7, 7, 10], 10)
+    sched = TraceSchedule([1, 1, 3, 7, 7, 7, 10])
     p = tmp_path / "round.trace"
     write_trace(sched, p)
     back = parse_trace(p)
@@ -118,12 +117,12 @@ def test_write_then_parse_roundtrip(tmp_path):
 
 def test_offsets_single_opportunity_lands_at_millisecond_edge():
     # One opportunity in millisecond m sits exactly at m ms.
-    sched = TraceSchedule([1, 2, 3], 3)
+    sched = TraceSchedule([1, 2, 3])
     assert list(sched.offsets_us()) == [1000, 2000, 3000]
 
 
 def test_offsets_same_millisecond_burst_spreads_within_it():
-    sched = TraceSchedule([5, 5, 5], 5)
+    sched = TraceSchedule([5, 5, 5])
     offs = list(sched.offsets_us())
     assert len(offs) == 3
     assert offs[-1] == 5000  # last lands on the edge
@@ -135,14 +134,14 @@ def test_offsets_same_millisecond_burst_spreads_within_it():
 
 
 def test_cumulative_counts_match_trace_at_millisecond_boundaries():
-    sched = TraceSchedule([1, 1, 2, 4, 4, 4, 5], 5)
+    sched = TraceSchedule([1, 1, 2, 4, 4, 4, 5])
     for ms in range(1, 6):
         expected = sum(1 for t in sched.timestamps_ms if t <= ms)
         assert sched.opportunities_until(ms * 1000) == expected
 
 
 def test_opportunities_until_loops_cyclically():
-    sched = TraceSchedule([1, 2, 3], 3)
+    sched = TraceSchedule([1, 2, 3])
     per_loop = sched.opportunities_per_loop
     assert sched.opportunities_until(3000) == per_loop
     assert sched.opportunities_until(6000) == 2 * per_loop
@@ -152,7 +151,7 @@ def test_opportunities_until_loops_cyclically():
 
 
 def test_next_opportunity_is_inclusive_at_or_after():
-    sched = TraceSchedule([1, 2, 3], 3)
+    sched = TraceSchedule([1, 2, 3])
     assert sched.next_opportunity(0) == 1000
     assert sched.next_opportunity(1000) == 1000  # at-or-after contract
     assert sched.next_opportunity(1001) == 2000
@@ -162,7 +161,7 @@ def test_next_opportunity_is_inclusive_at_or_after():
 
 
 def test_capacity_window_is_half_open():
-    sched = TraceSchedule([1, 2, 3], 3)
+    sched = TraceSchedule([1, 2, 3])
     # [0, 3 ms) excludes the opportunity sitting exactly at 3 ms.
     assert capacity_delivered(sched, 0.0, 0.003) == 2
     assert capacity_delivered(sched, 0.0, 0.0031) == 3
@@ -172,7 +171,7 @@ def test_capacity_window_is_half_open():
 
 
 def test_capacity_spans_loops():
-    sched = TraceSchedule([1, 2, 3], 3)
+    sched = TraceSchedule([1, 2, 3])
     # Two full loops starting inside the first: (0.5 ms .. 6.5 ms) holds all
     # six opportunities (1,2,3,4,5,6 ms).
     assert capacity_delivered(sched, 0.0005, 0.0065) == 6
@@ -261,6 +260,11 @@ def test_sparse_traces_build_in_memory_sized_by_opportunities(tmp_path):
     sched, peak = traced_peak(lambda: from_spec("constant:0.00001@1e7"))
     assert (sched.opportunities_per_loop, sched.loop_length_ms) == (8333, 10**10)
     assert peak < 2**20
+    # Each opportunity alone in its millisecond: its offset is written
+    # straight, where a run array per opportunity beside the offsets read 3x.
+    sched, peak = traced_peak(lambda: from_spec("constant:0.001@1e7"))
+    assert sched.opportunities_per_loop == 833_333
+    assert peak < 1.5 * sched.offsets_us().nbytes
     p = tmp_path / "sparse.trace"
     p.write_text("1\n10000000000\n")
     sched, peak = traced_peak(lambda: parse_trace(p))
@@ -375,7 +379,7 @@ def timestamp_lists(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(timestamp_lists())
 def test_schedule_matches_reference_grouping(timestamps):
-    sched = TraceSchedule(timestamps, timestamps[-1])
+    sched = TraceSchedule(timestamps)
     assert list(sched.offsets_us()) == reference_offsets(timestamps)
     assert sched.timestamps_ms == timestamps
     assert sched.loop_length_us == timestamps[-1] * 1000
@@ -434,7 +438,7 @@ def test_synth_constant_is_exact_past_int64_products():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(timestamp_lists())
 def test_write_parse_roundtrip_is_exact(timestamps):
-    sched = TraceSchedule(timestamps, timestamps[-1])
+    sched = TraceSchedule(timestamps)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "round.trace")
         write_trace(sched, path)
