@@ -6,9 +6,18 @@ ack (one packet per RTT). Three duplicate acks count as one loss event per
 episode: the threshold drops to half the current window and the window jumps
 straight to it (no retransmission or timeout machinery lives here; the caller
 owns sequencing and decides when a duplicate-ack episode has fired).
+
+``AimdWindow.on_acks`` is the growth rule's only definition. It does not
+return the window after each ack, only the acks at which the window first
+reaches each of a ladder of levels. That is all its callers read: the
+simulator asks for the levels above floor(cwnd), the acks at which a flow
+may send one more packet, and ``metrics.first_cwnd_reaching`` for its
+target.
 """
 
 from __future__ import annotations
+
+import math
 
 SLOW_START = 0
 AVOIDANCE = 1
@@ -38,29 +47,43 @@ class AimdWindow:
             self.ssthresh = self.cwnd
 
     def on_ack(self) -> None:
-        """Advance the window for one new (in-order) ack."""
-        self.on_acks(1)
+        """Advance the window for one new (in-order) ack, asking for no
+        crossing."""
+        self.on_acks(1, math.inf)
 
-    def on_acks(self, n: int) -> list[float]:
-        """Advance the window for ``n`` new (in-order) acks and return the
-        window after each one. This is the rule's only definition."""
-        cwnds: list[float] = []
-        record = cwnds.append
+    def on_acks(self, n: int, level: float) -> list[int]:
+        """Advance the window for ``n`` new (in-order) acks. Returns, for
+        ``level``, ``level + 1`` and so on up to the last level the window
+        reaches, the index (from 0) of the first ack after which the window
+        is at or above it. An index is listed once per level it reaches
+        first, so an ack may be listed twice, or none at all; a level the
+        window is already at counts as reached at the first ack. Each level
+        is the one before plus 1.0, added in floating point. This is the
+        rule's only definition."""
+        crossed: list[int] = []
+        record = crossed.append
         cwnd = self.cwnd
+        k = 0
         if self.phase == SLOW_START:
             ssthresh = self.ssthresh
-            for _ in range(n):
+            while k < n:
                 cwnd += 1.0
-                record(cwnd)
+                # Rounding can carry one ack across two levels: from
+                # nextafter(4, 0), cwnd + 1.0 is 5.0.
+                while cwnd >= level:
+                    record(k)
+                    level += 1.0
+                k += 1
                 if cwnd >= ssthresh:
                     self.phase = AVOIDANCE
                     break
-            n -= len(cwnds)
-        for _ in range(n):
+        for k in range(k, n):
             cwnd += 1.0 / cwnd
-            record(cwnd)
+            while cwnd >= level:
+                record(k)
+                level += 1.0
         self.cwnd = cwnd
-        return cwnds
+        return crossed
 
     def on_loss(self) -> None:
         """Multiplicative decrease for one loss event."""

@@ -399,8 +399,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_fairness(args: argparse.Namespace) -> int:
-    # Flow i starts i x gap in; the index covers the final window.
+def fairness_ini(args: argparse.Namespace) -> configparser.ConfigParser:
+    """The INI of a ``fairness`` run: flow i starts i x gap in, and the
+    analysis covers the final window."""
     if not 1 <= args.flows <= MAX_FLOWS:
         raise ConfigError(f"need 1 <= --flows <= {MAX_FLOWS}")
     cp = _parser()
@@ -411,7 +412,11 @@ def cmd_fairness(args: argparse.Namespace) -> int:
         "link": {"trace": f"constant:{args.rate}@1"},
         **{f"flow:flow{i}": {"start_s": repr(i * args.gap_s)} for i in range(args.flows)},
     })
-    sim, analysis, _ = build_sim_config(cp)
+    return cp
+
+
+def cmd_fairness(args: argparse.Namespace) -> int:
+    sim, analysis, _ = build_sim_config(fairness_ini(args))
     log = run_sim(sim)
     out_dir = _out_root(args.out)
     payload = write_run_outputs(out_dir, log, analysis)
@@ -490,11 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=cmd_sweep)
 
     fair_p = sub.add_parser("fairness", help="staggered flows on one queue")
-    fair_p.add_argument("--flows", type=int, default=3)
-    fair_p.add_argument("--gap-s", dest="gap_s", type=float, default=30.0)
-    fair_p.add_argument("--rate", type=float, default=120.0)
-    fair_p.add_argument("--duration", type=float, default=120.0)
-    fair_p.add_argument("--window", type=float, default=30.0,
+    fair_p.add_argument("--flows", type=int, default=experiments.FAIRNESS_FLOWS)
+    fair_p.add_argument("--gap-s", dest="gap_s", type=float, default=experiments.FAIRNESS_GAP_S)
+    fair_p.add_argument("--rate", type=float, default=experiments.FAIRNESS_RATE_MBPS)
+    fair_p.add_argument("--duration", type=float, default=experiments.FAIRNESS_DURATION_S)
+    fair_p.add_argument("--window", type=float, default=experiments.FAIRNESS_WINDOW_S,
                         help="final window for the fairness index, seconds")
     fair_p.add_argument("--seed", type=int, default=1)
     fair_p.add_argument("--out", default="runs/fairness", help="output directory")

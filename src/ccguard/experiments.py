@@ -2,10 +2,11 @@
 
 Each builder returns a ready SimConfig. The acceptance gates build their
 runs through these, and the benchmark in ``perfbench/`` builds ``steady``
-and ``step-up`` through them. The CLI calls none of them and takes only
-``DEEP_BUFFER`` from here: ``ccguard run`` and ``ccguard fairness`` build
-their scenarios through the INI path, with defaults of their own. Defaults
-shared by the study:
+and ``step-up`` through them. The CLI calls none of them: ``ccguard run``
+and ``ccguard fairness`` build their scenarios through the INI path. It
+takes ``DEEP_BUFFER`` from here, and ``ccguard fairness`` takes its flag
+defaults from gate 8's ``FAIRNESS_*`` constants, so that by default it runs
+``fairness``'s scenario. Defaults shared by the study:
 
 * minimum RTT 20 ms (10 ms propagation each way)
 * 1500-byte packets, so 300 Mbps <=> a 500-packet bandwidth-delay product
@@ -157,14 +158,24 @@ def buffer_sweep(buffer_pkts: int, seed: int) -> SimConfig:
     )
 
 
+# Gate 8's scenario, which ``ccguard fairness`` runs by default. The gate
+# reads the Jain index over the final window.
+FAIRNESS_FLOWS = 3
+FAIRNESS_GAP_S = 30.0
+FAIRNESS_RATE_MBPS = 120.0
+FAIRNESS_DURATION_S = 120.0
+FAIRNESS_WINDOW_S = 30.0
+
+
 def fairness(seed: int) -> SimConfig:
     """Three guarded flows started 30 s apart, sharing one deep queue on a
     constant 120 Mbps link for 120 s."""
     return SimConfig(
-        schedule=synth_constant(120.0, 1.0),
-        duration_s=120.0,
+        schedule=synth_constant(FAIRNESS_RATE_MBPS, 1.0),
+        duration_s=FAIRNESS_DURATION_S,
         one_way_delay_s=OWD_S,
         buffer_pkts=DEEP_BUFFER,
         seed=seed,
-        flows=[guarded_flow(f"flow{i}", start_s=i * 30.0) for i in range(3)],
+        flows=[guarded_flow(f"flow{i}", start_s=i * FAIRNESS_GAP_S)
+               for i in range(FAIRNESS_FLOWS)],
     )

@@ -364,9 +364,9 @@ def first_cwnd_reaching(log: SimLog, flow: int, target: float) -> int:
     for t, cwnd in [*ticks, (stop_us, None)]:
         upto = bisect_left(acks, t, taken)
         if upto > taken:
-            cwnds = window.on_acks(upto - taken)
-            if cwnds[-1] >= target:
-                return acks[taken + bisect_left(cwnds, target)]
+            crossed = window.on_acks(upto - taken, target)
+            if crossed:
+                return acks[taken + crossed[0]]
             taken = upto
         if cwnd is not None:
             window.cwnd = cwnd

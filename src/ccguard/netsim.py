@@ -40,16 +40,21 @@ reads them, and the packets it sends get their fates only when the window
 closes. So a flow takes all its pending acks in one call, ``take_acks``, just
 before each of its own heap events, and every flow takes the rest when the
 window closes. Along a run of in-order acks the window only grows, so a
-run's send counts follow from the cwnd values that ``on_acks``, the window
-rule's only definition, returns. Only the acks that drain a window left
-above cwnd by a cut send nothing, and bisection finds the first ack that
-sends. After it, each ack sends one packet for the packet it frees, plus one
-for each integer that cwnd first reaches at it; bisection over the cwnd
-values finds those acks, so a run costs a step per integer crossed, not per
-ack, and writes only those counts that are not 1. The min RTT and the
+run's send counts follow from the acks at which floor(cwnd) rises. Those
+are the crossings ``on_acks``, the window rule's only definition, returns
+when asked for the levels from floor(cwnd) + 1 up: the index of the ack at
+which cwnd first reaches each integer, listed once per integer, so an ack
+that crosses two is listed twice. Only the acks that drain a window left
+above cwnd by a cut send nothing; the first ack that sends is found from
+the crossings, a step per crossing. After it, each ack sends one packet for
+the packet it frees, plus one per crossing at it, so a run costs a step per
+integer crossed, not per ack, and writes only those counts that are not 1.
+A run is cut after each ack due a cwnd sample, at most one per flow per
+100 ms, so that the sample reads the window there. The min RTT and the
 guardian's sum of RTT samples cost one numpy call each per ``take_acks``
-call: the sum is a ``cumsum`` from the carried sum, which adds in order, as
-one ack at a time would. A guarded flow whose guardian has not started is the exception: its
+call: the sum is an ``np.add.accumulate`` (``cumsum``) from the carried sum,
+which adds in order, as one ack at a time would. A guarded flow whose
+guardian has not started is the exception: its
 guardian starts at the ack that finds its window in congestion avoidance,
 and the order of pushes sets the insertion sequence that breaks ties between
 ticks. Such a flow takes its acks one at a time when the window opens and
@@ -75,7 +80,9 @@ one numpy pass:
   from the sorted deliveries. At the first that finds it full, the queue
   stays full until its next departure, so every packet arriving by then is
   dropped too (a packet leaving at the arrival instant still counts as
-  queued). The pass starts again after that run.
+  queued). The pass starts again after that run. A batch that fits the
+  buffer together with every packet not yet acked drops none, and needs
+  neither the count nor a look for drops afterwards.
 
 The one-way delay is at least 1 us, so the order of a delivery and the
 other events at its instant cannot matter: everything that delivery takes in
@@ -86,11 +93,12 @@ interval is the min RTT, and an RTT is at least twice the delay. The ack due
 at T was created by its delivery at T - delay, which is later. A tick can
 come due inside the window that created it when the window is longer than
 2 x delay; the loop takes heap events as they come due, so it runs in order.
-When the window closes, its events are listed heap events first, in the
-order they ran, then the acks, and one stable sort by time puts their sends
-in order: a heap event goes before an ack at its time because it is listed
-first. No two acks share a time, since every kept packet leaves at a
-distinct instant.
+When the window closes, its heap events that send are listed first, in the
+order they ran, then the acks, and one stable sort by time puts their
+sends in order: a heap event goes before an ack at its time because it is
+listed first. No two acks share a time, since every kept packet leaves at a
+distinct instant. A window of one flow that lists no heap event needs no
+sort: its acks are in time order already.
 
 Each window costs a fixed few dozen numpy calls. They are ndarray methods
 (``a.searchsorted``, ``a.argsort``, ``a.take``, ``a.compress``) where numpy
@@ -150,6 +158,12 @@ _NEVER = 1 << 62
 _CWND_SAMPLE_US = 100_000
 
 CONTROLLERS = ("guarded", "aimd")
+
+# The ufunc methods behind ndarray.min and cumsum, bound once: a call skips
+# the method's Python-level dispatch, which on a few RTTs costs about as much
+# as the work.
+_least = np.minimum.reduce
+_partial_sums = np.add.accumulate
 
 
 class SimulationError(AssertionError):
@@ -333,7 +347,10 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
         g += loops * n
     loops, rem = divmod(last_dlv, loop_us)
     cursor = loops * n + int(instants.searchsorted(rem + 1))
-    queued = queued[queued.searchsorted(arrive[0]):]
+    # Only the earlier packets still queued at the first arrival count,
+    # which matters only if the batch might not fit with all of them.
+    if len(queued) + len(arrive) > buffer_pkts:
+        queued = queued[queued.searchsorted(arrive[0]):]
     fates = []
     while True:
         # Lindley's recursion over the rest, all kept, in index space:
@@ -353,7 +370,6 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
             loops, rem = np.divmod(j, n)
             d = loops * loop_us + instants[rem]
         if len(queued) + len(d) <= buffer_pkts:
-            fates.append(d)
             break
         # The queue each packet finds: the earlier kept packets not yet
         # delivered when it arrives (one leaving at that instant counts).
@@ -361,7 +377,6 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
         full = len(queued) + step - kept.searchsorted(arrive) >= buffer_pkts
         f = int(full.argmax())
         if not full[f]:
-            fates.append(d)
             break
         # The first overflow. The queue stays full until its next departure,
         # so every packet arriving by then is dropped too; pass again from
@@ -374,11 +389,11 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
             cursor = int(j[f - 1]) + 1
         f += burst
         if f == len(arrive):
-            break
+            return np.concatenate(fates)
         arrive = arrive[f:]
         g = g[f:]
         queued = kept[kept.searchsorted(arrive[0]):]
-    return np.concatenate(fates)
+    return np.concatenate((*fates, d)) if fates else d
 
 
 def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: np.ndarray,
@@ -392,17 +407,17 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: np.ndarray,
     ``(time, cwnd)`` pair to ``trail`` for each cwnd sample. The guardian's
     running sum is folded into ``rtts[lo]``, which the call overwrites."""
     r = rtts[lo:hi]
-    m = float(r.min())
+    m = float(_least(r))
     if m < f.min_rtt_s:
         f.min_rtt_s = m
     if f.guardian_active:
-        # A left fold, as one ack at a time would add. cumsum adds in order,
-        # so with the carried sum joined to the first term its last partial
-        # sum is reduce(add, r, si_sum) bit for bit. Never ndarray.sum(),
-        # which adds pairwise, or sum(), which compensates from Python 3.12:
-        # the digests would depend on it.
+        # A left fold, as one ack at a time would add. np.add.accumulate
+        # (cumsum) adds in order, so with the carried sum joined to the
+        # first term its last partial sum is reduce(add, r, si_sum) bit for
+        # bit. Never ndarray.sum(), which adds pairwise, or sum(), which
+        # compensates from Python 3.12: the digests would depend on it.
         r[0] += f.si_sum
-        f.si_sum = float(r.cumsum()[-1])
+        f.si_sum = float(_partial_sums(r)[-1])
         f.si_n += hi - lo
     expected = f.next_expected
     inflight = f.inflight
@@ -416,39 +431,49 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: np.ndarray,
             e = hi
             if seqs[hi - 1] - s != hi - 1 - i:
                 e = bisect_left(range(hi), s - i + 1, i, hi, key=lambda k: seqs[k] - k)
-            n = e - i
-            cwnds = f.on_acks(n)
             expected = seqs[e - 1] + 1
-            # The window only grows along the run. The k-th ack (from 0)
-            # leaves k + 1 fewer packets in flight, so it sends once
-            # floor(cwnd) + k reaches the count before the run. That sum
-            # rises with k, so bisection finds the first ack that sends; the
-            # acks before it only drain a window left above cwnd by a cut,
-            # and send nothing. From it on, the packets in flight are
-            # floor(cwnd), so each later ack sends one packet for the one it
-            # frees, as ``sends`` already holds, plus one for each integer
-            # that cwnd first reaches at it, found by bisection over the
-            # run's cwnd values.
-            k = 0
-            if math.trunc(cwnds[0]) < inflight:
-                k = bisect_left(range(n), inflight, key=lambda j: math.trunc(cwnds[j]) + j)
-                sends[i:i + k] = 0
-            if k < n:
-                w = math.trunc(cwnds[k])
-                sends[i + k] = w - inflight + k + 1
-                inflight = math.trunc(cwnds[-1])
-                for v in range(w + 1, inflight + 1):
-                    k = bisect_left(cwnds, v, k)
-                    sends[i + k] += 1
-            else:
-                inflight -= n
-            if ts[e - 1] >= next_sample:
-                p = bisect_left(ts, next_sample, i, e)
-                while p < e:
-                    trail.append((ts[p], cwnds[p - i]))
-                    next_sample = ts[p] + _CWND_SAMPLE_US
-                    p = bisect_left(ts, next_sample, p + 1, e)
-            i = e
+            while i < e:
+                # The run is cut after an ack due a cwnd sample, so that the
+                # sample reads the window there.
+                j = e
+                due = ts[e - 1] >= next_sample
+                if due:
+                    j = bisect_left(ts, next_sample, i, e) + 1
+                n = j - i
+                w = math.trunc(f.cwnd)
+                crossed = f.on_acks(n, w + 1.0)
+                # The window only grows along the run, and floor(cwnd) after
+                # an ack is w plus the crossings at or before it. Each ack
+                # frees the place of one packet in flight and sends once
+                # floor(cwnd) is above the packets left in flight.
+                k = inflight - w
+                b = 0
+                if k > 0:
+                    # A cut left k packets in flight above floor(cwnd): the
+                    # first k acks only drain them, and send nothing. Each
+                    # crossing among them ends the drain one ack sooner.
+                    for c in crossed:
+                        if c >= k:
+                            break
+                        k -= 1
+                        b += 1
+                    if k:
+                        sends[i:i + min(k, n)] = 0
+                elif k:
+                    # floor(cwnd) is above the packets in flight: the first
+                    # ack fills the gap too.
+                    sends[i] = 1 - k
+                # From then on the packets in flight are floor(cwnd), so each
+                # ack sends one packet for the one it frees, as ``sends``
+                # already holds, plus one per crossing at it.
+                for c in crossed[b:]:
+                    sends[i + c] += 1
+                inflight = w + len(crossed) + max(k - n, 0)
+                if due:
+                    t = ts[j - 1]
+                    trail.append((t, f.cwnd))
+                    next_sample = t + _CWND_SAMPLE_US
+                i = j
             continue
         # A duplicate ack: s is past the next expected number. (Below it is
         # impossible: per-flow delivery order is send order, and resync only
@@ -629,9 +654,7 @@ def run_sim(config: SimConfig) -> SimLog:
             k = int(cwnd) - f.inflight
             if k > 0:
                 f.inflight += k
-            else:
-                k = 0
-            heap_events.append((k, t, fi))
+                heap_events.append((k, t, fi))
 
         # Close the window: every flow takes the rest of its acks.
         for fi in range(n_flows):
@@ -640,11 +663,12 @@ def run_sim(config: SimConfig) -> SimLog:
 
         # The fates of its sends, in send order. Each event's packets leave
         # at its time and belong to its flow; the rows of `ev` are those of
-        # `pending`, the time and flow filled in from the heap events, as
-        # they ran, then from the acks, grouped by flow as `sends` counts
-        # them. The stable sort by time puts a heap event before an ack at
-        # its time; no two acks share one. Row 0 holds each event's send
-        # count until the fates replace it.
+        # `pending`, the time and flow filled in from the heap events that
+        # send, as they ran, then from the acks, grouped by flow as `sends`
+        # counts them. The stable sort by time puts a heap event before an
+        # ack at its time; no two acks share one. One flow's acks alone are
+        # in time order already. Row 0 holds each event's send count until
+        # the fates replace it.
         n_heap = len(heap_events)
         ev = np.empty((4, n_heap + n_acks), dtype=np.int64)
         if heap_events:
@@ -653,7 +677,8 @@ def run_sim(config: SimConfig) -> SimLog:
             ev[0, n_heap:] = sends
             ev[1, n_heap:] = ack_t
             ev[2, n_heap:] = grouped[2]
-        ev = ev.take(ev[1].argsort(kind="stable"), axis=1)
+        if n_heap or n_flows > 1:
+            ev = ev.take(ev[1].argsort(kind="stable"), axis=1)
         batch = ev.repeat(ev[0], axis=1)
         if batch.shape[1]:
             dlv, sent, flow, seq = batch
@@ -674,7 +699,8 @@ def run_sim(config: SimConfig) -> SimLog:
             p_sent.frombytes(sent.tobytes())
             p_delivered.frombytes(dlv.tobytes())
             n_sent += len(sent)
-            if dlv.min() < 0:
+            # Nothing is dropped where every pending packet and the batch fit.
+            if len(queued) + len(dlv) > buffer_pkts and dlv.min() < 0:
                 batch = batch.compress(dlv >= 0, axis=1)
             if batch.shape[1]:
                 n_kept += batch.shape[1]

@@ -366,7 +366,8 @@ def _fairness_jains():
     digests = {}
     for seed in (1, 2, 3):
         log = run_checked(experiments.fairness(seed=seed))
-        jains[seed] = metrics.summarize(log, warmup_s=90.0).jain_index
+        warmup_s = experiments.FAIRNESS_DURATION_S - experiments.FAIRNESS_WINDOW_S
+        jains[seed] = metrics.summarize(log, warmup_s=warmup_s).jain_index
         if seed == 3:
             digests[seed] = log_digest(log)
     return {"jains": jains, "digests": digests}

@@ -109,24 +109,59 @@ def ack_runs(draw):
     return cwnd, ssthresh, avoidance, sorted(cuts), total
 
 
+def crossings(win, n, level):
+    """The acks among the next ``n`` at which the window first reaches
+    ``level``, ``level + 1``, ..., found one ack at a time by ``one_ack``."""
+    found = []
+    for k in range(n):
+        one_ack(win)
+        while win.cwnd >= level:
+            found.append(k)
+            level += 1.0
+    return found
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(ack_runs())
 def test_on_acks_matches_one_ack_at_a_time(case):
+    # Cut into calls as take_acks cuts a run, each call asking for the
+    # levels above floor(cwnd): together they list every integer crossed.
     cwnd, ssthresh, avoidance, cuts, total = case
     win = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, start_in_avoidance=avoidance)
     ref = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, start_in_avoidance=avoidance)
-    expected = []
-    for _ in range(total):
-        one_ack(ref)
-        expected.append(ref.cwnd)
+    expected = crossings(ref, total, math.floor(cwnd) + 1.0)
     got = []
     for lo, hi in zip([0] + cuts, cuts + [total]):
-        got += win.on_acks(hi - lo)
+        got += [lo + k for k in win.on_acks(hi - lo, math.floor(win.cwnd) + 1.0)]
     assert got == expected
     assert (win.cwnd, win.ssthresh, win.phase) == (ref.cwnd, ref.ssthresh, ref.phase)
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(cwnd=st.one_of(st.integers(1, 300).map(float), st.floats(1.0, 300.0)),
+       ssthresh=st.one_of(st.integers(1, 400).map(float), st.floats(1.0, 400.0),
+                          st.just(math.inf)),
+       floor=st.floats(1.0, 300.0), avoidance=st.booleans(), n=st.integers(0, 300),
+       above=st.one_of(st.integers(-3, 60).map(float), st.floats(-3.0, 60.0)))
+def test_on_acks_lists_the_acks_that_first_reach_each_level(cwnd, ssthresh, floor,
+                                                            avoidance, n, above):
+    # Any level, integer or not, even one the window is already at.
+    level = math.floor(cwnd) + above
+    win = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, floor=floor, start_in_avoidance=avoidance)
+    ref = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, floor=floor, start_in_avoidance=avoidance)
+    assert win.on_acks(n, level) == crossings(ref, n, level)
+    assert (win.cwnd, win.ssthresh, win.phase) == (ref.cwnd, ref.ssthresh, ref.phase)
+
+
 def test_on_acks_switches_to_avoidance_mid_run():
+    # 2 -> 3 -> 4 in slow start, which ends there, then 4.25.
     win = AimdWindow(cwnd=2.0, ssthresh=4.0)
-    assert win.on_acks(3) == [3.0, 4.0, 4.25]
-    assert win.phase == AVOIDANCE
+    assert win.on_acks(3, 3.0) == [0, 1]
+    assert (win.cwnd, win.phase) == (4.25, AVOIDANCE)
+
+
+def test_on_acks_lists_an_ack_once_per_level_it_reaches():
+    # nextafter(4, 0) + 1.0 rounds to 5.0: the first ack reaches 4 and 5.
+    win = AimdWindow(cwnd=math.nextafter(4.0, 0.0), ssthresh=64.0)
+    assert win.on_acks(2, 4.0) == [0, 0, 1]
+    assert win.cwnd == 6.0

@@ -50,6 +50,7 @@ BENCH_CALLS = [
     (traces.capacity_delivered, ("schedule", 0.0, 30.0), {}),
     (traces.from_spec, ("cell.trace",), {}),
     (AimdWindow, (), {}),
+    (AimdWindow().on_ack, (), {}),
 ]
 
 

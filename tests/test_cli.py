@@ -6,11 +6,12 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
+import numpy as np
 import pytest
 
-from ccguard import cli, metrics, traces
+from ccguard import cli, experiments, metrics, traces
 from ccguard.cli import (
     EXIT_CONFIG,
     EXIT_MISSING_INPUT,
@@ -336,6 +337,21 @@ def test_fairness_subcommand(out_root, capsys):
     assert len(d["config"]["flows"]) == 2
     assert 0.0 < d["metrics"]["jain_index"] <= 1.0
     assert "jain index" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 17])
+def test_default_fairness_run_is_gate_8s_scenario(seed):
+    args = cli.build_parser().parse_args(["fairness", "--seed", str(seed)])
+    sim, analysis, seeds = cli.build_sim_config(cli.fairness_ini(args))
+    gate = experiments.fairness(seed)
+    assert seeds == [seed]
+    assert analysis["warmup_s"] == experiments.FAIRNESS_DURATION_S - experiments.FAIRNESS_WINDOW_S
+    for f in fields(gate):
+        if f.name == "schedule":
+            assert sim.schedule.loop_length_us == gate.schedule.loop_length_us
+            assert np.array_equal(sim.schedule.offsets_us(), gate.schedule.offsets_us())
+        else:
+            assert getattr(sim, f.name) == getattr(gate, f.name), f.name
 
 
 def test_fairness_prints_a_fractional_window(out_root, capsys):

@@ -292,6 +292,14 @@ def test_take_acks_drain_covers_the_whole_call():
     assert f.inflight == 7
 
 
+def test_take_acks_first_ack_fills_a_window_above_the_packets_in_flight():
+    # 2 in flight under a window of 5: the first ack frees one place and
+    # fills the three the window had free, so it sends 4.
+    sends, f = in_order_sends(3, 5.0, 2)
+    assert sends == [4, 1, 1]
+    assert f.inflight == 5
+
+
 def test_take_acks_drain_ends_in_the_middle_of_a_run():
     # 7 in flight under a window of 5: the third ack (cwnd 5.58) leaves 4 in
     # flight and sends 1, each later one sends 1, and the sixth, which takes
