@@ -52,9 +52,8 @@ integer crossed, not per ack, and writes only those counts that are not 1.
 A run is cut after each ack due a cwnd sample, at most one per flow per
 100 ms, so that the sample reads the window there. The min RTT and the
 guardian's sum of RTT samples cost one numpy call each per ``take_acks``
-call: the sum is an ``np.add.accumulate`` (``cumsum``) from the carried sum,
-which adds in order, as one ack at a time would. A guarded flow whose
-guardian has not started is the exception: its
+call: the sum is a ``cumsum`` from the carried sum, which adds in order, as
+one ack at a time would. A guarded flow whose guardian has not started is the exception: its
 guardian starts at the ack that finds its window in congestion avoidance,
 and the order of pushes sets the insertion sequence that breaks ties between
 ticks. Such a flow takes its acks one at a time when the window opens and
@@ -80,9 +79,7 @@ one numpy pass:
   from the sorted deliveries. At the first that finds it full, the queue
   stays full until its next departure, so every packet arriving by then is
   dropped too (a packet leaving at the arrival instant still counts as
-  queued). The pass starts again after that run. A batch that fits the
-  buffer together with every packet not yet acked drops none, and needs
-  neither the count nor a look for drops afterwards.
+  queued). The pass starts again after that run.
 
 The one-way delay is at least 1 us, so the order of a delivery and the
 other events at its instant cannot matter: everything that delivery takes in
@@ -97,8 +94,7 @@ When the window closes, its heap events that send are listed first, in the
 order they ran, then the acks, and one stable sort by time puts their
 sends in order: a heap event goes before an ack at its time because it is
 listed first. No two acks share a time, since every kept packet leaves at a
-distinct instant. A window of one flow that lists no heap event needs no
-sort: its acks are in time order already.
+distinct instant.
 
 Each window costs a fixed few dozen numpy calls. They are ndarray methods
 (``a.searchsorted``, ``a.argsort``, ``a.take``, ``a.compress``) where numpy
@@ -158,12 +154,6 @@ _NEVER = 1 << 62
 _CWND_SAMPLE_US = 100_000
 
 CONTROLLERS = ("guarded", "aimd")
-
-# The ufunc methods behind ndarray.min and cumsum, bound once: a call skips
-# the method's Python-level dispatch, which on a few RTTs costs about as much
-# as the work.
-_least = np.minimum.reduce
-_partial_sums = np.add.accumulate
 
 
 class SimulationError(AssertionError):
@@ -347,10 +337,7 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
         g += loops * n
     loops, rem = divmod(last_dlv, loop_us)
     cursor = loops * n + int(instants.searchsorted(rem + 1))
-    # Only the earlier packets still queued at the first arrival count,
-    # which matters only if the batch might not fit with all of them.
-    if len(queued) + len(arrive) > buffer_pkts:
-        queued = queued[queued.searchsorted(arrive[0]):]
+    queued = queued[queued.searchsorted(arrive[0]):]
     fates = []
     while True:
         # Lindley's recursion over the rest, all kept, in index space:
@@ -407,17 +394,17 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: np.ndarray,
     ``(time, cwnd)`` pair to ``trail`` for each cwnd sample. The guardian's
     running sum is folded into ``rtts[lo]``, which the call overwrites."""
     r = rtts[lo:hi]
-    m = float(_least(r))
+    m = float(r.min())
     if m < f.min_rtt_s:
         f.min_rtt_s = m
     if f.guardian_active:
-        # A left fold, as one ack at a time would add. np.add.accumulate
-        # (cumsum) adds in order, so with the carried sum joined to the
-        # first term its last partial sum is reduce(add, r, si_sum) bit for
-        # bit. Never ndarray.sum(), which adds pairwise, or sum(), which
-        # compensates from Python 3.12: the digests would depend on it.
+        # A left fold, as one ack at a time would add. cumsum adds in order,
+        # so with the carried sum joined to the first term its last partial
+        # sum is reduce(add, r, si_sum) bit for bit. Never ndarray.sum(),
+        # which adds pairwise, or sum(), which compensates from Python 3.12:
+        # the digests would depend on it.
         r[0] += f.si_sum
-        f.si_sum = float(_partial_sums(r)[-1])
+        f.si_sum = float(r.cumsum()[-1])
         f.si_n += hi - lo
     expected = f.next_expected
     inflight = f.inflight
@@ -666,9 +653,8 @@ def run_sim(config: SimConfig) -> SimLog:
         # `pending`, the time and flow filled in from the heap events that
         # send, as they ran, then from the acks, grouped by flow as `sends`
         # counts them. The stable sort by time puts a heap event before an
-        # ack at its time; no two acks share one. One flow's acks alone are
-        # in time order already. Row 0 holds each event's send count until
-        # the fates replace it.
+        # ack at its time; no two acks share one. Row 0 holds each event's
+        # send count until the fates replace it.
         n_heap = len(heap_events)
         ev = np.empty((4, n_heap + n_acks), dtype=np.int64)
         if heap_events:
@@ -677,8 +663,7 @@ def run_sim(config: SimConfig) -> SimLog:
             ev[0, n_heap:] = sends
             ev[1, n_heap:] = ack_t
             ev[2, n_heap:] = grouped[2]
-        if n_heap or n_flows > 1:
-            ev = ev.take(ev[1].argsort(kind="stable"), axis=1)
+        ev = ev.take(ev[1].argsort(kind="stable"), axis=1)
         batch = ev.repeat(ev[0], axis=1)
         if batch.shape[1]:
             dlv, sent, flow, seq = batch
@@ -699,8 +684,7 @@ def run_sim(config: SimConfig) -> SimLog:
             p_sent.frombytes(sent.tobytes())
             p_delivered.frombytes(dlv.tobytes())
             n_sent += len(sent)
-            # Nothing is dropped where every pending packet and the batch fit.
-            if len(queued) + len(dlv) > buffer_pkts and dlv.min() < 0:
+            if dlv.min() < 0:
                 batch = batch.compress(dlv >= 0, axis=1)
             if batch.shape[1]:
                 n_kept += batch.shape[1]

@@ -32,8 +32,8 @@ from ccguard.metrics import (
     summarize, timeseries,
 )
 from ccguard.netsim import (
-    INFINITE_BUFFER, FlowSpec, SimConfig, US_PER_S, _FlowState, _partial_sums, run_sim,
-    take_acks, window_fates,
+    INFINITE_BUFFER, FlowSpec, SimConfig, US_PER_S, _FlowState, run_sim, take_acks,
+    window_fates,
 )
 from ccguard.traces import TraceSchedule, capacity_delivered
 
@@ -363,15 +363,12 @@ def test_take_acks_matches_the_per_ack_body(case):
 @given(st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=400), st.floats(0.0, 1e6))
 def test_carry_joined_cumsum_is_the_left_fold(terms, carry):
     # take_acks folds a flow's RTT samples into the guardian's running sum
-    # with one np.add.accumulate (cumsum's ufunc), the carried sum joined to
-    # the first term. That is the left fold one ack at a time would make only
-    # while numpy's accumulate adds in order; ndarray.sum(), which adds
-    # pairwise, fails this.
+    # with one cumsum, the carried sum joined to the first term. That is the
+    # left fold one ack at a time would make only while numpy's accumulate
+    # adds in order; ndarray.sum(), which adds pairwise, fails this.
     r = np.array(terms)
     r[0] += carry
-    fold = reduce(add, terms, carry)
-    assert float(r.cumsum()[-1]) == fold
-    assert float(_partial_sums(r)[-1]) == fold
+    assert float(r.cumsum()[-1]) == reduce(add, terms, carry)
 
 
 def sorted_rank(values, p):
