@@ -106,6 +106,16 @@ holds about a round trip of packets; with the queue near empty and a
 sub-millisecond delay it may hold a single event, and the run is slower than
 an event-at-a-time loop would be.
 
+The packet ledgers are allocated once, before the first window: an int64
+table with a row each for delivery, send time and sequence number, and an
+int16 flow ledger. They hold the trace's delivery opportunities up to the
+horizon plus every flow's initial window, clamped at a fixed 4 Mi packets so
+that a long horizon reserves no more, and double by copying only when a
+window's packets do not fit (drops can push a run past its deliveries).
+Memory is reserved, not touched: only the pages that packets are written to
+count toward the resident size. Each window writes its packets in with three
+slice assignments, where appending to growing buffers took nine calls.
+
 At the end, deliveries after the horizon revert to -1. The last delivery at
 or before the horizon took in every packet that had arrived by then; the
 others are still in flight, and a drop counts only among the packets taken
@@ -121,7 +131,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -152,6 +161,10 @@ _FIRST_TICK = 4
 _NEVER = 1 << 62
 # A flow's cwnd trail takes at most one sample per this many microseconds.
 _CWND_SAMPLE_US = 100_000
+# Most packets the ledgers hold when a run starts, whatever the trace and
+# horizon: 104 MiB of address space at 26 bytes a packet, enough for the
+# 120 s canonical run. A run that sends more grows them as it goes.
+_MAX_LEDGER_START = 2**22
 
 CONTROLLERS = ("guarded", "aimd")
 
@@ -252,6 +265,9 @@ class _FlowState(AimdWindow):
 class SimLog:
     """Everything a run produced. Packet ledgers are parallel arrays indexed
     by a global packet id; -1 in delivered/dropped means "did not happen".
+    p_seq, p_sent_us and p_delivered_us are row views of one table, and
+    p_flow a view of the run's flow ledger; each is C-contiguous and
+    writeable.
     A packet reaches the queue (or the drop decision) at sent + one-way delay;
     its RTT sample is delivered + one-way delay - sent."""
 
@@ -489,6 +505,17 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: np.ndarray,
     f.next_cwnd_sample_us = next_sample
 
 
+def ledger_capacity(config: SimConfig) -> int:
+    """Packets the ledgers of a run of ``config`` hold when the run starts:
+    the trace's delivery opportunities up to the horizon plus each flow's
+    initial window, at most ``_MAX_LEDGER_START``. Drops can take a run past
+    it; the ledgers then double."""
+    duration_us = round(config.duration_s * US_PER_S)
+    n = config.schedule.opportunities_until(duration_us)
+    n += sum(int(f.cwnd_init) for f in config.flows)
+    return min(n, _MAX_LEDGER_START)
+
+
 def run_sim(config: SimConfig) -> SimLog:
     """Run one simulation to completion and return its log."""
     config.validate()
@@ -508,12 +535,14 @@ def run_sim(config: SimConfig) -> SimLog:
         for i, spec in enumerate(config.flows)
     ]
 
-    # Packet ledgers (global packet id -> fields), extended a window at a
-    # time and wrapped as arrays when the run ends; p_dropped is built then.
-    p_flow = array("h")
-    p_seq = array("q")
-    p_sent = array("q")
-    p_delivered = array("q")
+    # The packet ledgers, indexed by global packet id: one int64 table whose
+    # rows are delivery, send time and sequence number, and the int16 flow
+    # ledger. Sized once from the trace, they double only when a window's
+    # packets do not fit. SimLog gets views of their first n_sent columns;
+    # p_dropped is built at the end.
+    cap = ledger_capacity(config)
+    ledgers = np.empty((3, cap), dtype=np.int64)
+    p_flow = np.empty(cap, dtype=np.int16)
 
     # The tick trail, one row per tick in SimLog's tick_* order.
     ticks: list[tuple] = []
@@ -679,11 +708,18 @@ def run_sim(config: SimConfig) -> SimLog:
                 seq += (next_seq + per_flow - per_flow.cumsum())[flow]
                 next_seq += per_flow
             dlv[:] = window_fates(sent + owd_us, queued, last_dlv, instants, loop_us, buffer_pkts)
-            p_flow.frombytes(flow.astype(np.int16).tobytes())
-            p_seq.frombytes(seq.tobytes())
-            p_sent.frombytes(sent.tobytes())
-            p_delivered.frombytes(dlv.tobytes())
-            n_sent += len(sent)
+            m = n_sent + len(sent)
+            if m > cap:
+                cap = max(2 * cap, m)
+                grown = np.empty((3, cap), dtype=np.int64)
+                grown[:, :n_sent] = ledgers[:, :n_sent]
+                grown_flow = np.empty(cap, dtype=np.int16)
+                grown_flow[:n_sent] = p_flow[:n_sent]
+                ledgers, p_flow = grown, grown_flow
+            ledgers[:2, n_sent:m] = batch[:2]
+            ledgers[2, n_sent:m] = seq
+            p_flow[n_sent:m] = flow
+            n_sent = m
             if dlv.min() < 0:
                 batch = batch.compress(dlv >= 0, axis=1)
             if batch.shape[1]:
@@ -704,8 +740,7 @@ def run_sim(config: SimConfig) -> SimLog:
     # that did (at -1 if none did) took in every packet that had arrived by
     # then; the rest are still in flight, and a drop counts only among the
     # packets taken in.
-    sent = np.frombuffer(p_sent, dtype=np.int64)
-    dlv = np.frombuffer(p_delivered, dtype=np.int64)
+    dlv, sent, p_seq = ledgers[:, :n_sent]
     turned_away = dlv < 0
     late = dlv > duration_us
     dlv[late] = -1
@@ -720,8 +755,8 @@ def run_sim(config: SimConfig) -> SimLog:
     log = SimLog(
         config=config,
         flow_ids=[f.spec.flow_id for f in flows],
-        p_flow=np.frombuffer(p_flow, dtype=np.int16),
-        p_seq=np.frombuffer(p_seq, dtype=np.int64),
+        p_flow=p_flow[:n_sent],
+        p_seq=p_seq,
         p_sent_us=sent,
         p_delivered_us=dlv,
         p_dropped_us=dropped,

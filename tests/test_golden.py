@@ -15,6 +15,7 @@ say so in the change description and re-record the digests; never re-record
 them to make a speed change pass.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 
 from ccguard.guardian import GuardianConfig
 from ccguard.metrics import first_cwnd_reaching, threshold_raised
-from ccguard.netsim import FlowSpec, SimConfig, run_sim
+from ccguard.netsim import FlowSpec, SimConfig, ledger_capacity, run_sim
 from ccguard.traces import TraceSchedule, synth_constant, synth_step
 
 LEDGERS = ("p_flow", "p_seq", "p_sent_us", "p_delivered_us", "p_dropped_us")
@@ -228,11 +229,24 @@ GOLDEN = {
 }
 
 
+@functools.cache
+def _log(name):
+    return run_sim(_scenarios()[name])
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_replay_matches_frozen_digest(name):
-    log = run_sim(_scenarios()[name])
-    assert log_digest(log, WATERMARKS.get(name)) == GOLDEN[name], \
+    assert log_digest(_log(name), WATERMARKS.get(name)) == GOLDEN[name], \
         f"{name}: simulated behaviour changed"
+
+
+def test_digests_cover_ledgers_that_grow_and_ledgers_that_do_not():
+    # run_sim sizes its ledgers from the trace and doubles them when a
+    # window's packets do not fit. Runs with many drops send more packets
+    # than that first size, so the digests check both paths.
+    scenarios = _scenarios()
+    grew = {name for name in GOLDEN if _log(name).n_sent > ledger_capacity(scenarios[name])}
+    assert grew and grew != set(GOLDEN), grew
 
 
 def test_every_scenario_has_a_frozen_digest():

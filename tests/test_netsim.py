@@ -3,11 +3,16 @@ accounting, loss handling, determinism, and logging."""
 
 import hashlib
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ccguard
 from ccguard.aimd import AVOIDANCE
 from ccguard.guardian import GuardianConfig
 from ccguard.metrics import first_cwnd_reaching, threshold_raised
@@ -22,6 +27,8 @@ from ccguard.netsim import (
     take_acks,
 )
 from ccguard.traces import TraceSchedule, synth_constant
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(ccguard.__file__)))
 
 
 def aimd_flow(**kw):
@@ -87,6 +94,32 @@ def test_zero_flows_yield_empty_log():
     assert len(log.p_sent_us) == 0
     assert log.tick_t_us == []
     log.check_conservation()
+    for name, dtype in [("p_flow", np.int16), ("p_seq", np.int64), ("p_sent_us", np.int64),
+                        ("p_delivered_us", np.int64), ("p_dropped_us", np.int64)]:
+        ledger = getattr(log, name)
+        assert ledger.dtype == dtype and ledger.flags.c_contiguous and len(ledger) == 0, name
+
+
+def test_a_long_horizon_reserves_bounded_ledgers():
+    # 1e12 delivery opportunities before the horizon, and one flow that
+    # starts 50 ms before it and sends 52 packets. Ledgers sized by the
+    # trace alone would ask for tens of TiB; under a 1 GiB address-space
+    # limit on the child process the run must still finish.
+    script = (
+        "from ccguard.netsim import FlowSpec, SimConfig, run_sim\n"
+        "from ccguard.traces import from_spec\n"
+        "log = run_sim(SimConfig(schedule=from_spec('constant:12@1'), duration_s=1e9,\n"
+        "                        flows=[FlowSpec(start_s=1e9 - 0.05)]))\n"
+        "print(log.n_sent)\n"
+    )
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["52"]
 
 
 def test_flow_count_fits_the_int16_flow_ledger():
