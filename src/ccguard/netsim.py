@@ -113,7 +113,7 @@ horizon plus every flow's initial window, clamped at a fixed 4 Mi packets so
 that a long horizon reserves no more, and double by copying only when a
 window's packets do not fit (drops can push a run past its deliveries).
 Memory is reserved, not touched: only the pages that packets are written to
-count toward the resident size. Each window writes its packets in with three
+count toward the resident size. Each window writes its packets in with two
 slice assignments, where appending to growing buffers took nine calls.
 
 At the end, deliveries after the horizon revert to -1. The last delivery at
@@ -535,11 +535,12 @@ def run_sim(config: SimConfig) -> SimLog:
         for i, spec in enumerate(config.flows)
     ]
 
-    # The packet ledgers, indexed by global packet id: one int64 table whose
-    # rows are delivery, send time and sequence number, and the int16 flow
-    # ledger. Sized once from the trace, they double only when a window's
-    # packets do not fit. SimLog gets views of their first n_sent columns;
-    # p_dropped is built at the end.
+    # The packet ledgers, indexed by global packet id: the int16 flow ledger,
+    # and one int64 table whose rows are the other rows of each window's
+    # batch (delivery, send time, sequence number). Sized once from the
+    # trace, they double only when a window's packets do not fit. SimLog
+    # gets views of their first n_sent columns; p_dropped is built at the
+    # end.
     cap = ledger_capacity(config)
     ledgers = np.empty((3, cap), dtype=np.int64)
     p_flow = np.empty(cap, dtype=np.int16)
@@ -555,8 +556,8 @@ def run_sim(config: SimConfig) -> SimLog:
     n_sent = 0
     n_kept = 0
     last_dlv = 0
-    # Kept packets not yet acked, in send order; rows: delivery, send time,
-    # flow, sequence number.
+    # Kept packets not yet acked, in send order; rows: flow, delivery, send
+    # time, sequence number.
     pending = np.empty((4, 0), dtype=np.int64)
     next_seq = np.zeros(len(flows), dtype=np.int64)
 
@@ -580,13 +581,13 @@ def run_sim(config: SimConfig) -> SimLog:
         # packets delivered before its end minus the delay, up to the
         # horizon.
         w0 = h_t
-        if pending.shape[1] and pending[0, 0] + owd_us < w0:
-            w0 = int(pending[0, 0]) + owd_us
+        if pending.shape[1] and pending[1, 0] + owd_us < w0:
+            w0 = int(pending[1, 0]) + owd_us
         w_end = max(w0 + 2 * owd_us, last_dlv + 1 + owd_us)
-        n_acks = int(pending[0].searchsorted(min(w_end, duration_us + 1) - owd_us))
+        n_acks = int(pending[1].searchsorted(min(w_end, duration_us + 1) - owd_us))
         # Packets acked in this window may still be queued when its sends
         # arrive.
-        queued = pending[0]
+        queued = pending[1]
         due = pending[:, :n_acks]
         pending = pending[:, n_acks:]
         # The acks grouped by flow, each flow's in window order: flow fi's
@@ -599,12 +600,12 @@ def run_sim(config: SimConfig) -> SimLog:
         if n_acks:
             grouped = due
             if n_flows > 1:
-                grouped = due.take(due[2].argsort(kind="stable"), axis=1)
-                ends = np.bincount(due[2], minlength=n_flows).cumsum().tolist()
-            ack_t = grouped[0] + owd_us
+                grouped = due.take(due[0].argsort(kind="stable"), axis=1)
+                ends = np.bincount(due[0], minlength=n_flows).cumsum().tolist()
+            ack_t = grouped[1] + owd_us
             ts = ack_t.tolist()
             seqs = grouped[3].tolist()
-            rtts = (ack_t - grouped[1]) * 1e-6
+            rtts = (ack_t - grouped[2]) * 1e-6
             sends = np.ones(n_acks, np.int64)
         cursor = [0, *ends[:-1]]
 
@@ -630,7 +631,7 @@ def run_sim(config: SimConfig) -> SimLog:
         # The heap events, in order. Between two of them an ack changes only
         # its own flow, so a flow takes its acks before each of its own heap
         # events, and every flow takes the rest when the window closes.
-        heap_events: list[tuple[int, int, int]] = []  # (sends, time, flow)
+        heap_events: list[tuple[int, int, int]] = []  # (flow, sends, time)
         while h_t < w_end:
             t, _, kind, fi = heappop(heap)
             if kind == _STOP:
@@ -670,7 +671,7 @@ def run_sim(config: SimConfig) -> SimLog:
             k = int(cwnd) - f.inflight
             if k > 0:
                 f.inflight += k
-                heap_events.append((k, t, fi))
+                heap_events.append((fi, k, t))
 
         # Close the window: every flow takes the rest of its acks.
         for fi in range(n_flows):
@@ -682,20 +683,20 @@ def run_sim(config: SimConfig) -> SimLog:
         # `pending`, the time and flow filled in from the heap events that
         # send, as they ran, then from the acks, grouped by flow as `sends`
         # counts them. The stable sort by time puts a heap event before an
-        # ack at its time; no two acks share one. Row 0 holds each event's
+        # ack at its time; no two acks share one. Row 1 holds each event's
         # send count until the fates replace it.
         n_heap = len(heap_events)
         ev = np.empty((4, n_heap + n_acks), dtype=np.int64)
         if heap_events:
             ev[:3, :n_heap] = np.array(heap_events, dtype=np.int64).T
         if n_acks:
-            ev[0, n_heap:] = sends
-            ev[1, n_heap:] = ack_t
-            ev[2, n_heap:] = grouped[2]
-        ev = ev.take(ev[1].argsort(kind="stable"), axis=1)
-        batch = ev.repeat(ev[0], axis=1)
+            ev[0, n_heap:] = grouped[0]
+            ev[1, n_heap:] = sends
+            ev[2, n_heap:] = ack_t
+        ev = ev.take(ev[2].argsort(kind="stable"), axis=1)
+        batch = ev.repeat(ev[1], axis=1)
         if batch.shape[1]:
-            dlv, sent, flow, seq = batch
+            flow, dlv, sent, seq = batch
             # Each flow's sequence numbers go on from its last send: a
             # packet's place among the window's packets sorted by flow, less
             # its flow's first place there, plus the flow's next number.
@@ -716,15 +717,14 @@ def run_sim(config: SimConfig) -> SimLog:
                 grown_flow = np.empty(cap, dtype=np.int16)
                 grown_flow[:n_sent] = p_flow[:n_sent]
                 ledgers, p_flow = grown, grown_flow
-            ledgers[:2, n_sent:m] = batch[:2]
-            ledgers[2, n_sent:m] = seq
+            ledgers[:, n_sent:m] = batch[1:]
             p_flow[n_sent:m] = flow
             n_sent = m
             if dlv.min() < 0:
                 batch = batch.compress(dlv >= 0, axis=1)
             if batch.shape[1]:
                 n_kept += batch.shape[1]
-                last_dlv = int(batch[0, -1])
+                last_dlv = int(batch[1, -1])
                 pending = np.concatenate((pending, batch), axis=1)
 
     # The cwnd samples in event order. Windows do not overlap in time, so
