@@ -113,8 +113,9 @@ horizon plus every flow's initial window, clamped at a fixed 4 Mi packets so
 that a long horizon reserves no more, and double by copying only when a
 window's packets do not fit (drops can push a run past its deliveries).
 Memory is reserved, not touched: only the pages that packets are written to
-count toward the resident size. Each window writes its packets in with two
-slice assignments, where appending to growing buffers took nine calls.
+count toward the resident size (numpy asks for 2 MiB huge pages on arrays
+of 4 MiB and up). Each window writes its packets in with two slice
+assignments.
 
 At the end, deliveries after the horizon revert to -1. The last delivery at
 or before the horizon took in every packet that had arrived by then; the
