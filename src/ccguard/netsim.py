@@ -28,11 +28,13 @@ delivery + 1 + delay. A packet sent inside the window arrives at or after
 w0 + delay and leaves after that last delivery, so its ack comes at or after
 w_end: nothing inside the window depends on the fate of a packet sent in it.
 When the window opens its acks are known, the kept packets delivered before
-w_end - delay. numpy groups them by flow and hands out their times and
-sequence numbers as lists, their RTTs as an array, and an array of their
-send counts, all 1 to start with. Ticks and starts come from a heap over a
-stop entry just past the horizon. Each event only notes how many packets it
-sends.
+w_end - delay. numpy groups them by flow into int64 rows of their times and
+sequence numbers, a float64 array of their RTTs and an int64 array of their
+send counts, all 1 to start with. The loop reads single times and sequence
+numbers with ``ndarray.item``, which returns Python ints: the trails and the
+heap hold only those, since a numpy scalar would change the reprs that
+digests hash. Ticks and starts come from a heap over a stop entry just past
+the horizon. Each event only notes how many packets it sends.
 
 Acks are taken a flow at a time. Between two heap events an ack changes only
 its own flow: its window, sequencing, RTT samples and sends. No other flow
@@ -132,7 +134,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -152,7 +153,7 @@ MAX_FLOWS = 2**15 - 1
 MAX_CWND = 2**20
 
 # Heap event kinds: ticks, starts, first-tick entries and the stop entry.
-# Acks come from each window's list.
+# Acks come from each window's rows.
 _TICK = 1
 _START = 2
 _STOP = 3
@@ -400,16 +401,18 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
     return np.concatenate((*fates, d)) if fates else d
 
 
-def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: np.ndarray,
+def take_acks(f: _FlowState, ts: np.ndarray, seqs: np.ndarray, rtts: np.ndarray,
               lo: int, hi: int, sends: np.ndarray, trail: list[tuple[int, float]]) -> None:
     """Flow ``f`` takes its acks ``lo`` to ``hi - 1``, at least one, in one
-    call: the acks at times ``ts`` carrying sequence numbers ``seqs`` and RTT
-    samples ``rtts`` (a float64 array, in seconds), all its own, in order,
-    with none of its other events among them. ``sends``, an int64 array
-    indexed as ``ts``, holds 1 for each ack on entry; the call writes the
-    count of each of its acks that sends another number of packets. Appends a
-    ``(time, cwnd)`` pair to ``trail`` for each cwnd sample. The guardian's
-    running sum is folded into ``rtts[lo]``, which the call overwrites."""
+    call: the acks at times ``ts`` carrying sequence numbers ``seqs`` (int64
+    arrays) and RTT samples ``rtts`` (a float64 array, in seconds), all its
+    own, in order, with none of its other events among them. Single entries
+    of ``ts`` and ``seqs`` are read with ``.item``, so the flow's state and
+    the trail get Python ints. ``sends``, an int64 array indexed as ``ts``,
+    holds 1 for each ack on entry; the call writes the count of each of its
+    acks that sends another number of packets. Appends a ``(time, cwnd)``
+    pair to ``trail`` for each cwnd sample. The guardian's running sum is
+    folded into ``rtts[lo]``, which the call overwrites."""
     r = rtts[lo:hi]
     m = float(r.min())
     if m < f.min_rtt_s:
@@ -428,21 +431,22 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: np.ndarray,
     next_sample = f.next_cwnd_sample_us
     i = lo
     while i < hi:
-        s = seqs[i]
+        s = seqs.item(i)
         if s == expected:
-            # A run of in-order acks; seqs[k] - k is constant along it. (No
-            # duplicate is pending: every ack after one is past it too.)
+            # A run of in-order acks; seqs[k] - k is constant along it and
+            # never falls across a gap. (No duplicate is pending: every ack
+            # after one is past it too.)
             e = hi
-            if seqs[hi - 1] - s != hi - 1 - i:
-                e = bisect_left(range(hi), s - i + 1, i, hi, key=lambda k: seqs[k] - k)
-            expected = seqs[e - 1] + 1
+            if seqs.item(hi - 1) - s != hi - 1 - i:
+                e = i + int((seqs[i:hi] - np.arange(hi - i)).searchsorted(s + 1))
+            expected = seqs.item(e - 1) + 1
             while i < e:
                 # The run is cut after an ack due a cwnd sample, so that the
                 # sample reads the window there.
                 j = e
-                due = ts[e - 1] >= next_sample
+                due = ts.item(e - 1) >= next_sample
                 if due:
-                    j = bisect_left(ts, next_sample, i, e) + 1
+                    j = i + int(ts[i:e].searchsorted(next_sample)) + 1
                 n = j - i
                 w = math.trunc(f.cwnd)
                 crossed = f.on_acks(n, w + 1.0)
@@ -474,7 +478,7 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: np.ndarray,
                     sends[i + c] += 1
                 inflight = w + len(crossed) + max(k - n, 0)
                 if due:
-                    t = ts[j - 1]
+                    t = ts.item(j - 1)
                     trail.append((t, f.cwnd))
                     next_sample = t + _CWND_SAMPLE_US
                 i = j
@@ -493,7 +497,7 @@ def take_acks(f: _FlowState, ts: list[int], seqs: list[int], rtts: np.ndarray,
             f.on_loss()
         f.dup_count = dups
         cwnd = f.cwnd
-        t = ts[i]
+        t = ts.item(i)
         if t >= next_sample:
             trail.append((t, cwnd))
             next_sample = t + _CWND_SAMPLE_US
@@ -592,20 +596,18 @@ def run_sim(config: SimConfig) -> SimLog:
         due = pending[:, :n_acks]
         pending = pending[:, n_acks:]
         # The acks grouped by flow, each flow's in window order: flow fi's
-        # are [cursor[fi], ends[fi]) of the lists ts and seqs and of the
-        # arrays rtts and sends. take_acks writes each ack's send count that
-        # is not 1 into sends.
+        # are [cursor[fi], ends[fi]) of the arrays ack_t (times), seqs, rtts
+        # and sends. take_acks writes each ack's send count that is not 1
+        # into sends.
         ends = [n_acks] * n_flows
-        ts = seqs = []
-        rtts = sends = None
+        ack_t = seqs = rtts = sends = None
         if n_acks:
             grouped = due
             if n_flows > 1:
                 grouped = due.take(due[0].argsort(kind="stable"), axis=1)
                 ends = np.bincount(due[0], minlength=n_flows).cumsum().tolist()
             ack_t = grouped[1] + owd_us
-            ts = ack_t.tolist()
-            seqs = grouped[3].tolist()
+            seqs = grouped[3]
             rtts = (ack_t - grouped[2]) * 1e-6
             sends = np.ones(n_acks, np.int64)
         cursor = [0, *ends[:-1]]
@@ -617,14 +619,14 @@ def run_sim(config: SimConfig) -> SimLog:
             f = flows[fi]
             c = cursor[fi]
             while c < ends[fi]:
-                take_acks(f, ts, seqs, rtts, c, c + 1, sends, trails[fi])
+                take_acks(f, ack_t, seqs, rtts, c, c + 1, sends, trails[fi])
                 c += 1
                 if f.phase == AVOIDANCE:
                     awaiting.remove(fi)
                     f.guardian_active = True
                     f.si_sum = 0.0
                     f.si_n = 0
-                    heappush(heap, (ts[c - 1], _NEVER, _FIRST_TICK, fi))
+                    heappush(heap, (ack_t.item(c - 1), _NEVER, _FIRST_TICK, fi))
                     h_t = heap[0][0]
                     break
             cursor[fi] = c
@@ -647,9 +649,9 @@ def run_sim(config: SimConfig) -> SimLog:
                     h_t = heap[0][0]
                 continue
             c = cursor[fi]
-            if c < ends[fi] and ts[c] < t:
-                cursor[fi] = bisect_left(ts, t, c, ends[fi])
-                take_acks(f, ts, seqs, rtts, c, cursor[fi], sends, trails[fi])
+            if c < ends[fi] and ack_t.item(c) < t:
+                cursor[fi] = c + int(ack_t[c:ends[fi]].searchsorted(t))
+                take_acks(f, ack_t, seqs, rtts, c, cursor[fi], sends, trails[fi])
             if kind == _TICK:
                 mean_delay = f.si_sum / f.si_n if f.si_n else math.nan
                 f.si_sum = 0.0
@@ -677,7 +679,7 @@ def run_sim(config: SimConfig) -> SimLog:
         # Close the window: every flow takes the rest of its acks.
         for fi in range(n_flows):
             if cursor[fi] < ends[fi]:
-                take_acks(flows[fi], ts, seqs, rtts, cursor[fi], ends[fi], sends, trails[fi])
+                take_acks(flows[fi], ack_t, seqs, rtts, cursor[fi], ends[fi], sends, trails[fi])
 
         # The fates of its sends, in send order. Each event's packets leave
         # at its time and belong to its flow; the rows of `ev` are those of

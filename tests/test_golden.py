@@ -249,5 +249,15 @@ def test_digests_cover_ledgers_that_grow_and_ledgers_that_do_not():
     assert grew and grew != set(GOLDEN), grew
 
 
+def test_trail_times_are_python_ints():
+    # run_sim reads ack times out of the window's int64 rows with .item. A
+    # numpy scalar that leaked into a trail would change its hashed repr;
+    # this names the cause where a digest would only mismatch. The run has
+    # three flows, and two first-tick entries keyed at ack times.
+    log = _log("two-activations-one-window")
+    assert log.tick_t_us and log.cwnd_t_us
+    assert {type(t) for t in log.tick_t_us + log.cwnd_t_us} == {int}
+
+
 def test_every_scenario_has_a_frozen_digest():
     assert set(GOLDEN) == set(_scenarios())

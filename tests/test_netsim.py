@@ -312,7 +312,7 @@ def in_order_sends(n, cwnd, inflight, ssthresh=64.0, start_in_avoidance=True):
     f = _FlowState(spec, random.Random(0))
     f.inflight = inflight
     sends = np.ones(n, np.int64)
-    take_acks(f, [1000 * (k + 1) for k in range(n)], list(range(n)), np.full(n, 0.02), 0, n,
+    take_acks(f, np.arange(1000, 1000 * (n + 1), 1000), np.arange(n), np.full(n, 0.02), 0, n,
               sends, [])
     return sends.tolist(), f
 

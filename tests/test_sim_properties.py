@@ -346,13 +346,13 @@ def test_take_acks_matches_the_per_ack_body(case):
     ref, got = flow_state(state), flow_state(state)
     ref_sends, ref_trail = [], []
     reference_acks(ref, acks, ref_sends, ref_trail)
-    ts, seqs, rtts = map(list, zip(*acks))
-    rtts = np.array(rtts)
+    ts, seqs, rtts = (np.array(col) for col in zip(*acks))
     sends, trail = np.ones(len(acks), np.int64), []
     for lo, hi in zip([0] + cuts, cuts + [len(acks)]):
         if hi > lo:
             take_acks(got, ts, seqs, rtts, lo, hi, sends, trail)
     assert (sends.tolist(), trail) == (ref_sends, ref_trail)
+    assert all(type(t) is int and type(c) is float for t, c in trail)
     assert [getattr(got, k) for k in FLOW_FIELDS] == [getattr(ref, k) for k in FLOW_FIELDS]
     # Python scalars, as the per-ack body leaves them: the log's reprs are hashed.
     assert [type(getattr(got, k)) for k in FLOW_FIELDS] == [type(getattr(ref, k))
