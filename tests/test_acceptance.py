@@ -87,8 +87,6 @@ def rtt_arrays(log):
     return t_s, rtt_s
 
 
-
-
 # ---------------------------------------------------------------------------
 # gate 1: steady-state mean queuing delay stays under the closed-form bound
 

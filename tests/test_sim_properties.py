@@ -346,7 +346,8 @@ def test_take_acks_matches_the_per_ack_body(case):
     ref, got = flow_state(state), flow_state(state)
     ref_sends, ref_trail = [], []
     reference_acks(ref, acks, ref_sends, ref_trail)
-    ts, seqs, rtts = (np.array(col) for col in zip(*acks))
+    ts, seqs, rtts = zip(*acks)
+    ts, seqs, rtts = np.array(ts, np.int64), np.array(seqs, np.int64), np.array(rtts)
     sends, trail = np.ones(len(acks), np.int64), []
     for lo, hi in zip([0] + cuts, cuts + [len(acks)]):
         if hi > lo:
