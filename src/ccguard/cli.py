@@ -9,10 +9,10 @@ Subcommands:
 * ``theory-check`` internal-consistency battery for the closed forms
 * ``trace-gen``    write a mahimahi trace file from a compact spec
 
-Exit codes: 0 success, 2 configuration error, 3 missing input file,
-4 theory-check failure. Relative output directories resolve against
-``CCGUARD_OUTPUT_ROOT`` when it is set. Result files are written atomically
-(temp file + rename), so a watcher never sees a half-written summary.
+Exit codes: 0 success, 2 configuration error, 3 missing input file or failed
+simulation check, 4 theory-check failure. Relative output directories resolve
+against ``CCGUARD_OUTPUT_ROOT`` when it is set. Result files are written
+atomically (temp file + rename), so a watcher never sees a half-written summary.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from dataclasses import asdict, replace
 
 from . import experiments, metrics, theory, traces
 from .guardian import EXPLORATION_MODES, GuardianConfig
-from .netsim import INFINITE_BUFFER, MAX_FLOWS, FlowSpec, SimConfig, run_sim
+from .netsim import INFINITE_BUFFER, MAX_FLOWS, FlowSpec, SimConfig, SimulationError, run_sim
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING_INPUT = 3
+EXIT_SIMULATION = 3
 EXIT_THEORY = 4
 
 # Most timeseries rows (flows x bins) a run may write.
@@ -527,6 +528,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SimulationError as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION
 
 
 if __name__ == "__main__":

@@ -67,6 +67,10 @@ tick, one min RTT later, with the next sequence number.
 When the window closes, ``window_fates`` fixes the fates of all its sends in
 one numpy pass:
 
+* Busy runs. While the queue never idles, j_k = j_0 + k: a slice of the
+  loop's instants after one scalar search, up to the loop's end or the first
+  packet that arrives after its slot. The first two runs of a batch are
+  taken so, unless one would drop a packet; the steps below take the rest.
 * Lindley's recursion in index space. Opportunity i is instant i % n of loop
   i // n. With g_k the index of the first opportunity at or after packet k's
   arrival, the kept packets take j_k = max(g_k, j_{k-1} + 1), so j_k - k is
@@ -98,15 +102,15 @@ sends in order: a heap event goes before an ack at its time because it is
 listed first. No two acks share a time, since every kept packet leaves at a
 distinct instant.
 
-Each window costs a fixed few dozen numpy calls. They are ndarray methods
-(``a.searchsorted``, ``a.argsort``, ``a.take``, ``a.compress``) where numpy
-has one: the ``np.*`` function of the same name first passes through a
-Python-level wrapper, about 1 us a call. A gather is one ``take`` or
-``compress`` call, not a fancy or boolean index, which costs two to three
-times as much over a few hundred columns. With a standing queue a window
-holds about a round trip of packets; with the queue near empty and a
-sub-millisecond delay it may hold a single event, and the run is slower than
-an event-at-a-time loop would be.
+Each window costs a fixed few dozen numpy calls, about six fewer when its
+batch is one busy run. They are ndarray methods (``a.searchsorted``,
+``a.argsort``, ``a.take``, ``a.compress``) where numpy has one: the ``np.*``
+function of the same name first passes through a Python-level wrapper, about
+1 us a call. A gather is one ``take`` or ``compress`` call, not a fancy or
+boolean index, which costs two to three times as much over a few hundred
+columns. With a standing queue a window holds about a round trip of
+packets; with the queue near empty and a sub-millisecond delay it may hold a
+single event, and the run is slower than an event-at-a-time loop would be.
 
 The packet ledgers are allocated once, before the first window: an int64
 table with a row each for delivery, send time and sequence number, and an
@@ -339,12 +343,40 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
     ignored. ``last_dlv`` is the last kept packet's delivery (0 before any).
     ``instants`` are the loop's distinct opportunity offsets, sorted, in
     (0, loop_us], the last equal to ``loop_us``.
+
+    Up to two busy runs, packets that queue back to back inside one loop,
+    take a slice of ``instants`` each; the pass, which searches for every
+    packet, takes the rest, or all from a run that would drop one.
     """
     n = len(instants)
-    # Opportunity i is instant i % n of loop i // n. g: the index of the
-    # first opportunity at or after each arrival; cursor: the first after
-    # the last delivery. A batch inside one loop, as nearly every batch on
-    # a trace longer than a window is, needs no division per packet.
+    queued = queued[queued.searchsorted(arrive[0]):]
+    # Opportunity i is instant i % n of loop i // n. A busy run takes the
+    # instants from cursor, the first opportunity at or after its first
+    # arrival and the last delivery + 1, to the loop's end or the first packet
+    # that arrives after its slot (never the first: argmax 0 means none does).
+    fates = []
+    t = max(int(arrive[0]), last_dlv + 1)
+    for _ in range(2):  # one run, or a head, an idle gap and one more
+        loops, rem = divmod(t - 1, loop_us)
+        r = int(instants.searchsorted(rem + 1))
+        cursor = loops * n + r
+        busy = instants[r:r + len(arrive)] + loops * loop_us
+        b = int((arrive[:len(busy)] > busy).argmax()) or len(busy)
+        busy = busy[:b]
+        if len(queued) + len(arrive) > buffer_pkts:
+            kept = np.concatenate((queued, busy))
+            if (len(queued) + np.arange(b) - kept.searchsorted(arrive[:b]) >= buffer_pkts).any():
+                break
+            queued = kept  # the rest finds the run's packets queued
+        fates.append(busy)
+        cursor += b
+        if b == len(arrive):
+            return np.concatenate(fates) if len(fates) > 1 else busy
+        arrive = arrive[b:]
+        t = max(int(arrive[0]), int(busy[-1]) + 1)
+    # The pass. g: the index of the first opportunity at or after each
+    # arrival. A batch inside one loop, as nearly every batch on a trace
+    # longer than a window is, needs no division per packet.
     base = (int(arrive[0]) - 1) // loop_us
     if int(arrive[-1]) - 1 < (base + 1) * loop_us:
         g = instants.searchsorted(arrive - base * loop_us)
@@ -353,10 +385,6 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
         loops, rem = np.divmod(arrive - 1, loop_us)
         g = instants.searchsorted(rem + 1)
         g += loops * n
-    loops, rem = divmod(last_dlv, loop_us)
-    cursor = loops * n + int(instants.searchsorted(rem + 1))
-    queued = queued[queued.searchsorted(arrive[0]):]
-    fates = []
     while True:
         # Lindley's recursion over the rest, all kept, in index space:
         # j_k = max(g_k, j_{k-1} + 1), so j_k - k is a running maximum.

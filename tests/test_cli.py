@@ -16,9 +16,11 @@ from ccguard.cli import (
     EXIT_CONFIG,
     EXIT_MISSING_INPUT,
     EXIT_OK,
+    EXIT_SIMULATION,
     main,
     parse_threshold,
 )
+from ccguard.netsim import SimulationError
 
 
 @pytest.fixture(autouse=True)
@@ -406,6 +408,24 @@ def test_more_flows_than_the_flow_ledger_holds_exit_2(out_root, tmp_path, monkey
     assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
     assert str(cli.MAX_FLOWS) in err
     assert not (out_root / "many").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--trace", "constant:12@1", "--duration", "2", "--warmup", "1"],
+    ["sweep", "--param", "buffer_pkts", "--values", "40", "--duration", "2", "--warmup", "1"],
+    ["fairness", "--flows", "2", "--gap-s", "1", "--rate", "12", "--duration", "2",
+     "--window", "1"],
+])
+def test_a_simulation_error_exits_3_with_one_line(out_root, monkeypatch, capsys, argv):
+    def broken_run(config):
+        raise SimulationError("packet conservation violated: sent=3 delivered=4")
+
+    monkeypatch.setattr(cli, "run_sim", broken_run)
+    assert main(argv + ["--out", "broken"]) == EXIT_SIMULATION == 3
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: packet conservation violated")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out_root / "broken").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -229,41 +229,121 @@ def reference_fates(arrive, queued, last, offsets, loop_us, buffer_pkts):
 
 @st.composite
 def fate_batches(draw):
-    """A short loop whose offsets may repeat, arrivals in bursts of up to six
-    with gaps of up to three loops, and the point where the batch begins."""
-    loop_us = draw(st.integers(1, 40))
-    offsets = sorted(draw(st.lists(st.integers(1, loop_us), max_size=12)) + [loop_us])
-    bursts = draw(st.lists(st.tuples(st.integers(0, 3 * loop_us), st.integers(1, 6)),
+    """A loop whose offsets may repeat, arrivals in bursts of up to six, and
+    the point where the batch begins. Short loops, with gaps of up to three
+    loops, make most batches wrap. Long loops dense with instants, with gaps
+    of up to a tenth of a loop and a start in any of the first three loops,
+    keep most inside one loop, where packets queue back to back."""
+    if draw(st.booleans()):
+        loop_us = draw(st.integers(1_000, 20_000))
+        offsets = draw(st.lists(st.integers(1, loop_us), min_size=20, max_size=200))
+        max_gap = loop_us // 10
+        t = 1 + draw(st.integers(0, 3 * loop_us))
+    else:
+        loop_us = draw(st.integers(1, 40))
+        offsets = draw(st.lists(st.integers(1, loop_us), max_size=12))
+        max_gap = 3 * loop_us
+        t = 1
+    offsets = sorted(offsets + [loop_us])
+    bursts = draw(st.lists(st.tuples(st.integers(0, max_gap), st.integers(1, 6)),
                            min_size=1, max_size=16))
     arrive = []
-    t = 1
     for gap, k in bursts:
         t += gap
         arrive += [t] * k
     split = draw(st.integers(0, len(arrive) - 1))
-    buffer_pkts = draw(st.sampled_from([1, 1, 2, 2, 3, 5, INFINITE_BUFFER]))
+    # Buffers near the batch's size put the batch on the line between
+    # fitting the buffer and having to count the queue each packet finds.
+    k = len(arrive) - split
+    buffer_pkts = draw(st.one_of(st.sampled_from([1, 1, 2, 2, 3, 5, INFINITE_BUFFER]),
+                                 st.integers(max(1, k - 4), k + 1)))
     return loop_us, offsets, arrive, split, buffer_pkts
+
+
+class Instants(np.ndarray):
+    """A loop's instants that note the rank of each search made in them once
+    ``searches`` is set: 0 for one scalar, 1 for an array of them. Arrays
+    made from them note nothing."""
+
+    searches = None
+
+    def searchsorted(self, v, side="left", sorter=None):
+        if self.searches is not None:
+            self.searches.append(np.ndim(v))
+        return self.view(np.ndarray).searchsorted(v, side, sorter)
+
+
+def busy_runs(fates, offsets, loop_us):
+    """How many busy runs ``fates`` make, or None if one is a drop. A busy run
+    is a stretch of packets that queue back to back inside one loop: they
+    take consecutive distinct instants of it."""
+    if min(fates) < 0:
+        return None
+    distinct = sorted(set(offsets))
+    slots = [((d - 1) // loop_us, bisect_left(distinct, (d - 1) % loop_us + 1)) for d in fates]
+    return 1 + sum(loop != prev_loop or rank != prev_rank + 1
+                   for (prev_loop, prev_rank), (loop, rank) in zip(slots, slots[1:]))
 
 
 def fates_both_ways(loop_us, offsets, arrive, split, buffer_pkts):
     """The batch from ``split`` on, by the per-packet rule and by
-    ``window_fates`` given the state the packets before it left."""
+    ``window_fates`` given the state the packets before it left. Checks that
+    ``window_fates`` searched the instants per packet exactly when the fates
+    hold a drop or more than two busy runs."""
     before = reference_fates(arrive[:split], [], 0, offsets, loop_us, buffer_pkts)
     queued = [d for d in before if d >= 0]
     last = queued[-1] if queued else 0
     expected = reference_fates(arrive[split:], queued, last, offsets, loop_us, buffer_pkts)
+    instants = np.unique(offsets).view(Instants)
+    instants.searches = []
     got = window_fates(
         np.array(arrive[split:], dtype=np.int64), np.array(queued, dtype=np.int64), last,
-        np.unique(offsets), loop_us, buffer_pkts,
+        instants, loop_us, buffer_pkts,
     )
+    runs = busy_runs(expected, offsets, loop_us)
+    assert (max(instants.searches) == 1) == (runs is None or runs > 2)
     return got.tolist(), expected
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(fate_batches())
 def test_window_fates_match_the_per_packet_rule(case):
     got, expected = fates_both_ways(*case)
     assert got == expected
+
+
+# One instant every 10 us in a 100 us loop. Each case: the arrivals, where the
+# batch begins, the buffer, and its fates.
+TENS = list(range(10, 101, 10))
+BUSY_EDGES = {
+    "busy to the last packet": ([1] * 5, 0, INFINITE_BUFFER, TENS[:5]),
+    "arrivals on their own slots": ([10, 10, 20, 30], 0, INFINITE_BUFFER, TENS[:4]),
+    "first arrival on its slot, then idle": ([10, 10, 45], 0, INFINITE_BUFFER, [10, 20, 50]),
+    "busy, idle, then busy again": ([1, 1, 1, 65, 65], 0, INFINITE_BUFFER, [10, 20, 30, 70, 80]),
+    "three busy runs": ([1, 35, 65], 0, INFINITE_BUFFER, [10, 40, 70]),
+    "first slot after the last delivery": ([1, 1, 1, 15, 15], 3, INFINITE_BUFFER, [40, 50]),
+    "first slot at the first arrival": ([1, 35, 35, 36], 1, INFINITE_BUFFER, [40, 50, 60]),
+    "last packet on the loop's last instant": ([1] * 10, 0, INFINITE_BUFFER, TENS),
+    "one packet more wraps": ([1] * 11, 0, INFINITE_BUFFER, TENS + [110]),
+    "batch fills the buffer": ([1] * 5, 0, 5, TENS[:5]),
+    "queue and batch fill the buffer": ([1, 1, 5, 5, 5], 2, 5, [30, 40, 50]),
+    "one over the buffer, never full": ([1, 1, 1, 1, 15], 0, 4, TENS[:5]),
+    "one over the buffer, full": ([1] * 5, 0, 4, [10, 20, 30, 40, -1]),
+    "queue and batch one over, never full": ([1, 1, 5, 5, 15], 2, 4, [30, 40, 50]),
+    "queue and batch one over, full": ([1, 1, 5, 5, 5], 2, 4, [30, 40, -1]),
+    # The packet after the loop's end finds 7 of the first run's queued.
+    "over the buffer, wraps, never full": ([1] * 7 + [35] * 4, 0, 8, TENS + [110]),
+    "over the buffer, wraps, full": ([1] * 7 + [35] * 4, 0, 7, TENS + [-1]),
+    "one packet": ([1], 0, INFINITE_BUFFER, [10]),
+    "one packet after the last delivery": ([1, 1], 1, INFINITE_BUFFER, [20]),
+}
+
+
+@pytest.mark.parametrize("case", BUSY_EDGES.values(), ids=BUSY_EDGES.keys())
+def test_window_fates_on_the_edges_of_a_busy_run(case):
+    arrive, split, buffer_pkts, fates = case
+    got, expected = fates_both_ways(100, TENS, arrive, split, buffer_pkts)
+    assert got == expected == fates
 
 
 def test_window_fates_with_several_drop_runs():
