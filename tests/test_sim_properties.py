@@ -254,9 +254,9 @@ def fate_batches(draw):
     split = draw(st.integers(0, len(arrive) - 1))
     # Buffers near the batch's size put the batch on the line between
     # fitting the buffer and having to count the queue each packet finds.
-    k = len(arrive) - split
+    size = len(arrive) - split
     buffer_pkts = draw(st.one_of(st.sampled_from([1, 1, 2, 2, 3, 5, INFINITE_BUFFER]),
-                                 st.integers(max(1, k - 4), k + 1)))
+                                 st.integers(max(1, size - 4), size + 1)))
     return loop_us, offsets, arrive, split, buffer_pkts
 
 
