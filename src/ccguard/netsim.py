@@ -6,8 +6,8 @@ every delivered packet immediately; an ack carries its packet's sequence
 number and returns after the same propagation delay. Senders are ack-clocked:
 a flow keeps `floor(cwnd)` packets in flight.
 
-Time is integer microseconds throughout. Every event carries a key
-(time, insertion sequence) and events run in key order, so identical
+Time is integer microseconds throughout. Events run in the order of one
+priority queue keyed by (time, insertion sequence), so identical
 configurations replay bit-identically regardless of host or hash seed.
 Delivery opportunities come from a ``TraceSchedule`` (mahimahi format,
 looping); an opportunity with an empty queue is wasted. A packet arriving
@@ -34,7 +34,12 @@ send counts, all 1 to start with. The loop reads single times and sequence
 numbers with ``ndarray.item``, which returns Python ints: the trails and the
 heap hold only those, since a numpy scalar would change the reprs that
 digests hash. Ticks and starts come from a heap over a stop entry just past
-the horizon. Each event only notes how many packets it sends.
+the horizon, keyed (due, scheduled at, sequence number). That is the queue's
+tie rule stated directly: insertion order is push order, pushes happen in
+time order, and at one time the heap events run before the ack there. A
+start is scheduled at -1; a tick pushed by a heap event at t is scheduled at
+t, with the next sequence number. Each event only notes how many packets it
+sends.
 
 Acks are taken a flow at a time. Between two heap events an ack changes only
 its own flow: its window, sequencing, RTT samples and sends. No other flow
@@ -55,14 +60,14 @@ A run is cut after each ack due a cwnd sample, at most one per flow per
 100 ms, so that the sample reads the window there. The min RTT and the
 guardian's sum of RTT samples cost one numpy call each per ``take_acks``
 call: the sum is a ``cumsum`` from the carried sum, which adds in order, as
-one ack at a time would. A guarded flow whose guardian has not started is the exception: its
-guardian starts at the ack that finds its window in congestion avoidance,
-and the order of pushes sets the insertion sequence that breaks ties between
-ticks. Such a flow takes its acks one at a time when the window opens and
-stops at that ack. It pushes a first-tick entry at the ack's time whose
-sequence key, ``_NEVER``, is above every insertion sequence, so it pops
-after every heap event at or before that time; popping it pushes the first
-tick, one min RTT later, with the next sequence number.
+one ack at a time would. A guarded flow whose guardian has not started is
+the exception: its guardian starts at the ack that finds its window in
+congestion avoidance. Such a flow takes its acks one at a time when the
+window opens and stops at that ack, which pushes the first tick, one min RTT
+later, scheduled at the ack's time with sequence number ``_NEVER``, above
+every other. It is pushed before the heap events at that time run, but its
+key orders it after the ticks they push; its min RTT is the one the flow
+would hold after them, since the flow's next ack comes later.
 
 When the window closes, ``window_fates`` fixes the fates of all its sends in
 one numpy pass:
@@ -74,9 +79,7 @@ one numpy pass:
 * Lindley's recursion in index space. Opportunity i is instant i % n of loop
   i // n. With g_k the index of the first opportunity at or after packet k's
   arrival, the kept packets take j_k = max(g_k, j_{k-1} + 1), so j_k - k is
-  the running maximum of g_k - k. This is exact integer arithmetic. A batch
-  that stays inside one loop turns times into indices and back with one
-  subtraction; only a batch that wraps divides.
+  the running maximum of g_k - k. This is exact integer arithmetic.
 * Distinct instants. A trace with more than 1000 opportunities in one
   millisecond repeats a microsecond offset. A repeat can never carry a
   second packet, since the next one leaves at least 1 us later, so the index
@@ -156,14 +159,13 @@ MAX_FLOWS = 2**15 - 1
 # the gates use (51 200 packets).
 MAX_CWND = 2**20
 
-# Heap event kinds: ticks, starts, first-tick entries and the stop entry.
-# Acks come from each window's rows.
+# Heap event kinds: ticks, starts and the stop entry. Acks come from each
+# window's rows.
 _TICK = 1
 _START = 2
 _STOP = 3
-# Starts a guardian's ticks: it pushes the first one.
-_FIRST_TICK = 4
-# Sequence key of a first-tick entry: after every heap event at its time.
+# Sequence key of a tick that an ack schedules: after every tick that a heap
+# event at the ack's time schedules.
 _NEVER = 1 << 62
 # A flow's cwnd trail takes at most one sample per this many microseconds.
 _CWND_SAMPLE_US = 100_000
@@ -375,16 +377,10 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
         arrive = arrive[b:]
         t = max(int(arrive[0]), int(busy[-1]) + 1)
     # The pass. g: the index of the first opportunity at or after each
-    # arrival. A batch inside one loop, as nearly every batch on a trace
-    # longer than a window is, needs no division per packet.
-    base = (int(arrive[0]) - 1) // loop_us
-    if int(arrive[-1]) - 1 < (base + 1) * loop_us:
-        g = instants.searchsorted(arrive - base * loop_us)
-        g += base * n
-    else:
-        loops, rem = np.divmod(arrive - 1, loop_us)
-        g = instants.searchsorted(rem + 1)
-        g += loops * n
+    # arrival.
+    loops, rem = np.divmod(arrive - 1, loop_us)
+    g = instants.searchsorted(rem + 1)
+    g += loops * n
     while True:
         # Lindley's recursion over the rest, all kept, in index space:
         # j_k = max(g_k, j_{k-1} + 1), so j_k - k is a running maximum.
@@ -394,14 +390,9 @@ def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
             j[0] = cursor
         np.maximum.accumulate(j, out=j)
         j += step
-        # Back to time, again with no division when j stays in one loop.
-        base = int(j[0]) // n
-        if int(j[-1]) < (base + 1) * n:
-            d = instants[j - base * n]
-            d += base * loop_us
-        else:
-            loops, rem = np.divmod(j, n)
-            d = loops * loop_us + instants[rem]
+        # Back to time.
+        loops, rem = np.divmod(j, n)
+        d = loops * loop_us + instants[rem]
         if len(queued) + len(d) <= buffer_pkts:
             break
         # The queue each packet finds: the earlier kept packets not yet
@@ -594,13 +585,12 @@ def run_sim(config: SimConfig) -> SimLog:
     pending = np.empty((4, 0), dtype=np.int64)
     next_seq = np.zeros(len(flows), dtype=np.int64)
 
-    # Ticks and starts, over a stop entry just past the horizon.
-    heap = [(duration_us + 1, -1, _STOP, -1)]
-    eseq = 0
+    # Ticks and starts, over a stop entry just past the horizon, keyed
+    # (due, scheduled at, sequence number).
+    heap = [(duration_us + 1, -1, -1, _STOP, -1)]
     for fi, f in enumerate(flows):
-        heappush(heap, (round(f.spec.start_s * US_PER_S), eseq, _START, fi))
-        eseq += 1
-    h_t = heap[0][0]
+        heappush(heap, (round(f.spec.start_s * US_PER_S), -1, fi, _START, fi))
+    eseq = 0
     n_flows = len(flows)
     # Guarded flows whose guardian has not started yet.
     awaiting = [fi for fi, f in enumerate(flows) if f.guardian is not None]
@@ -613,7 +603,7 @@ def run_sim(config: SimConfig) -> SimLog:
         # the last kept packet's delivery, if later. Its acks are the kept
         # packets delivered before its end minus the delay, up to the
         # horizon.
-        w0 = h_t
+        w0 = heap[0][0]
         if pending.shape[1] and pending[1, 0] + owd_us < w0:
             w0 = int(pending[1, 0]) + owd_us
         w_end = max(w0 + 2 * owd_us, last_dlv + 1 + owd_us)
@@ -641,8 +631,7 @@ def run_sim(config: SimConfig) -> SimLog:
         cursor = [0, *ends[:-1]]
 
         # A flow awaiting its guardian takes its acks one at a time, up to
-        # the one that starts it. A heap entry at that ack's time, keyed
-        # after every heap event at the time, pushes its first tick.
+        # the one that starts it, which schedules the first tick.
         for fi in list(awaiting):
             f = flows[fi]
             c = cursor[fi]
@@ -652,10 +641,10 @@ def run_sim(config: SimConfig) -> SimLog:
                 if f.phase == AVOIDANCE:
                     awaiting.remove(fi)
                     f.guardian_active = True
-                    f.si_sum = 0.0
-                    f.si_n = 0
-                    heappush(heap, (ack_t.item(c - 1), _NEVER, _FIRST_TICK, fi))
-                    h_t = heap[0][0]
+                    t = ack_t.item(c - 1)
+                    t_next = t + round(f.min_rtt_s * US_PER_S)
+                    if t_next <= duration_us:
+                        heappush(heap, (t_next, t, _NEVER, _TICK, fi))
                     break
             cursor[fi] = c
 
@@ -663,19 +652,11 @@ def run_sim(config: SimConfig) -> SimLog:
         # its own flow, so a flow takes its acks before each of its own heap
         # events, and every flow takes the rest when the window closes.
         heap_events: list[tuple[int, int, int]] = []  # (flow, sends, time)
-        while h_t < w_end:
-            t, _, kind, fi = heappop(heap)
+        while heap[0][0] < w_end:
+            t, _, _, kind, fi = heappop(heap)
             if kind == _STOP:
                 break
-            h_t = heap[0][0]
             f = flows[fi]
-            if kind == _FIRST_TICK:
-                t_next = t + round(f.min_rtt_s * US_PER_S)
-                if t_next <= duration_us:
-                    heappush(heap, (t_next, eseq, _TICK, fi))
-                    eseq += 1
-                    h_t = heap[0][0]
-                continue
             c = cursor[fi]
             if c < ends[fi] and ack_t.item(c) < t:
                 cursor[fi] = c + int(ack_t[c:ends[fi]].searchsorted(t))
@@ -691,9 +672,8 @@ def run_sim(config: SimConfig) -> SimLog:
                 ticks.append((t, fi, *action, f.cwnd))
                 t_next = t + round(f.min_rtt_s * US_PER_S)
                 if t_next <= duration_us:
-                    heappush(heap, (t_next, eseq, _TICK, fi))
+                    heappush(heap, (t_next, t, eseq, _TICK, fi))
                     eseq += 1
-                    h_t = heap[0][0]
             # The flow's cwnd trail, then sends up to the window.
             cwnd = f.cwnd
             if t >= f.next_cwnd_sample_us:

@@ -132,12 +132,6 @@ class TraceSchedule:
         return self
 
     @property
-    def timestamps_ms(self) -> list[int]:
-        """The millisecond timestamps, one per opportunity: each offset
-        rounded up to its millisecond."""
-        return _ceil_ms(self._offsets).tolist()
-
-    @property
     def opportunities_per_loop(self) -> int:
         return len(self._offsets)
 

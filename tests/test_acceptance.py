@@ -18,7 +18,6 @@ not marked xfail, because an xfail would swallow its failure: a change that
 moves gate 4's median fails it while the gate's strict xfail still fails.
 """
 
-import hashlib
 import math
 import random
 import statistics
@@ -44,6 +43,7 @@ from ccguard.theory import (
     run_self_checks,
     steady_state_delay_bound,
 )
+from test_golden import log_digest
 
 # Results shared across gates (small derived numbers only; full logs are
 # discarded per run to keep memory flat).
@@ -60,22 +60,6 @@ def once(key):
 def say(capsys, line: str) -> None:
     with capsys.disabled():
         print(f"\n{line}")
-
-
-def run_checked(cfg):
-    log = run_sim(cfg)
-    log.check_conservation()
-    return log
-
-
-def log_digest(log) -> str:
-    h = hashlib.sha256()
-    h.update(bytes(log.p_sent_us))
-    h.update(bytes(log.p_delivered_us))
-    h.update(bytes(log.p_dropped_us))
-    h.update(repr(log.tick_multiplier).encode())
-    h.update(repr(log.cwnd_val).encode())
-    return h.hexdigest()
 
 
 def rtt_arrays(log):
@@ -95,7 +79,7 @@ def _steady_batch():
     means, walls, digests = [], [], {}
     for seed in range(1, 11):
         t0 = time.perf_counter()
-        log = run_checked(experiments.steady_state(seed))
+        log = run_sim(experiments.steady_state(seed))
         walls.append(time.perf_counter() - t0)
         means.append(metrics.summarize(log, warmup_s=20.0).mean_queuing_delay_s)
         if seed in (7, 8):
@@ -126,11 +110,11 @@ def test_gate_01_steady_state_mean_delay(capsys):
 def _rampup_batch():
     ticks = []
     for seed in range(1, 101):
-        log = run_checked(experiments.rampup("guarded", seed, duration_s=3.0))
+        log = run_sim(experiments.rampup("guarded", seed, duration_s=3.0))
         wm = metrics.first_cwnd_reaching(log, 0, 500.0)
         assert wm > 0, f"seed {seed} never reached the 500-packet watermark"
         ticks.append(sum(1 for t in log.tick_t_us if t <= wm))
-    aimd_log = run_checked(experiments.rampup("aimd", 1, duration_s=12.0))
+    aimd_log = run_sim(experiments.rampup("aimd", 1, duration_s=12.0))
     awm = metrics.first_cwnd_reaching(aimd_log, 0, 500.0)
     assert awm > 0, "additive-only baseline never reached the watermark"
     return {"bound": rampup_tick_bound(500.0), "ticks": ticks,
@@ -183,7 +167,7 @@ def test_gate_03_expectation_formulas(capsys):
 
 
 def _step_heavy_p95(controller, seed):
-    log = run_checked(experiments.step_down_heavy(controller, seed))
+    log = run_sim(experiments.step_down_heavy(controller, seed))
     return metrics.summarize(log, warmup_s=experiments.STEP_DOWN_HEAVY_AT_S, end_s=30.0).p95_rtt_s
 
 
@@ -228,7 +212,7 @@ def test_gate_04_step_delay_additive_baseline(capsys):
 
 
 def _t90(cfg):
-    log = run_checked(cfg)
+    log = run_sim(cfg)
     t = metrics.time_to_utilization(
         log, 0.90, from_s=experiments.STEP_UP_AT_S, window_s=0.1
     )
@@ -265,7 +249,7 @@ def test_gate_05_exploration_ablation(capsys):
 def _drain_p95(variant):
     vals = []
     for seed in range(1, 10):
-        log = run_checked(experiments.step_down_drain(variant, seed))
+        log = run_sim(experiments.step_down_drain(variant, seed))
         s = metrics.summarize(log, warmup_s=20.0, end_s=25.0)
         vals.append(s.p95_queuing_delay_s)
     return vals
@@ -303,7 +287,7 @@ def _drain_off_batch():
     after = experiments.STEP_DOWN_DRAIN_AT_S
     t_returns = []
     for seed in range(1, 10):
-        log = run_checked(
+        log = run_sim(
             experiments.step_down_drain("no-slowdown-no-mitigation", seed)
         )
         t_s, rtt_s = rtt_arrays(log)
@@ -337,7 +321,7 @@ def _buffer_sweep_batch():
     for buf in experiments.BUFFER_SWEEP_PKTS:
         rtts, utils = [], []
         for seed in range(1, 4):
-            log = run_checked(experiments.buffer_sweep(buf, seed))
+            log = run_sim(experiments.buffer_sweep(buf, seed))
             s = metrics.summarize(log, warmup_s=10.0)
             rtts.append(s.mean_rtt_s)
             utils.append(s.utilization)
@@ -388,7 +372,7 @@ def _fairness_batch():
     jains, digests = {}, {}
     warmup_s = experiments.FAIRNESS_DURATION_S - experiments.FAIRNESS_WINDOW_S
     for seed in (1, 2, 3):
-        log = run_checked(experiments.fairness(seed=seed))
+        log = run_sim(experiments.fairness(seed=seed))
         jains[seed] = metrics.summarize(log, warmup_s=warmup_s).jain_index
         if seed == 3:
             digests[seed] = log_digest(log)
@@ -415,8 +399,8 @@ def _replay_batch():
     steady = once("steady")["digests"]
     fair = once("fairness")["digests"]
     return {
-        "steady_rerun_matches": log_digest(run_checked(experiments.steady_state(7))) == steady[7],
-        "fairness_rerun_matches": log_digest(run_checked(experiments.fairness(seed=3))) == fair[3],
+        "steady_rerun_matches": log_digest(run_sim(experiments.steady_state(7))) == steady[7],
+        "fairness_rerun_matches": log_digest(run_sim(experiments.fairness(seed=3))) == fair[3],
         "seeds_differ": steady[7] != steady[8],
     }
 

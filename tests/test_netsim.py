@@ -1,7 +1,6 @@
 """Tests for the discrete-event bottleneck simulator: conservation, RTT
 accounting, loss handling, determinism, and logging."""
 
-import hashlib
 import math
 import os
 import random
@@ -27,6 +26,7 @@ from ccguard.netsim import (
     take_acks,
 )
 from ccguard.traces import TraceSchedule, synth_constant
+from test_golden import log_digest
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ccguard.__file__)))
 
@@ -46,15 +46,6 @@ def small_sim(**overrides):
     )
     base.update(overrides)
     return SimConfig(**base)
-
-
-def _digest(log):
-    h = hashlib.sha256()
-    h.update(bytes(log.p_sent_us))
-    h.update(bytes(log.p_delivered_us))
-    h.update(bytes(log.p_dropped_us))
-    h.update(repr(log.tick_multiplier).encode())
-    return h.hexdigest()
 
 
 def test_conservation_holds_and_counts_are_consistent():
@@ -198,9 +189,9 @@ def test_losses_do_not_violate_conservation_across_buffers():
 
 
 def test_replay_is_bit_identical_and_seed_sensitive():
-    a = _digest(run_sim(small_sim(seed=11)))
-    b = _digest(run_sim(small_sim(seed=11)))
-    c = _digest(run_sim(small_sim(seed=12)))
+    a = log_digest(run_sim(small_sim(seed=11)))
+    b = log_digest(run_sim(small_sim(seed=11)))
+    c = log_digest(run_sim(small_sim(seed=12)))
     assert a == b
     assert a != c
 
