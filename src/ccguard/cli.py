@@ -9,7 +9,7 @@ Subcommands:
 * ``theory-check`` internal-consistency battery for the closed forms
 * ``trace-gen``    write a mahimahi trace file from a compact spec
 
-Exit codes: 0 success, 2 configuration error, 3 missing input file or failed
+Exit codes: 0 success, 2 configuration error, 3 an unusable file or failed
 simulation check, 4 theory-check failure. Relative output directories resolve
 against ``CCGUARD_OUTPUT_ROOT`` when it is set. Result files are written
 atomically (temp file + rename), so a watcher never sees a half-written summary.
@@ -131,6 +131,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"seeds must be comma-separated integers: {text!r}")
     if not seeds:
         raise ConfigError("seeds must name at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError("seeds must not repeat: each one's run has its own directory")
     return seeds
 
 
@@ -174,13 +176,12 @@ def _parser() -> configparser.ConfigParser:
 
 def load_ini(path: str) -> configparser.ConfigParser:
     """Read an experiment INI, rejecting unknown sections and options."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     cp = _parser()
-    try:
-        cp.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}")
+    with open(path) as fh:
+        try:
+            cp.read_file(fh)
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}")
     for section in cp.sections():
         if section == "flow" or section.startswith("flow:"):
             known = _FLOW_KEYS
@@ -352,6 +353,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"sweep values must not repeat: {args.values!r}")
     # Every value's config is built and checked before the first run, so a
     # bad value exits 2 with nothing written.
     runs = []
@@ -524,6 +527,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return EXIT_MISSING_INPUT
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -69,26 +69,26 @@ every other. It is pushed before the heap events at that time run, but its
 key orders it after the ticks they push; its min RTT is the one the flow
 would hold after them, since the flow's next ack comes later.
 
-When the window closes, ``window_fates`` fixes the fates of all its sends in
-one numpy pass:
+When the window closes, ``window_fates`` fixes the fates of all its sends a
+segment at a time, taking each segment's fates as if every packet were kept:
 
 * Busy runs. While the queue never idles, j_k = j_0 + k: a slice of the
   loop's instants after one scalar search, up to the loop's end or the first
-  packet that arrives after its slot. The first two runs of a batch are
-  taken so, unless one would drop a packet; the steps below take the rest.
-* Lindley's recursion in index space. Opportunity i is instant i % n of loop
-  i // n. With g_k the index of the first opportunity at or after packet k's
-  arrival, the kept packets take j_k = max(g_k, j_{k-1} + 1), so j_k - k is
-  the running maximum of g_k - k. This is exact integer arithmetic.
+  packet that arrives after its slot. The first two runs of a segment are
+  taken so; the pass takes the rest.
+* The pass: Lindley's recursion in index space. Opportunity i is instant
+  i % n of loop i // n. With g_k the first opportunity at or after packet
+  k's arrival, j_k = max(g_k, j_{k-1} + 1), so j_k - k is the running
+  maximum of g_k - k: exact integer arithmetic.
 * Distinct instants. A trace with more than 1000 opportunities in one
   millisecond repeats a microsecond offset. A repeat can never carry a
   second packet, since the next one leaves at least 1 us later, so the index
   runs over the loop's distinct instants.
-* Runs of drops. With every packet kept, the queue each one finds is counted
-  from the sorted deliveries. At the first that finds it full, the queue
-  stays full until its next departure, so every packet arriving by then is
-  dropped too (a packet leaving at the arrival instant still counts as
-  queued). The pass starts again after that run.
+* Runs of drops. When the segment could fill the buffer, one count of the
+  queue each packet finds, from the sorted deliveries, locates the first
+  drop. The queue stays full until its next departure, so every packet
+  arriving by then is dropped too (a packet leaving at the arrival instant
+  still counts as queued). The next segment starts after that run.
 
 The one-way delay is at least 1 us, so the order of a delivery and the
 other events at its instant cannot matter: everything that delivery takes in
@@ -334,88 +334,81 @@ def _columns(rows: list[tuple], width: int) -> list[list]:
     return [list(c) for c in zip(*rows)] if rows else [[] for _ in range(width)]
 
 
-def window_fates(arrive: np.ndarray, queued: np.ndarray, last_dlv: int,
-                 instants: np.ndarray, loop_us: int, buffer_pkts: int) -> np.ndarray:
+def window_fates(arrive: np.ndarray, queued: np.ndarray, instants: np.ndarray, loop_us: int,
+                 buffer_pkts: int) -> np.ndarray:
     """Fates of a batch of packets that reach the queue at ``arrive``
     (nondecreasing, in send order): each one's delivery instant, or -1 where
     the drop-tail buffer turns it away.
 
-    ``queued`` holds the sorted deliveries of earlier kept packets; it must
-    include every one at or after ``arrive[0]``, and earlier ones are
-    ignored. ``last_dlv`` is the last kept packet's delivery (0 before any).
+    ``queued`` holds the sorted deliveries of earlier kept packets, ending
+    with the last one's; those before ``arrive[0]`` may be left out.
     ``instants`` are the loop's distinct opportunity offsets, sorted, in
     (0, loop_us], the last equal to ``loop_us``.
 
-    Up to two busy runs, packets that queue back to back inside one loop,
-    take a slice of ``instants`` each; the pass, which searches for every
-    packet, takes the rest, or all from a run that would drop one.
+    A segment, the batch or the rest after a run of drops, takes its fates
+    as if every packet were kept: up to two busy runs, packets that queue
+    back to back inside one loop, take a slice of ``instants`` each, and the
+    pass, which searches for every packet, the rest. Then one count of the
+    queue each packet finds locates its first drop.
     """
     n = len(instants)
     queued = queued[queued.searchsorted(arrive[0]):]
-    # Opportunity i is instant i % n of loop i // n. A busy run takes the
-    # instants from cursor, the first opportunity at or after its first
-    # arrival and the last delivery + 1, to the loop's end or the first packet
-    # that arrives after its slot (never the first: argmax 0 means none does).
     fates = []
-    t = max(int(arrive[0]), last_dlv + 1)
-    for _ in range(2):  # one run, or a head, an idle gap and one more
-        loops, rem = divmod(t - 1, loop_us)
-        r = int(instants.searchsorted(rem + 1))
-        cursor = loops * n + r
-        busy = instants[r:r + len(arrive)] + loops * loop_us
-        b = int((arrive[:len(busy)] > busy).argmax()) or len(busy)
-        busy = busy[:b]
-        if len(queued) + len(arrive) > buffer_pkts:
-            kept = np.concatenate((queued, busy))
-            if (len(queued) + np.arange(b) - kept.searchsorted(arrive[:b]) >= buffer_pkts).any():
-                break
-            queued = kept  # the rest finds the run's packets queued
-        fates.append(busy)
-        cursor += b
-        if b == len(arrive):
-            return np.concatenate(fates) if len(fates) > 1 else busy
-        arrive = arrive[b:]
-        t = max(int(arrive[0]), int(busy[-1]) + 1)
-    # The pass. g: the index of the first opportunity at or after each
-    # arrival.
-    loops, rem = np.divmod(arrive - 1, loop_us)
-    g = instants.searchsorted(rem + 1)
-    g += loops * n
     while True:
-        # Lindley's recursion over the rest, all kept, in index space:
-        # j_k = max(g_k, j_{k-1} + 1), so j_k - k is a running maximum.
-        step = np.arange(len(g))
-        j = g - step
-        if j[0] < cursor:
-            j[0] = cursor
-        np.maximum.accumulate(j, out=j)
-        j += step
-        # Back to time.
-        loops, rem = np.divmod(j, n)
-        d = loops * loop_us + instants[rem]
-        if len(queued) + len(d) <= buffer_pkts:
+        # Opportunity i is instant i % n of loop i // n. A busy run takes the
+        # instants from the first opportunity at or after its first arrival
+        # and the last delivery + 1 to the loop's end or the first packet that
+        # arrives after its slot (never the first: argmax 0 means none does).
+        t = max(int(arrive[0]), int(queued[-1]) + 1) if len(queued) else int(arrive[0])
+        rest = arrive
+        runs = []
+        for _ in range(2):  # one run, or a head, an idle gap and one more
+            loops, rem = divmod(t - 1, loop_us)
+            r = int(instants.searchsorted(rem + 1))
+            busy = instants[r:r + len(rest)] + loops * loop_us
+            b = int((rest[:len(busy)] > busy).argmax()) or len(busy)
+            runs.append(busy[:b])
+            if b == len(rest):
+                break
+            rest = rest[b:]
+            t = max(int(rest[0]), int(busy[b - 1]) + 1)
+        else:
+            # The pass: Lindley's recursion in index space. With g_k the first
+            # opportunity at or after arrival k, j_k = max(g_k, j_{k-1} + 1),
+            # so j_k - k is a running maximum; j_0 follows the last run.
+            cursor = loops * n + r + b
+            loops, rem = np.divmod(rest - 1, loop_us)
+            j = instants.searchsorted(rem + 1)
+            j += loops * n
+            step = np.arange(len(j))
+            j -= step
+            if j[0] < cursor:
+                j[0] = cursor
+            np.maximum.accumulate(j, out=j)
+            j += step
+            loops, rem = np.divmod(j, n)
+            runs.append(loops * loop_us + instants[rem])
+        d = np.concatenate(runs) if len(runs) > 1 else runs[0]
+        if len(queued) + len(arrive) <= buffer_pkts:
             break
         # The queue each packet finds: the earlier kept packets not yet
         # delivered when it arrives (one leaving at that instant counts).
         kept = np.concatenate((queued, d))
-        full = len(queued) + step - kept.searchsorted(arrive) >= buffer_pkts
+        full = len(queued) + np.arange(len(arrive)) - kept.searchsorted(arrive) >= buffer_pkts
         f = int(full.argmax())
         if not full[f]:
             break
-        # The first overflow. The queue stays full until its next departure,
-        # so every packet arriving by then is dropped too; pass again from
-        # the first packet after that run of drops.
+        # The first drop. The queue stays full until its next departure, so
+        # every packet arriving by then is dropped too; the next segment
+        # starts after that run of drops.
         kept = kept[:len(queued) + f]
         departure = kept[kept.searchsorted(arrive[f])]
         burst = int(arrive[f:].searchsorted(departure, side="right"))
         fates += d[:f], np.full(burst, -1, dtype=np.int64)
-        if f:
-            cursor = int(j[f - 1]) + 1
         f += burst
         if f == len(arrive):
             return np.concatenate(fates)
         arrive = arrive[f:]
-        g = g[f:]
         queued = kept[kept.searchsorted(arrive[0]):]
     return np.concatenate((*fates, d)) if fates else d
 
@@ -578,8 +571,6 @@ def run_sim(config: SimConfig) -> SimLog:
     trails: list[list[tuple[int, float]]] = [[] for _ in flows]
 
     n_sent = 0
-    n_kept = 0
-    last_dlv = 0
     # Kept packets not yet acked, in send order; rows: flow, delivery, send
     # time, sequence number.
     pending = np.empty((4, 0), dtype=np.int64)
@@ -600,13 +591,16 @@ def run_sim(config: SimConfig) -> SimLog:
     while kind != _STOP:
         # Open a window at the next event. It ends when the first ack of a
         # packet sent in it could come: 2 x delay later, or a delay after
-        # the last kept packet's delivery, if later. Its acks are the kept
-        # packets delivered before its end minus the delay, up to the
-        # horizon.
+        # the last kept packet's delivery, if later. That is the last
+        # pending one; with none pending, every kept packet was acked before
+        # w0. Its acks are the kept packets delivered before its end minus
+        # the delay, up to the horizon.
         w0 = heap[0][0]
-        if pending.shape[1] and pending[1, 0] + owd_us < w0:
-            w0 = int(pending[1, 0]) + owd_us
-        w_end = max(w0 + 2 * owd_us, last_dlv + 1 + owd_us)
+        w_end = 0
+        if pending.shape[1]:
+            w0 = min(w0, int(pending[1, 0]) + owd_us)
+            w_end = int(pending[1, -1]) + 1 + owd_us
+        w_end = max(w0 + 2 * owd_us, w_end)
         n_acks = int(pending[1].searchsorted(min(w_end, duration_us + 1) - owd_us))
         # Packets acked in this window may still be queued when its sends
         # arrive.
@@ -719,7 +713,7 @@ def run_sim(config: SimConfig) -> SimLog:
                 seq[flow.argsort(kind="stable")] = np.arange(len(flow))
                 seq += (next_seq + per_flow - per_flow.cumsum())[flow]
                 next_seq += per_flow
-            dlv[:] = window_fates(sent + owd_us, queued, last_dlv, instants, loop_us, buffer_pkts)
+            dlv[:] = window_fates(sent + owd_us, queued, instants, loop_us, buffer_pkts)
             m = n_sent + len(sent)
             if m > cap:
                 cap = max(2 * cap, m)
@@ -734,8 +728,6 @@ def run_sim(config: SimConfig) -> SimLog:
             if dlv.min() < 0:
                 batch = batch.compress(dlv >= 0, axis=1)
             if batch.shape[1]:
-                n_kept += batch.shape[1]
-                last_dlv = int(batch[1, -1])
                 pending = np.concatenate((pending, batch), axis=1)
 
     # The cwnd samples in event order. Windows do not overlap in time, so
@@ -755,7 +747,7 @@ def run_sim(config: SimConfig) -> SimLog:
     turned_away = dlv < 0
     late = dlv > duration_us
     dlv[late] = -1
-    n_delivered = n_kept - int(np.count_nonzero(late))
+    n_delivered = n_sent - int(np.count_nonzero(turned_away)) - int(np.count_nonzero(late))
     last = int(dlv.max()) if n_sent else -1
     n_taken = int(sent.searchsorted(last - owd_us, side="right"))
     dropped = np.full(n_sent, -1, dtype=np.int64)

@@ -165,6 +165,25 @@ def test_run_missing_trace_file_exits_3(capsys):
     assert rc == EXIT_MISSING_INPUT
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--trace", "{dir}", "--duration", "2", "--warmup", "1", "--out", "x"],
+    ["run", "--config", "{dir}", "--out", "x"],
+    RUN_FAST[:-1] + ["{file}"],
+    RUN_FAST[:-4] + ["--seeds", "1,2", "--out", "{file}"],
+    ["sweep", "--param", "buffer_pkts", "--values", "40", "--duration", "2", "--warmup", "1",
+     "--out", "{file}"],
+    ["trace-gen", "--spec", "constant:12@1", "--out", "{dir}"],
+], ids=["run-trace-dir", "run-config-dir", "run-out-file", "seeds-out-file", "sweep-out-file",
+        "trace-gen-out-dir"])
+def test_an_unusable_path_exits_3_with_one_line(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [{"{dir}": str(tmp_path), "{file}": str(taken)}.get(a, a) for a in argv]
+    assert main(argv) == EXIT_MISSING_INPUT == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 BAD_INPUT_BASE = ["run", "--trace", "constant:12@1", "--duration", "2",
                   "--warmup", "1", "--out", "bad"]
 
@@ -196,6 +215,7 @@ BAD_INPUT_BASE = ["run", "--trace", "constant:12@1", "--duration", "2",
     ([], "[flow]\ncwnd_floor = 2e6\n"),
     ([], "[experiment]\nseed = 5\n"),
     (["--trace", "constant:1e-300@1e300"], None),
+    (["--seeds", "1,1"], None),
 ])
 def test_bad_input_exits_2_with_one_line_and_no_output(out_root, tmp_path, capsys,
                                                        extra, ini):
@@ -318,6 +338,14 @@ def test_sweep_bad_value_exits_2(capsys):
         "--duration", "2", "--out", "bad-sw",
     ])
     assert rc == EXIT_CONFIG
+
+
+def test_sweep_repeated_value_exits_2_before_running(out_root, capsys):
+    rc = main(["sweep", "--param", "buffer_pkts", "--values", "5,5", "--duration", "2",
+               "--warmup", "1", "--out", "twice"])
+    assert rc == EXIT_CONFIG
+    assert "must not repeat" in capsys.readouterr().err
+    assert not (out_root / "twice").exists()
 
 
 def test_sweep_unknown_param_rejected_by_parser():

@@ -274,11 +274,9 @@ class Instants(np.ndarray):
 
 
 def busy_runs(fates, offsets, loop_us):
-    """How many busy runs ``fates`` make, or None if one is a drop. A busy run
-    is a stretch of packets that queue back to back inside one loop: they
-    take consecutive distinct instants of it."""
-    if min(fates) < 0:
-        return None
+    """How many busy runs ``fates``, none a drop, make. A busy run is a
+    stretch of packets that queue back to back inside one loop: they take
+    consecutive distinct instants of it."""
     distinct = sorted(set(offsets))
     slots = [((d - 1) // loop_us, bisect_left(distinct, (d - 1) % loop_us + 1)) for d in fates]
     return 1 + sum(loop != prev_loop or rank != prev_rank + 1
@@ -288,20 +286,30 @@ def busy_runs(fates, offsets, loop_us):
 def fates_both_ways(loop_us, offsets, arrive, split, buffer_pkts):
     """The batch from ``split`` on, by the per-packet rule and by
     ``window_fates`` given the state the packets before it left. Checks that
-    ``window_fates`` searched the instants per packet exactly when the fates
-    hold a drop or more than two busy runs."""
+    ``window_fates`` searched the instants per packet exactly when some
+    segment needs the pass. A segment starts at the batch's start or at the
+    first packet after a run of drops, and needs the pass when the rest of
+    the batch from there, taken as all kept after the kept packets before
+    it, makes more than two busy runs."""
     before = reference_fates(arrive[:split], [], 0, offsets, loop_us, buffer_pkts)
     queued = [d for d in before if d >= 0]
     last = queued[-1] if queued else 0
-    expected = reference_fates(arrive[split:], queued, last, offsets, loop_us, buffer_pkts)
+    batch = arrive[split:]
+    expected = reference_fates(batch, queued, last, offsets, loop_us, buffer_pkts)
     instants = np.unique(offsets).view(Instants)
     instants.searches = []
     got = window_fates(
-        np.array(arrive[split:], dtype=np.int64), np.array(queued, dtype=np.int64), last,
-        instants, loop_us, buffer_pkts,
+        np.array(batch, dtype=np.int64), np.array(queued, dtype=np.int64), instants, loop_us,
+        buffer_pkts,
     )
-    runs = busy_runs(expected, offsets, loop_us)
-    assert (max(instants.searches) == 1) == (runs is None or runs > 2)
+    starts = [0] + [k for k in range(1, len(batch)) if expected[k - 1] < 0 <= expected[k]]
+    needs_pass = False
+    for k in starts:
+        kept = queued + [d for d in expected[:k] if d >= 0]
+        all_kept = reference_fates(batch[k:], kept, kept[-1] if kept else 0, offsets, loop_us,
+                                   INFINITE_BUFFER)
+        needs_pass |= busy_runs(all_kept, offsets, loop_us) > 2
+    assert (max(instants.searches) == 1) == needs_pass
     return got.tolist(), expected
 
 
@@ -334,6 +342,12 @@ BUSY_EDGES = {
     # The packet after the loop's end finds 7 of the first run's queued.
     "over the buffer, wraps, never full": ([1] * 7 + [35] * 4, 0, 8, TENS + [110]),
     "over the buffer, wraps, full": ([1] * 7 + [35] * 4, 0, 7, TENS + [-1]),
+    # The next segment starts after the last delivery, at 30.
+    "a drop, then one busy run to the end": ([1, 1, 1, 15, 25], 0, 2, [10, 20, -1, 30, 40]),
+    # Taken as all kept, the batch is one busy run; after the drops, three.
+    "a drop, then three busy runs":
+        ([1] * 5 + [35, 55, 75], 0, 2, [10, 20] + [-1] * 3 + [40, 60, 80]),
+    "first packet dropped, then the queue empties": ([1, 1, 1, 45, 45], 2, 2, [-1, 50, 60]),
     "one packet": ([1], 0, INFINITE_BUFFER, [10]),
     "one packet after the last delivery": ([1, 1], 1, INFINITE_BUFFER, [20]),
 }
