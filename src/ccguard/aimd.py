@@ -33,7 +33,6 @@ class AimdWindow:
         cwnd: float = 10.0,
         ssthresh: float = 64.0,
         floor: float = 2.0,
-        start_in_avoidance: bool = False,
     ):
         if cwnd < 1.0:
             raise ValueError("initial cwnd must be >= 1 packet")
@@ -42,9 +41,9 @@ class AimdWindow:
         self.cwnd = float(cwnd)
         self.ssthresh = float(ssthresh)
         self.floor = float(floor)
-        self.phase = AVOIDANCE if start_in_avoidance else SLOW_START
-        if start_in_avoidance:
-            self.ssthresh = self.cwnd
+        # RFC 5681 section 3.1: a window at or above its threshold is in
+        # congestion avoidance, as on_acks decides when it leaves slow start.
+        self.phase = AVOIDANCE if self.cwnd >= self.ssthresh else SLOW_START
 
     def on_ack(self) -> None:
         """Advance the window for one new (in-order) ack, asking for no

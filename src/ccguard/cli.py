@@ -160,10 +160,8 @@ _SECTION_KEYS = {
 
 # The parser of each [flow] option, by the dataclass field it sets. An unset
 # option keeps the dataclass default; threshold sets two GuardianConfig fields.
-_FLOW_SPEC_OPTIONS = {
-    "controller": str, "start_s": _finite, "cwnd_init": _finite, "cwnd_floor": _finite,
-    "ssthresh_init": _finite, "start_in_avoidance": _parse_bool,
-}
+_FLOW_SPEC_OPTIONS = {"controller": str, "start_s": _finite, "cwnd_init": _finite,
+                      "cwnd_floor": _finite, "ssthresh_init": _finite}
 _GUARDIAN_OPTIONS = {"exploration": _exploration, "slowdown": _parse_bool, "mitigation": _parse_bool}
 _FLOW_KEYS = {"threshold", *_FLOW_SPEC_OPTIONS, *_GUARDIAN_OPTIONS}
 
@@ -197,7 +195,7 @@ def load_ini(path: str) -> configparser.ConfigParser:
 
 def _read_config(args: argparse.Namespace) -> configparser.ConfigParser:
     """The INI file, if any, with each given flag written over the key its
-    dest names; of --seed and --seeds, the later one given wins."""
+    dest names."""
     cp = load_ini(args.config) if args.config else _parser()
     for dest, value in vars(args).items():
         if "." in dest and value is not None:
@@ -474,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 
         key_flag("--trace", "link.trace", "trace spec (constant:RATE@DUR, step:..., or a file path)")
         key_flag("--duration", "experiment.duration_s", "simulated seconds")
-        key_flag("--seed", "experiment.seeds", "single seed")
         key_flag("--seeds", "experiment.seeds", "comma-separated seeds (one run dir each)")
         key_flag("--owd-ms", "link.one_way_delay_ms", "one-way propagation delay, ms")
         key_flag("--buffer", "link.buffer_pkts", "bottleneck buffer in packets, or 'infinite'")

@@ -70,9 +70,10 @@ def steady_state(seed: int, duration_s: float = 120.0) -> SimConfig:
 
 
 def rampup(controller: str, seed: int, duration_s: float) -> SimConfig:
-    """Cold start from a one-packet window straight into congestion
-    avoidance, 300 Mbps, unbounded buffer. Gate 2 reads the first instant
-    cwnd reaches the BDP (500 packets) with ``metrics.first_cwnd_reaching``."""
+    """Cold start from a one-packet window at its slow-start threshold, so
+    straight into congestion avoidance, 300 Mbps, unbounded buffer. Gate 2
+    reads the first instant cwnd reaches the BDP (500 packets) with
+    ``metrics.first_cwnd_reaching``."""
     return SimConfig(
         schedule=synth_constant(300.0, 1.0),
         duration_s=duration_s,
@@ -80,7 +81,7 @@ def rampup(controller: str, seed: int, duration_s: float) -> SimConfig:
         buffer_pkts=INFINITE_BUFFER,
         seed=seed,
         flows=[_guarded_or_aimd(controller, cwnd_init=1.0, cwnd_floor=1.0,
-                                start_in_avoidance=True)],
+                                ssthresh_init=1.0)],
     )
 
 

@@ -358,8 +358,7 @@ def first_cwnd_reaching(log: SimLog, flow: int, target: float) -> int:
     acks = acks[acks < stop_us].tolist()
     ticks = [(t, c) for t, fi, c in zip(log.tick_t_us, log.tick_flow, log.tick_cwnd)
              if fi == flow and t < stop_us]
-    window = AimdWindow(spec.cwnd_init, spec.ssthresh_init, spec.cwnd_floor,
-                        spec.start_in_avoidance)
+    window = AimdWindow(spec.cwnd_init, spec.ssthresh_init, spec.cwnd_floor)
     taken = 0
     for t, cwnd in [*ticks, (stop_us, None)]:
         upto = bisect_left(acks, t, taken)

@@ -191,7 +191,6 @@ class FlowSpec:
     cwnd_init: float = 10.0
     cwnd_floor: float = 2.0
     ssthresh_init: float = 64.0
-    start_in_avoidance: bool = False
     guardian: GuardianConfig = field(default_factory=GuardianConfig)
 
     def validate(self) -> None:
@@ -252,7 +251,6 @@ class _FlowState(AimdWindow):
             cwnd=spec.cwnd_init,
             ssthresh=spec.ssthresh_init,
             floor=spec.cwnd_floor,
-            start_in_avoidance=spec.start_in_avoidance,
         )
         self.spec = spec
         guarded = spec.controller == "guarded"

@@ -167,18 +167,13 @@ class TraceSchedule:
 
 
 def _load_digits(raw: bytes) -> np.ndarray | None:
-    """Timestamps of a valid trace file made only of ASCII digits and line
-    breaks, parsed from its bytes by ``np.fromstring``; None for any other
-    file, which the caller reads line by line instead. A file of line breaks
-    alone parses as [0], and a value past int64 saturates, so neither passes
-    the checks here."""
+    """Timestamps of a trace file made only of ASCII digits and line breaks,
+    parsed from its bytes by ``np.fromstring``; None for any other file. A
+    file of line breaks alone parses as [0], and a value past int64
+    saturates: ``TraceSchedule`` rejects both."""
     if raw.translate(None, b"0123456789\r\n"):
         return None
-    values = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if (not values.size or values[0] < 1 or values[-1] > MAX_TIMESTAMP_MS
-            or (values[1:] < values[:-1]).any()):
-        return None
-    return values
+    return np.fromstring(raw, dtype=np.int64, sep=" ")
 
 
 def _read_lines(path: str | os.PathLike) -> list[int]:
@@ -211,14 +206,17 @@ def parse_trace(path: str | os.PathLike) -> TraceSchedule:
     """Read a mahimahi trace file. Errors carry 1-based line numbers.
 
     A file of ASCII digits and line breaks is parsed from the bytes read
-    once; any other file, or one holding a bad value, is read again line by
-    line, which accepts blank lines and surrounding whitespace and names the
-    first bad line."""
+    once. Any other file, or one whose values ``TraceSchedule`` rejects, is
+    read again line by line, which accepts blank lines and surrounding
+    whitespace and names the first bad line."""
     with open(path, "rb") as fh:
         timestamps = _load_digits(fh.read())
-    if timestamps is None:
-        timestamps = _read_lines(path)
-    return TraceSchedule(timestamps)
+    if timestamps is not None:
+        try:
+            return TraceSchedule(timestamps)
+        except ValueError:
+            pass
+    return TraceSchedule(_read_lines(path))
 
 
 def write_trace(schedule: TraceSchedule, path: str | os.PathLike) -> None:

@@ -453,7 +453,14 @@ def _property_sweep_batch():
 
         deriv = rng.uniform(-10.0, 10.0)
         z = classify_zone(d, deriv, thr)
-        assert z in (Zone.NEUTRAL, Zone.FALLING, Zone.RISING, Zone.CRITICAL)
+        if d > thr:
+            assert z is Zone.CRITICAL
+        elif deriv > 0:
+            assert z is Zone.RISING
+        elif deriv < 0:
+            assert z is Zone.FALLING
+        else:
+            assert z is Zone.NEUTRAL
 
         op = rng.random()
         if op < 0.4:

@@ -27,7 +27,7 @@ def test_slow_start_exits_at_threshold():
 
 
 def test_avoidance_adds_about_one_packet_per_rtt():
-    win = AimdWindow(cwnd=100.0, ssthresh=50.0, start_in_avoidance=True)
+    win = AimdWindow(cwnd=100.0, ssthresh=50.0)
     start = win.cwnd
     for _ in range(100):
         win.on_ack()
@@ -51,11 +51,16 @@ def test_loss_respects_floor():
     assert win.ssthresh == 2.0
 
 
-def test_start_in_avoidance_skips_slow_start():
-    win = AimdWindow(cwnd=1.0, floor=1.0, start_in_avoidance=True)
-    assert win.phase == AVOIDANCE
-    win.on_ack()
-    assert win.cwnd == 2.0  # 1 + 1/1
+def test_a_window_at_or_above_its_threshold_starts_in_avoidance():
+    for cwnd, ssthresh, phase, after_one_ack in [
+        (1.0, 1.0, AVOIDANCE, 2.0),  # 1 + 1/1
+        (4.0, 2.0, AVOIDANCE, 4.25),
+        (1.0, 2.0, SLOW_START, 2.0),
+    ]:
+        win = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, floor=1.0)
+        assert win.phase == phase
+        win.on_ack()
+        assert (win.cwnd, win.ssthresh) == (after_one_ack, ssthresh)
 
 
 def test_clamp_reapplies_floor_after_external_multiply():
@@ -75,7 +80,7 @@ def test_constructor_rejects_degenerate_values():
 def test_growth_rate_supports_long_additive_ramp():
     # From one packet in avoidance, reaching w packets takes at least w RTTs
     # (each RTT adds at most one packet).
-    win = AimdWindow(cwnd=1.0, floor=1.0, start_in_avoidance=True)
+    win = AimdWindow(cwnd=1.0, ssthresh=1.0, floor=1.0)
     rtts = 0
     while win.cwnd < 500.0:
         acks = int(win.cwnd)
@@ -102,11 +107,12 @@ def ack_runs(draw):
     before to well after the slow-start threshold."""
     cwnd = draw(st.one_of(st.integers(1, 300).map(float), st.floats(1.0, 300.0)))
     ssthresh = cwnd + draw(st.one_of(st.integers(-5, 60).map(float), st.floats(-5.0, 60.0)))
-    avoidance = draw(st.booleans())
+    if draw(st.booleans()):  # start in avoidance
+        ssthresh = cwnd
     to_switch = max(0, math.ceil(ssthresh - cwnd))
     total = max(0, to_switch + draw(st.integers(-6, 40)))
     cuts = draw(st.lists(st.integers(0, total), max_size=3))
-    return cwnd, ssthresh, avoidance, sorted(cuts), total
+    return cwnd, ssthresh, sorted(cuts), total
 
 
 def crossings(win, n, level):
@@ -126,9 +132,9 @@ def crossings(win, n, level):
 def test_on_acks_matches_one_ack_at_a_time(case):
     # Cut into calls as take_acks cuts a run, each call asking for the
     # levels above floor(cwnd): together they list every integer crossed.
-    cwnd, ssthresh, avoidance, cuts, total = case
-    win = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, start_in_avoidance=avoidance)
-    ref = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, start_in_avoidance=avoidance)
+    cwnd, ssthresh, cuts, total = case
+    win = AimdWindow(cwnd=cwnd, ssthresh=ssthresh)
+    ref = AimdWindow(cwnd=cwnd, ssthresh=ssthresh)
     expected = crossings(ref, total, math.floor(cwnd) + 1.0)
     got = []
     for lo, hi in zip([0] + cuts, cuts + [total]):
@@ -147,8 +153,10 @@ def test_on_acks_lists_the_acks_that_first_reach_each_level(cwnd, ssthresh, floo
                                                             avoidance, n, above):
     # Any level, integer or not, even one the window is already at.
     level = math.floor(cwnd) + above
-    win = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, floor=floor, start_in_avoidance=avoidance)
-    ref = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, floor=floor, start_in_avoidance=avoidance)
+    if avoidance:
+        ssthresh = cwnd
+    win = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, floor=floor)
+    ref = AimdWindow(cwnd=cwnd, ssthresh=ssthresh, floor=floor)
     assert win.on_acks(n, level) == crossings(ref, n, level)
     assert (win.cwnd, win.ssthresh, win.phase) == (ref.cwnd, ref.ssthresh, ref.phase)
 

@@ -20,7 +20,8 @@ from ccguard.cli import (
     main,
     parse_threshold,
 )
-from ccguard.netsim import SimulationError
+from ccguard.guardian import GuardianConfig
+from ccguard.netsim import FlowSpec, SimulationError
 
 
 @pytest.fixture(autouse=True)
@@ -562,8 +563,6 @@ def flow0(d):
     ("flow", "cwnd_init", "4", lambda d, r: flow0(d)["cwnd_init"], 4.0),
     ("flow", "cwnd_floor", "3", lambda d, r: flow0(d)["cwnd_floor"], 3.0),
     ("flow", "ssthresh_init", "32", lambda d, r: flow0(d)["ssthresh_init"], 32.0),
-    ("flow", "start_in_avoidance", "on",
-     lambda d, r: flow0(d)["start_in_avoidance"], True),
     ("flow", "start_s", "0.5", lambda d, r: flow0(d)["start_s"], 0.5),
 ])
 def test_each_ini_key_reaches_the_run(out_root, tmp_path, section, option, text,
@@ -670,10 +669,20 @@ def test_every_flag_names_an_accepted_ini_key(argv):
     # load_ini checks only the file's keys, so a flag writing an unknown key
     # would be ignored without a word.
     dests = [d for d in vars(cli.build_parser().parse_args(argv)) if "." in d]
-    assert len(dests) == 12  # 13 flags; --seed and --seeds share experiment.seeds
+    assert len(dests) == 12
     for dest in dests:
         section, option = dest.split(".")
         assert option in (cli._FLOW_KEYS if section == "flow" else cli._SECTION_KEYS[section])
+
+
+def test_flow_keys_are_the_flow_dataclass_fields():
+    # A knob must not live in FlowSpec or GuardianConfig without an INI key,
+    # or the other way round; threshold sets the two threshold fields.
+    spec = {f.name for f in fields(FlowSpec)} - {"flow_id", "guardian"}
+    guardian = {f.name for f in fields(GuardianConfig)}
+    threshold = {"threshold_multiplier", "threshold_fixed_s"}
+    assert threshold <= guardian
+    assert cli._FLOW_KEYS == spec | (guardian - threshold) | {"threshold"}
 
 
 def test_readme_ini_block_shows_the_defaults():
@@ -688,6 +697,7 @@ def test_readme_ini_block_shows_the_defaults():
 
 
 def test_seed_and_seeds_given_together_take_the_later(out_root):
+    # --seed is read as --seeds, the one flag it abbreviates.
     for flags, seed in [(["--seed", "7", "--seeds", "8"], 8), (["--seeds", "8", "--seed", "7"], 7)]:
         assert main(RUN_FAST[:-2] + flags + ["--out", "both"]) == EXIT_OK
         assert read_json(out_root / "both" / "summary.json")["seed"] == seed

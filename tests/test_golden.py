@@ -113,7 +113,7 @@ def _scenarios():
         ),
         "aimd-rampup-watermark": SimConfig(
             schedule=synth_constant(60.0, 1.0), duration_s=3.0, seed=9,
-            flows=[aimd(cwnd_init=1.0, cwnd_floor=1.0, start_in_avoidance=True)],
+            flows=[aimd(cwnd_init=1.0, cwnd_floor=1.0, ssthresh_init=1.0)],
         ),
         "zero-flows": SimConfig(
             schedule=synth_constant(12.0, 1.0), duration_s=1.0, flows=[],
@@ -198,8 +198,7 @@ def _scenarios():
         "guarded-watermark-between-ticks": SimConfig(
             schedule=synth_constant(24.0, 1.0), duration_s=0.5, one_way_delay_s=0.002,
             seed=1,
-            flows=[guarded("a", cwnd_init=4.0, cwnd_floor=1.0, ssthresh_init=8.0,
-                           start_in_avoidance=True)],
+            flows=[guarded("a", cwnd_init=4.0, cwnd_floor=1.0, ssthresh_init=4.0)],
         ),
     }
 

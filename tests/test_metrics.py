@@ -23,6 +23,7 @@ from ccguard.metrics import (
 )
 from ccguard.netsim import FlowSpec, SimConfig, SimLog, run_sim
 from ccguard.traces import synth_constant
+from test_sim_properties import mask_per_flow_timeseries
 
 
 # ---------------------------------------------------------------------------
@@ -211,45 +212,6 @@ def test_timeseries_single_bin(steady_log):
     assert len({r["t_s"] for r in rows}) == 1
 
 
-def reference_timeseries(log, bin_s):
-    """The scalar per-bin loop that ``timeseries`` replaced: one dict per row."""
-    bin_us, cfg = round(bin_s * 1e6), log.config
-    n_bins, end_us = metrics.bin_count(cfg.duration_s, bin_s), round(cfg.duration_s * 1e6)
-    owd_us = round(cfg.one_way_delay_s * 1e6)
-    flow, sent, delivered = log.p_flow, log.p_sent_us, log.p_delivered_us
-    mask = delivered >= 0
-    rtt_all, flow_all = (delivered[mask] + owd_us - sent[mask]) * 1e-6, flow[mask]
-    bin_idx = np.minimum((delivered[mask] - 1) // bin_us, n_bins - 1)
-    tick_t, cwnd_t = np.asarray(log.tick_t_us), np.asarray(log.cwnd_t_us)
-    rows = []
-    for fi, flow_id in enumerate(log.flow_ids):
-        fm = flow_all == fi
-        counts = np.bincount(bin_idx[fm], minlength=n_bins).astype(np.float64)
-        rtt_sums = np.bincount(bin_idx[fm], weights=rtt_all[fm], minlength=n_bins)
-        f_tick = np.nonzero(np.asarray(log.tick_flow) == fi)[0]
-        f_cwnd = np.nonzero(np.asarray(log.cwnd_flow) == fi)[0]
-        for b in range(n_bins):
-            t0, t1 = b * bin_us, min((b + 1) * bin_us, end_us)
-            n = counts[b]
-            rtt_avg = rtt_sums[b] / n if n else math.nan
-            k = np.searchsorted(tick_t[f_tick], t1, side="right") - 1
-            zone, mult = "", 1.0
-            mu = log.tick_mean[f_tick[k]] if k >= 0 else math.nan
-            if k >= 0 and tick_t[f_tick[k]] > t0:
-                zone, mult = log.tick_zone[f_tick[k]], log.tick_multiplier[f_tick[k]]
-            c = np.searchsorted(cwnd_t[f_cwnd], t1, side="right") - 1
-            rows.append({
-                "t_s": t0 / 1e6, "flow_id": flow_id,
-                "throughput_mbps": n * 12000.0 / ((t1 - t0) / 1e6) / 1e6,
-                "rtt_ms_avg": rtt_avg * 1e3 if n else math.nan,
-                "queuing_delay_ms_avg":
-                    (rtt_avg - 2.0 * cfg.one_way_delay_s) * 1e3 if n else math.nan,
-                "cwnd_pkts": float(log.cwnd_val[f_cwnd[c]]) if c >= 0 else math.nan,
-                "zone": zone, "guardian_multiplier": mult, "mu": mu,
-            })
-    return rows
-
-
 @pytest.fixture(scope="module")
 def mixed_log():
     """A long flow id, a guarded flow that starts late, and an AIMD flow
@@ -280,18 +242,10 @@ def test_mixed_log_covers_the_edge_cases(mixed_log):
 @pytest.mark.parametrize("bin_s", [0.4, 0.1, 0.005, 0.0007, 1.3, 5.0])
 def test_timeseries_matches_the_scalar_reference(mixed_log, bin_s):
     rows = timeseries(mixed_log, bin_s=bin_s)
-    ref = reference_timeseries(mixed_log, bin_s)
-    assert len(rows) == len(ref) == 3 * metrics.bin_count(1.3, bin_s)
-    assert rows.dtype.names == TIMESERIES_COLUMNS
-    for col in TIMESERIES_COLUMNS:
-        got, want = rows[col].tolist(), [r[col] for r in ref]
-        if col in ("flow_id", "zone"):
-            assert got == want, col
-            continue
-        got, want = np.array(got), np.array(want, dtype=np.float64)
-        nan = np.isnan(want)
-        assert (np.isnan(got) == nan).all(), col
-        assert (got[~nan].view(np.int64) == want[~nan].view(np.int64)).all(), col
+    ref = mask_per_flow_timeseries(mixed_log, bin_s)
+    assert len(rows) == 3 * metrics.bin_count(1.3, bin_s)
+    assert rows.dtype == ref.dtype and rows.dtype.names == TIMESERIES_COLUMNS
+    assert rows.tobytes() == ref.tobytes()
 
 
 def test_timeseries_of_a_run_without_ticks():
@@ -300,9 +254,9 @@ def test_timeseries_of_a_run_without_ticks():
     log = run_sim(cfg)
     assert not log.tick_t_us
     rows = timeseries(log, bin_s=0.25)
-    ref = reference_timeseries(log, 0.25)
-    assert rows["zone"].tolist() == [r["zone"] for r in ref] == [""] * 4
-    assert rows["cwnd_pkts"].tolist() == [r["cwnd_pkts"] for r in ref]
+    ref = mask_per_flow_timeseries(log, 0.25)
+    assert rows.dtype == ref.dtype and rows.tobytes() == ref.tobytes()
+    assert rows["zone"].tolist() == [""] * 4
     assert np.isnan(rows["mu"]).all()
 
 
@@ -384,7 +338,7 @@ def test_first_cwnd_reaching_at_the_flow_start():
 # the first ack, 8 + 1/8 after the second and 8.125 + 1/8.125 after the
 # third.
 RAMP = dict(
-    flows=[FlowSpec(cwnd_init=4.0, cwnd_floor=1.0, start_in_avoidance=True)],
+    flows=[FlowSpec(cwnd_init=4.0, cwnd_floor=1.0, ssthresh_init=4.0)],
     packets=[(0, 1000, -1), (0, 2000, -1), (0, 3000, -1)],
     ticks=[(3000, 0, 0.003, 8.0), (4500, 0, 0.003, 3.0), (5000, 0, 0.003, 9.0)],
 )

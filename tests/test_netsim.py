@@ -149,8 +149,7 @@ def test_rtt_floor_is_twice_one_way_delay():
     # A window that stays far below the 20-packet pipe never builds a
     # standing queue: every RTT is within 2 ms of 2 x OWD.
     cfg = small_sim(duration_s=0.5,
-                    flows=[aimd_flow(cwnd_init=1.0, cwnd_floor=1.0,
-                                     ssthresh_init=1.0, start_in_avoidance=True)])
+                    flows=[aimd_flow(cwnd_init=1.0, cwnd_floor=1.0, ssthresh_init=1.0)])
     log = run_sim(cfg)
     assert log.min_rtt_s[0] == pytest.approx(0.020, abs=1e-6)
     flow_rtts = [
@@ -295,11 +294,12 @@ def test_flow_validate_accepts_an_infinite_ssthresh():
     small_sim(flows=[FlowSpec(ssthresh_init=math.inf)]).validate()
 
 
-def in_order_sends(n, cwnd, inflight, ssthresh=64.0, start_in_avoidance=True):
+def in_order_sends(n, cwnd, inflight, ssthresh=None):
     """One aimd flow with ``cwnd`` and ``inflight`` takes ``n`` in-order acks
-    in one ``take_acks`` call. Returns the sends of each ack, and the flow."""
-    spec = aimd_flow(cwnd_init=cwnd, ssthresh_init=ssthresh,
-                     start_in_avoidance=start_in_avoidance)
+    in one ``take_acks`` call; its threshold is ``ssthresh``, by default
+    ``cwnd``, so that it starts in avoidance. Returns the sends of each ack,
+    and the flow."""
+    spec = aimd_flow(cwnd_init=cwnd, ssthresh_init=cwnd if ssthresh is None else ssthresh)
     f = _FlowState(spec, random.Random(0))
     f.inflight = inflight
     sends = np.ones(n, np.int64)
@@ -336,7 +336,7 @@ def test_take_acks_drain_ends_in_the_middle_of_a_run():
 def test_take_acks_switches_from_slow_start_in_the_middle_of_a_run():
     # Slow start from 2 to the threshold 4 in two acks, each sending 2, then
     # avoidance, which first reaches 5 at the seventh ack.
-    sends, f = in_order_sends(7, 2.0, 2, ssthresh=4.0, start_in_avoidance=False)
+    sends, f = in_order_sends(7, 2.0, 2, ssthresh=4.0)
     assert sends == [2, 2, 1, 1, 1, 1, 2]
     assert (f.inflight, f.phase) == (5, AVOIDANCE)
 
@@ -351,8 +351,7 @@ def test_take_acks_avoidance_run_crosses_two_integers():
 def test_take_acks_one_ack_may_cross_two_integers():
     # The largest double below 4, plus one, rounds to 5.0: the first ack
     # takes floor(cwnd) from 3 to 5, so it sends 3 into the slot it frees.
-    sends, f = in_order_sends(2, math.nextafter(4.0, 0.0), 3, ssthresh=1e9,
-                              start_in_avoidance=False)
+    sends, f = in_order_sends(2, math.nextafter(4.0, 0.0), 3, ssthresh=1e9)
     assert sends == [3, 2]
     assert (f.cwnd, f.inflight) == (6.0, 6)
 

@@ -67,14 +67,15 @@ def flow_specs(draw, flow_id):
             threshold_fixed_s=fixed,
             exploration=draw(st.sampled_from(["stochastic", "deterministic", "off"])),
         )
+    cwnd_init = floor + draw(st.integers(0, 40))
     return FlowSpec(
         flow_id=flow_id,
         controller="guarded" if guarded else "aimd",
         start_s=draw(st.sampled_from([0.0, 0.0, 0.01, 0.1, 0.25])),
-        cwnd_init=floor + draw(st.integers(0, 40)),
+        cwnd_init=cwnd_init,
         cwnd_floor=floor,
-        ssthresh_init=draw(st.sampled_from([4.0, 64.0, 1e9])),
-        start_in_avoidance=draw(st.booleans()),
+        # cwnd_init starts the flow in congestion avoidance.
+        ssthresh_init=draw(st.sampled_from([4.0, 64.0, 1e9, cwnd_init])),
         guardian=guardian,
     )
 
